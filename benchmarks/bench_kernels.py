@@ -7,8 +7,7 @@ dict-backend kernel is benchmarked next to its ``backend="csr"`` array
 twin on the same 3000-node preferential-attachment workload, so the JSON
 emitted by ``--benchmark-json`` (committed as ``BENCH_kernels.json``)
 records the dict-vs-csr trajectory over time; the acceptance floor is a
-3x witness-counting speedup, and both the sparse-matmul and pure-numpy
-joins clear it.
+3x witness-counting speedup, which the sparse-matmul join clears.
 
 The ``_native`` variants add the third backend column: the compiled
 join/selection kernels of :mod:`repro.core.native`, benchmarked on
@@ -71,24 +70,11 @@ def test_bench_witness_counting(benchmark, workload):
 
 
 def test_bench_witness_counting_csr(benchmark, pair_index):
-    """The csr join, auto path (sparse matmul when scipy is present)."""
+    """The csr join (scipy sparse incidence product)."""
     index, link_l, link_r, elig1, elig2 = pair_index
     scores, emitted = benchmark(
         kernels.count_witnesses, index, link_l, link_r, elig1, elig2
     )
-    assert emitted > 0
-
-
-def test_bench_witness_counting_csr_numpy(benchmark, pair_index):
-    """The csr join, pure-numpy fallback (no scipy)."""
-    index, link_l, link_r, elig1, elig2 = pair_index
-
-    def run():
-        return kernels.count_witnesses(
-            index, link_l, link_r, elig1, elig2, use_sparse=False
-        )
-
-    scores, emitted = benchmark(run)
     assert emitted > 0
 
 

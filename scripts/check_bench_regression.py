@@ -29,7 +29,7 @@ Noise tolerance:
   rounds, not a single sample.
 
 Backend columns: every benchmark name is classified by its backend
-suffix (``_csr_numpy``, ``_csr``, ``_native``, else the dict baseline)
+suffix (``_csr``, ``_native``, else the dict baseline)
 and the delta table is grouped per backend with its own verdict line,
 so a regression in one backend's column cannot hide inside an
 improvement in another's.  Fresh benchmarks with no baseline entry yet
@@ -70,22 +70,19 @@ def load_means(path: str) -> dict[str, float]:
     return means
 
 
-#: Report order of the backend columns; suffixes are matched longest
-#: first so ``_csr_numpy`` never classifies as ``_csr``.
-BACKENDS = ("dict", "csr", "csr-numpy", "native")
+#: Report order of the backend columns.
+BACKENDS = ("dict", "csr", "native")
 
 
 def backend_of(name: str) -> str:
     """Backend column a benchmark belongs to, from its name suffix.
 
     Suffix convention of the bench suites: ``test_bench_foo`` is the
-    dict baseline, ``test_bench_foo_csr`` / ``_csr_numpy`` / ``_native``
-    are its per-backend twins.  Parametrized variants keep their
+    dict baseline, ``test_bench_foo_csr`` / ``_native`` are its
+    per-backend twins.  Parametrized variants keep their
     ``[...]`` id out of the match.
     """
     stem = name.split("[", 1)[0].rstrip()
-    if stem.endswith("_csr_numpy"):
-        return "csr-numpy"
     if stem.endswith("_native"):
         return "native"
     if stem.endswith("_csr"):

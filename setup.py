@@ -4,10 +4,9 @@ Kept as a plain ``setup.py`` (not pyproject.toml) so that
 ``pip install -e .`` works in offline environments lacking the ``wheel``
 package (pip falls back to ``setup.py develop``).
 
-numpy is the only hard runtime dependency — the array substrate of
-``graphs/csr.py`` and ``core/kernels.py``.  scipy is an optional
-accelerator for the sparse-matmul witness join (``[accel]`` extra); the
-package falls back to a pure-numpy kernel without it.
+numpy is the array substrate of ``graphs/csr.py`` and
+``core/kernels.py``; scipy provides the sparse-matmul witness join of
+the ``csr`` backend (and of ``native`` when no C toolchain is present).
 """
 
 from setuptools import find_packages, setup
@@ -26,9 +25,9 @@ setup(
     python_requires=">=3.11",
     install_requires=[
         "numpy>=1.22",
+        "scipy>=1.8",
     ],
     extras_require={
-        "accel": ["scipy>=1.8"],
         "test": [
             "pytest",
             "pytest-benchmark",

@@ -39,11 +39,13 @@ still the quickest way to the paper's algorithm::
 ``reconcile`` also accepts a registry name or any constructed matcher:
 ``reconcile(g1, g2, seeds, "common-neighbors")``.
 
-Every matcher also takes a ``backend`` — ``"dict"`` (reference, Python
-dicts over original node ids) or ``"csr"`` (dense interning + numpy
-kernels, link-identical output, several times faster on the hot join)::
+Every matcher also takes a ``backend`` — ``"native"`` (the default:
+dense interning + compiled C hot kernels, falling back to ``"csr"``
+without a C toolchain), ``"csr"`` (dense interning + array kernels) or
+``"dict"`` (the paper-literal reference over Python dicts keyed by
+original node ids).  Output is link-identical across all three::
 
-    result = reconcile(pair.g1, pair.g2, seeds, threshold=2, backend="csr")
+    result = reconcile(pair.g1, pair.g2, seeds, threshold=2, backend="dict")
 
 See DESIGN.md §"Backends" for when interning pays off.
 

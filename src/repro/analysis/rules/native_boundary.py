@@ -2,7 +2,7 @@
 
 ``backend="native"`` rests on one load-bearing promise: a missing
 toolchain, a truncated build cache, or an ABI mismatch degrades to the
-numpy kernels with a :class:`~repro.core.native.NativeFallbackWarning`
+csr kernels with a :class:`~repro.core.native.NativeFallbackWarning`
 — it never crashes a run.  That promise holds only if every shared
 -object load is dominated by the handler that maps loader failures to
 ``None``.  The sanctioned spelling is
@@ -79,7 +79,7 @@ class NativeBoundaryRule(FileRule):
     hint = (
         "call repro.core.native._load_shared_library(path) instead of "
         "loading directly; it maps loader failures to None so the "
-        "caller degrades to the numpy kernels"
+        "caller degrades to the csr kernels"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -107,7 +107,7 @@ class NativeBoundaryRule(FileRule):
                 f"bare shared-library load ({name}) outside the "
                 f"sanctioned {_SANCTIONED_WRAPPER} boundary; a loader "
                 "failure here crashes the run instead of falling back "
-                "to the numpy kernels",
+                "to the csr kernels",
             )
 
     def _check_import(

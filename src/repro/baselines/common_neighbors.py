@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.config import MatcherConfig, TiePolicy
+from repro.core.config import DEFAULT_BACKEND, MatcherConfig, TiePolicy
 from repro.core.matcher import UserMatching
 from repro.core.protocol import ProgressCallback
 from repro.core.result import MatchingResult
@@ -39,7 +39,7 @@ class CommonNeighborsMatcher:
         threshold: int = 1,
         iterations: int = 1,
         tie_policy: TiePolicy = TiePolicy.SKIP,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         workers: int = 1,
         memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",

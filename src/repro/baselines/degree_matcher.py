@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.core.config import (
+    DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
     validate_memory_budget_mb,
@@ -43,7 +44,7 @@ class DegreeSequenceMatcher:
     def __init__(
         self,
         max_matches: int | None = None,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         workers: int = 1,
         memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",

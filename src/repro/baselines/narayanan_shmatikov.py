@@ -28,6 +28,7 @@ import math
 from typing import Hashable
 
 from repro.core.config import (
+    DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
     validate_memory_budget_mb,
@@ -58,11 +59,12 @@ class NarayananShmatikovMatcher:
         max_sweeps: maximum passes over the unmatched nodes.
         allow_rematch: let later evidence overwrite earlier matches
             (true in [23]).
-        backend: ``"dict"`` (default) or ``"csr"`` (dense-interned array
-            propagation, link-identical for a positive eccentricity
-            threshold); ``"native"`` is accepted and runs the csr path
-            — this matcher's propagation has no compiled kernel, so
-            the knob stays uniform across the registry.
+        backend: ``"dict"`` (the Python reference) or ``"csr"``
+            (dense-interned array propagation, link-identical for a
+            positive eccentricity threshold); ``"native"`` (the
+            default) runs the csr path — this matcher's propagation
+            has no compiled kernel, so the knob stays uniform across
+            the registry.
     """
 
     def __init__(
@@ -70,7 +72,7 @@ class NarayananShmatikovMatcher:
         eccentricity_threshold: float = 0.5,
         max_sweeps: int = 5,
         allow_rematch: bool = True,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         workers: int = 1,
         memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",

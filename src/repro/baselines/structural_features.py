@@ -29,6 +29,7 @@ import math
 from typing import Hashable
 
 from repro.core.config import (
+    DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
     validate_memory_budget_mb,
@@ -123,12 +124,13 @@ class StructuralFeatureMatcher:
             taken among the ``max_candidates`` right nodes closest in
             degree (a blocking step that keeps the quadratic scan
             tractable, standard in feature-matching systems).
-        backend: ``"dict"`` (default) or ``"csr"`` — the csr backend
-            computes the identical feature table from dense CSR arrays
-            (reductions are correctly rounded, so the table is bit-equal
-            and the links match exactly).  ``"native"`` is accepted and
-            runs the csr path — feature extraction has no compiled
-            kernel, so the knob stays uniform across the registry.
+        backend: ``"dict"`` (the Python reference) or ``"csr"`` — the
+            csr backend computes the identical feature table from dense
+            CSR arrays (reductions are correctly rounded, so the table
+            is bit-equal and the links match exactly).  ``"native"``
+            (the default) runs the csr path — feature extraction has no
+            compiled kernel, so the knob stays uniform across the
+            registry.
     """
 
     def __init__(
@@ -136,7 +138,7 @@ class StructuralFeatureMatcher:
         levels: int = 2,
         quantile: float = 0.5,
         max_candidates: int = 50,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         workers: int = 1,
         memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",

@@ -30,14 +30,18 @@ class TiePolicy(enum.Enum):
 
 
 #: Execution backends every matcher accepts: ``"dict"`` runs over Python
-#: dict/set structures keyed by original node ids; ``"csr"`` interns both
-#: graphs to dense ids once and runs the numpy kernels in
+#: dict/set structures keyed by original node ids (the paper-literal
+#: reference every equivalence test compares against); ``"csr"`` interns
+#: both graphs to dense ids once and runs the array kernels in
 #: :mod:`repro.core.kernels`; ``"native"`` runs the same dataflow with
 #: the hot kernels (witness join, table merge, selection) in a small C
 #: library compiled on demand (:mod:`repro.core.native`), degrading to
 #: the ``csr`` kernels with a warning when no toolchain is available.
 #: Output is link-identical across all three.
 BACKENDS: tuple[str, ...] = ("dict", "csr", "native")
+
+#: The backend every matcher and driver runs when none is named.
+DEFAULT_BACKEND = "native"
 
 
 def validate_backend(backend: str) -> str:
@@ -181,13 +185,13 @@ class MatcherConfig:
     tie_policy : TiePolicy
         See :class:`TiePolicy`.
     backend : {"dict", "csr", "native"}
-        Execution substrate: ``"dict"`` (default), ``"csr"`` (dense
-        interning + numpy kernels), or ``"native"`` (the csr dataflow
-        with compiled C hot kernels, see :mod:`repro.core.native`;
-        falls back to the csr kernels with a
-        :class:`~repro.core.native.NativeFallbackWarning` when no C
-        toolchain is available).  Output is link-identical across all
-        three.
+        Execution substrate: ``"dict"`` (the pure-Python reference),
+        ``"csr"`` (dense interning + array kernels), or ``"native"``
+        (:data:`DEFAULT_BACKEND`: the csr dataflow with compiled C hot
+        kernels, see :mod:`repro.core.native`; falls back to the csr
+        kernels with a :class:`~repro.core.native.NativeFallbackWarning`
+        when no C toolchain is available).  Output is link-identical
+        across all three.
     workers : int
         Worker processes for the ``csr`` witness kernels
         (:mod:`repro.core.parallel`).  1 (default) is the serial path;
@@ -262,7 +266,7 @@ class MatcherConfig:
     use_degree_buckets: bool = True
     min_bucket_exponent: int = 1
     tie_policy: TiePolicy = TiePolicy.SKIP
-    backend: str = "dict"
+    backend: str = DEFAULT_BACKEND
     workers: int = 1
     memory_budget_mb: int | None = None
     candidate_pruning: str = "none"

@@ -5,12 +5,11 @@ tables; these kernels run the *same* dataflow over flat ``int64`` arrays
 keyed by the dense node ids of a
 :class:`~repro.graphs.pair_index.GraphPairIndex`:
 
-- :func:`count_witnesses` — the CSR-join witness count (Definition 1):
-  expand every link's two neighborhoods with segmented gathers, emit the
-  per-link cross products as packed ``v1 * n2 + v2`` keys, and collapse
-  duplicates with one ``np.unique``.  Work is exactly the
-  ``Σ |N1(u1) ∩ bucket| · |N2(u2) ∩ bucket|`` witness-pair bound of the
-  paper's analysis, executed at array speed.
+- :func:`count_witnesses` — the witness count (Definition 1) as one
+  sparse product ``B1 @ B2`` of the 0/1 link-incidence matrices, so
+  duplicates are summed without ever materializing individual witness
+  pairs.  The ``Σ |N1(u1) ∩ bucket| · |N2(u2) ∩ bucket|`` witness-pair
+  bound of the paper's analysis is still reported as the round's work.
 - :func:`select_mutual_best_arrays` / :func:`select_greedy_arrays` —
   selection over flat ``(left, right, score)`` triples.  Because interning
   is canonical (dense-id order == :func:`~repro.core.ordering.node_sort_key`
@@ -28,12 +27,11 @@ not approximate; the property suite asserts link-for-link equality.
 ``backend="native"`` reuses this module end to end: every kernel accepts
 an optional :class:`~repro.core.native.NativeKernels` handle (threaded
 by the callers, resolved once per run) that swaps the hot inner step —
-join, merge, selection — for its compiled twin while keeping the
-canonical ascending-packed-key table contract, so all three backends are
-bit-identical.  Independently, the pure-numpy paths are *sort-free*
-whenever the packed key space is bounded: a dense ``np.bincount``
-scatter-add replaces the join's ``np.unique`` and a reusable
-:class:`ScatterWorkspace` buffer replaces the merge sorts.
+join, merge, selection — for its compiled twin while keeping the same
+integer counts, so all three backends select identical links.
+Independently, the merges are *sort-free* whenever the packed key space
+is bounded: a reusable :class:`ScatterWorkspace` buffer replaces the
+merge sorts.
 """
 
 from __future__ import annotations
@@ -42,17 +40,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.config import TiePolicy
 from repro.graphs.pair_index import GraphPairIndex
 
 if TYPE_CHECKING:
     from repro.core.native import NativeKernels
-
-try:  # optional accelerator: sparse matmul witness join (never required)
-    import scipy.sparse as _sparse
-except ImportError:  # pragma: no cover - environment-dependent
-    _sparse = None
 
 Node = Hashable
 
@@ -66,11 +60,9 @@ WitnessCounter = Callable[
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Largest dense packed-key space (``n1 * n2``) the sort-free scatter
-#: paths will allocate unconditionally: 2**22 keys = 32 MiB of int64
-#: accumulator, small next to any round that matters.  Above the cap the
-#: dense form must still be cheaper than the work already in flight (see
-#: the ``2 * emitted`` rule in :func:`count_witnesses`).
+#: Largest dense packed-key space (``n1 * n2``) a
+#: :class:`ScatterWorkspace` will allocate: 2**22 keys = 32 MiB of int64
+#: accumulator, small next to any round that matters.
 _SCATTER_KEYSPACE_CAP = 1 << 22
 
 
@@ -248,7 +240,6 @@ def count_witnesses(
     eligible1: np.ndarray,
     eligible2: np.ndarray,
     *,
-    use_sparse: bool | None = None,
     native: "NativeKernels | None" = None,
 ) -> tuple[ArrayScores, int]:
     """Count similarity witnesses for all eligible candidate pairs.
@@ -258,7 +249,7 @@ def count_witnesses(
     ``(u1, u2)`` the *eligible* neighbors of ``u1`` pair with the
     eligible neighbors of ``u2``, one witness per co-occurrence.
 
-    Interchangeable implementations sit behind this signature; all
+    Two interchangeable implementations sit behind this signature; both
     produce identical integer counts (pair *order* within the result is
     unspecified):
 
@@ -266,19 +257,11 @@ def count_witnesses(
       walks the CSR neighbor lists row-major, scattering each
       candidate's eligibility-filtered link rows into a dense count row
       with a touched-column bitmap — neither the cross product nor any
-      sort ever happens; the bitmap scans out lowest-bit-first, so rows
-      are emitted already in the same canonical order as the paths
-      below.
-    - sparse matmul (used when scipy is importable): the witness table
-      is ``B1 @ B2`` for the 0/1 link-incidence matrices ``B1[v1, k]``
-      ("candidate v1 is adjacent to link k in G1") and ``B2[k, v2]`` —
-      the join never materializes individual witness pairs.
-    - pure numpy (always available): segmented cross-product expansion
-      into packed ``v1 * n2 + v2`` keys, collapsed *sort-free* by a
-      dense ``np.bincount`` scatter-add whenever the key space is
-      bounded (``n1 * n2`` at most ``max(2**22, 2 x emitted)`` — never
-      bigger than the expansion already in flight), else by one
-      ``np.unique``.
+      sort ever happens; rows come out in ascending packed-key order.
+    - sparse matmul (scipy): the witness table is ``B1 @ B2`` for the
+      0/1 link-incidence matrices ``B1[v1, k]`` ("candidate v1 is
+      adjacent to link k in G1") and ``B2[k, v2]`` — the join never
+      materializes individual witness pairs.
 
     Args:
         index: dense interning of the two graphs.
@@ -287,9 +270,6 @@ def count_witnesses(
         eligible1: bool[n1] candidate mask (typically "unmatched and at
             least the bucket's degree floor").
         eligible2: bool[n2] candidate mask.
-        use_sparse: force the sparse (True) or pure-numpy (False) join;
-            ``None`` picks sparse when scipy is available.  Ignored
-            when *native* is given.
         native: compiled-kernel handle (``backend="native"``); callers
             resolve it once per run via
             :func:`repro.core.native.load_native_library` so the
@@ -333,74 +313,38 @@ def count_witnesses(
     emitted = int((a * b).sum())
     if emitted == 0:
         return ArrayScores(index, _EMPTY, _EMPTY, _EMPTY), 0
-    if use_sparse is None:
-        use_sparse = _sparse is not None
-    if use_sparse:
-        if _sparse is None:
-            raise RuntimeError(
-                "use_sparse=True requires scipy, which is not installed"
-            )
-        ones1 = np.ones(len(nbr1), dtype=np.int64)
-        ones2 = np.ones(len(nbr2), dtype=np.int64)
-        ip1 = np.zeros(num_links + 1, dtype=np.int64)
-        np.cumsum(a, out=ip1[1:])
-        ip2 = np.zeros(num_links + 1, dtype=np.int64)
-        np.cumsum(b, out=ip2[1:])
-        # The interning may have compacted neighbor ids to uint32;
-        # scipy wants one index dtype across (indices, indptr).
-        incidence1 = _sparse.csc_array(
-            (ones1, nbr1.astype(np.int64, copy=False), ip1),
-            shape=(index.n1, num_links),
-        )
-        incidence2 = _sparse.csr_array(
-            (ones2, nbr2.astype(np.int64, copy=False), ip2),
-            shape=(num_links, index.n2),
-        )
-        # csc @ csr yields CSC: indptr walks g2 columns, indices hold the
-        # g1 rows, duplicates pre-summed.  Read the triplets out directly
-        # (a tocoo() round-trip re-validates and costs more than the
-        # matmul itself).
-        table = incidence1 @ incidence2
-        cols = np.repeat(
-            np.arange(index.n2, dtype=np.int64),
-            np.diff(table.indptr),
-        )
-        return (
-            ArrayScores(
-                index,
-                table.indices.astype(np.int64),
-                cols,
-                table.data.astype(np.int64),
-            ),
-            emitted,
-        )
-    pair_l, pair_r = _segment_cross_product(nbr1, seg1, nbr2, seg2, num_links)
-    n2 = np.int64(index.n2)
-    keyspace = index.n1 * index.n2
-    if keyspace < np.iinfo(np.int32).max:
-        packed = (pair_l * n2 + pair_r).astype(np.int32)
-    else:
-        # Force the multiply into int64 explicitly: the compacted
-        # interning gathers uint32 neighbor ids, and numpy 1.x
-        # value-based casting would keep uint32 x int64-scalar at
-        # uint32, wrapping packed keys past 2**32.
-        packed = pair_l.astype(np.int64) * n2 + pair_r
-    if keyspace <= max(_SCATTER_KEYSPACE_CAP, 2 * emitted):
-        # Sort-free collapse: one dense scatter-add over the packed key
-        # space.  flatnonzero walks it in index order, so keys come out
-        # ascending — byte-identical to the np.unique result — at
-        # O(emitted + keyspace) instead of O(emitted log emitted).
-        # The bound keeps the dense buffer no bigger than twice the
-        # expansion already materialized above.
-        dense = np.bincount(packed, minlength=keyspace)
-        keys = np.flatnonzero(dense)
-        counts = dense[keys].astype(np.int64)
-    else:
-        keys, counts = np.unique(packed, return_counts=True)
-        keys = keys.astype(np.int64)
-        counts = counts.astype(np.int64)
+    ones1 = np.ones(len(nbr1), dtype=np.int64)
+    ones2 = np.ones(len(nbr2), dtype=np.int64)
+    ip1 = np.zeros(num_links + 1, dtype=np.int64)
+    np.cumsum(a, out=ip1[1:])
+    ip2 = np.zeros(num_links + 1, dtype=np.int64)
+    np.cumsum(b, out=ip2[1:])
+    # The interning may have compacted neighbor ids to uint32; scipy
+    # wants one index dtype across (indices, indptr).
+    incidence1 = sparse.csc_array(
+        (ones1, nbr1.astype(np.int64, copy=False), ip1),
+        shape=(index.n1, num_links),
+    )
+    incidence2 = sparse.csr_array(
+        (ones2, nbr2.astype(np.int64, copy=False), ip2),
+        shape=(num_links, index.n2),
+    )
+    # csc @ csr yields CSC: indptr walks g2 columns, indices hold the g1
+    # rows, duplicates pre-summed.  Read the triplets out directly (a
+    # tocoo() round-trip re-validates and costs more than the matmul
+    # itself).
+    table = incidence1 @ incidence2
+    cols = np.repeat(
+        np.arange(index.n2, dtype=np.int64),
+        np.diff(table.indptr),
+    )
     return (
-        ArrayScores(index, keys // n2, keys % n2, counts),
+        ArrayScores(
+            index,
+            table.indices.astype(np.int64),
+            cols,
+            table.data.astype(np.int64),
+        ),
         emitted,
     )
 
@@ -505,7 +449,6 @@ def count_witnesses_blocked(
     memory_budget_mb: int | None,
     *,
     counter: WitnessCounter | None = None,
-    use_sparse: bool | None = None,
     native: "NativeKernels | None" = None,
     workspace: "ScatterWorkspace | None" = None,
 ) -> tuple[ArrayScores, int]:
@@ -535,8 +478,6 @@ def count_witnesses_blocked(
             :meth:`repro.core.parallel.WitnessPool.count_witnesses`
             bound method to fan each block out to a worker pool
             (``blocked x workers`` composes; output stays identical).
-        use_sparse: forwarded to :func:`count_witnesses` (ignored when
-            *counter* is given).
         native: compiled-kernel handle — per-block joins run in C (when
             *counter* is not given; a pool counter carries its own
             handle) and every fold is the compiled hash merge.
@@ -558,7 +499,6 @@ def count_witnesses_blocked(
             link_r,
             eligible1,
             eligible2,
-            use_sparse=use_sparse,
             native=native,
         )
 

@@ -34,17 +34,18 @@ implementation over Python dicts keyed by original node ids.  With
 ``MatcherConfig(backend="csr")`` the same sweep runs over a
 :class:`~repro.graphs.pair_index.GraphPairIndex`: node ids are interned
 to dense integers once, each (iteration, bucket) round recounts
-witnesses with the vectorized CSR join of
+witnesses with the sparse incidence product of
 :func:`repro.core.kernels.count_witnesses` (the MapReduce dataflow at
 array speed), and selection is the vectorized mutual-best kernel.  The
 two backends are link-identical — the per-round recount sees exactly the
 eligible-pair scores of the incremental table, which is the same
 equality the MapReduce tests already pin down.
-``MatcherConfig(backend="native")`` is the same sweep again with the
-compiled hot kernels of :mod:`repro.core.native` (hash-accumulated
-witness join, compiled merges and selection) and degrades to the csr
-kernels — with a warning, never an error — when no C toolchain exists;
-the three-way property wall pins all backends bit-identical.
+``MatcherConfig(backend="native")`` — the default — is the same sweep
+again with the compiled hot kernels of :mod:`repro.core.native`
+(hash-accumulated witness join, compiled merges and selection) and
+degrades to the csr kernels — with a warning, never an error — when no
+C toolchain exists; the three-way property wall pins all backends
+bit-identical.
 
 Parallelism.  ``MatcherConfig(backend="csr", workers=N)`` additionally
 fans each round's recount out to a shared-memory worker pool

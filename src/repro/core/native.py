@@ -1,10 +1,10 @@
 """Compiled ``backend="native"`` kernels: the witness join off the interpreter.
 
-Every scale rung so far bottlenecks on the same two array kernels: the
-packed-key sort of ``np.unique`` inside
-:func:`repro.core.kernels.count_witnesses` and the repeated
-concatenate-and-re-sort of :func:`repro.core.kernels.merge_score_tables`.
-This module removes both from the hot path by compiling a small,
+Every scale rung bottlenecks on the same two array kernels: the
+witness join of :func:`repro.core.kernels.count_witnesses` and the
+repeated concatenate-and-re-sort of
+:func:`repro.core.kernels.merge_score_tables`.  This module removes
+both from the hot path by compiling a small,
 dependency-free C kernel at first use:
 
 - the **witness join** walks the CSR neighbor lists row-major,
@@ -13,7 +13,7 @@ dependency-free C kernel at first use:
   cross-product materialization, no hashing, and *no sort anywhere*:
   set bits scan out of the bitmap lowest-first, so packed
   ``v1 * n2 + v2`` keys are emitted already in canonical ``np.unique``
-  order and the output is bit-identical to the numpy kernels;
+  order with the same counts as the csr sparse join;
 - **table merges** (worker shards, memory blocks) hash-accumulate
   ``(key, count)`` rows the same way;
 - **mutual-best** selection is a single pass over the score triples with
@@ -25,9 +25,10 @@ dependency-free C kernel at first use:
 Toolchain story.  The kernel is plain C99 compiled on demand with the
 system compiler (``cc``; override with ``REPRO_NATIVE_CC``) into a
 cached shared object loaded through :mod:`ctypes` — **no new package
-dependency**.  Environments without a toolchain degrade gracefully:
+dependency**.  The cache is ``REPRO_NATIVE_DIR`` or a private per-user
+directory under the temp dir (see :func:`_build_dir`).  Environments without a toolchain degrade gracefully:
 :func:`load_native_library` emits a :class:`NativeFallbackWarning` and
-returns ``None``, and every caller treats ``None`` as "run the numpy
+returns ``None``, and every caller treats ``None`` as "run the csr
 kernels" — same links, same table, slower join.  ``backend="native"``
 therefore *never fails for environmental reasons*, mirroring the
 ``workers`` knob's :class:`~repro.core.parallel.ParallelFallbackWarning`
@@ -47,6 +48,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import sysconfig
 import tempfile
@@ -64,7 +66,7 @@ __all__ = [
 
 
 class NativeFallbackWarning(RuntimeWarning):
-    """The native kernels could not be compiled or loaded; numpy runs.
+    """The native kernels could not be compiled or loaded; csr runs.
 
     Emitted (never raised) by :func:`load_native_library` when no
     working C toolchain is available, compilation fails, or the
@@ -598,7 +600,7 @@ def _load_shared_library(lib_path: Path) -> "ctypes.CDLL | None":
     Every shared-object load in ``repro.core`` must go through this
     helper: the ``CDLL`` call is dominated by the handler that maps any
     loader failure to ``None``, which callers treat as "fall back to
-    the numpy kernels".  A bare ``CDLL`` elsewhere would turn an
+    the csr kernels".  A bare ``CDLL`` elsewhere would turn an
     environmental problem into a crash.
     """
     try:
@@ -885,14 +887,32 @@ class NativeKernels:
 
 
 def _build_dir() -> Path:
-    """Where compiled objects live: override dir or a per-user cache."""
+    """Where compiled objects live: override dir or a per-user cache.
+
+    The per-user cache sits in the shared temp directory, where another
+    local user could create it first and plant a library that
+    :func:`_build_library` would then load as-is.  So it is created
+    0700 and used only if it is a real directory owned by this user
+    that no one else can write; otherwise this raises, which
+    :func:`load_native_library` turns into the warned csr fallback.
+    """
     override = os.environ.get("REPRO_NATIVE_DIR")
     if override:
         path = Path(override)
         path.mkdir(parents=True, exist_ok=True)
         return path
     path = Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}"
-    path.mkdir(parents=True, exist_ok=True)
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = path.lstat()
+    if (
+        not stat.S_ISDIR(st.st_mode)
+        or st.st_uid != os.getuid()
+        or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise RuntimeError(
+            f"refusing native build dir {path}: not a directory owned "
+            "by this user and writable only by it"
+        )
     return path
 
 
@@ -906,7 +926,7 @@ def load_native_library(*, warn: bool = True) -> NativeKernels | None:
     Failure is cached so the toolchain is probed once per process, but
     the kill-switch is re-read on every call (tests and CI toggle it).
 
-    ``backend="native"`` callers treat ``None`` as "run the csr numpy
+    ``backend="native"`` callers treat ``None`` as "run the csr
     kernels" — the three-way property wall guarantees identical links.
     """
     global _CACHE
@@ -914,7 +934,7 @@ def load_native_library(*, warn: bool = True) -> NativeKernels | None:
         if warn:
             warnings.warn(
                 "REPRO_NATIVE_DISABLE=1: backend='native' is running "
-                "the csr numpy kernels",
+                "the csr kernels",
                 NativeFallbackWarning,
                 stacklevel=2,
             )
@@ -925,8 +945,7 @@ def load_native_library(*, warn: bool = True) -> NativeKernels | None:
         if warn:
             warnings.warn(
                 "native kernels unavailable (earlier compile/load "
-                "failed); backend='native' is running the csr numpy "
-                "kernels",
+                "failed); backend='native' is running the csr kernels",
                 NativeFallbackWarning,
                 stacklevel=2,
             )
@@ -952,7 +971,7 @@ def load_native_library(*, warn: bool = True) -> NativeKernels | None:
         if warn:
             warnings.warn(
                 f"could not build/load the native kernels ({exc!r}); "
-                "backend='native' is running the csr numpy kernels",
+                "backend='native' is running the csr kernels",
                 NativeFallbackWarning,
                 stacklevel=2,
             )

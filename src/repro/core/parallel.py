@@ -130,8 +130,8 @@ def _init_worker(
         # native handle before opening the pool; workers re-resolve
         # quietly — with a fork start the loaded library is inherited,
         # with spawn the cached shared object is reloaded.  A worker
-        # that cannot load it silently runs the numpy kernels, which
-        # is safe because the two are bit-identical.
+        # that cannot load it silently runs the csr kernels, which
+        # is safe because the two are link-identical.
         from repro.core.native import load_native_library
 
         native = load_native_library(warn=False)

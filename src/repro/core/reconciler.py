@@ -44,6 +44,7 @@ import time
 from typing import Callable, Hashable, TypeVar
 
 from repro.core.config import (
+    DEFAULT_BACKEND,
     TiePolicy,
     validate_backend,
     validate_candidate_pruning,
@@ -364,6 +365,8 @@ class Reconciler:
         ``(g1, g2, links, seeds)`` and returns the links to keep
         (seeds must be preserved).
     backend : {"dict", "csr", "native"}
+        Defaults to :data:`~repro.core.config.DEFAULT_BACKEND`
+        (``"native"``); ``"dict"`` is the pure-Python reference.
         With ``"csr"`` the *default* scoring stage interns both graphs
         once per run and produces the flat
         :class:`~repro.core.kernels.ArrayScores` table; the named
@@ -418,7 +421,7 @@ class Reconciler:
         scorer: ScoringKernel | None = None,
         selector: str | Selector = "mutual-best",
         validators: "tuple[Validator, ...] | list[Validator]" = (),
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
         workers: int = 1,
         memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",

@@ -156,11 +156,12 @@ def plan_link_shards(
 # ----------------------------------------------------------------------
 # Memory-budgeted block planning
 # ----------------------------------------------------------------------
-#: Estimated transient bytes per witness pair in the pure-numpy CSR join:
-#: the two pair-endpoint arrays and the packed key (3 x int64) plus
-#: ``np.unique``'s sort scratch of the key array — a deliberately
-#: conservative figure so a block that hits the budget estimate stays
-#: under the real high-water mark.
+#: Estimated transient bytes per witness pair of a join round, sized for
+#: a materialized cross product: the two pair-endpoint arrays and the
+#: packed key (3 x int64) plus a sort's scratch of the key array.  The
+#: sparse and compiled joins never materialize pairs, so this is a
+#: deliberately conservative figure: a block that hits the budget
+#: estimate stays under the real high-water mark.
 WITNESS_PAIR_BYTES = 48
 
 

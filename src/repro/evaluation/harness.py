@@ -151,10 +151,12 @@ def run_trial(
         :class:`UserMatching` with *config*.
     params : dict, optional
         Extra key/values recorded in the result row.
-    backend : {"dict", "csr"}, optional
+    backend : {"dict", "csr", "native"}, optional
         Execution backend applied to the default matcher, a given
         *config*, or a *named* matcher; cannot reconfigure an
-        already-constructed instance.
+        already-constructed instance.  ``None`` keeps the matcher's
+        own, which defaults to ``"native"``
+        (:data:`~repro.core.config.DEFAULT_BACKEND`).
     workers : int, optional
         Worker processes for the csr kernels, applied exactly like
         *backend* (links are identical for any value — this knob only
@@ -354,9 +356,11 @@ def compare_matchers(
         Registry names and/or matcher instances.
     params : dict, optional
         Extra key/values recorded in every result row.
-    backend : {"dict", "csr"}, optional
+    backend : {"dict", "csr", "native"}, optional
         Run every *named* matcher on this execution backend and record
-        it in the ``backend`` column of its row.  Pre-constructed
+        it in the ``backend`` column of its row; ``None`` keeps each
+        matcher's default, ``"native"``
+        (:data:`~repro.core.config.DEFAULT_BACKEND`).  Pre-constructed
         instances keep whatever backend they were built with and get
         no ``backend`` column (the harness cannot reconfigure them).
     workers : int, optional

@@ -14,7 +14,7 @@ recall(T=3).
 
 from __future__ import annotations
 
-from repro.core.config import MatcherConfig
+from repro.core.config import DEFAULT_BACKEND, MatcherConfig
 from repro.evaluation.harness import run_trial
 from repro.experiments.common import ExperimentResult, checkpoint_for
 from repro.generators.preferential_attachment import (
@@ -33,7 +33,7 @@ def run(
     thresholds: tuple[int, ...] = (1, 2, 3),
     iterations: int = 2,
     seed=0,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     workers: int = 1,
     candidate_pruning: str = "none",
     pruning_frontier: int = 0,

@@ -19,7 +19,7 @@ EXPERIMENTS.md and ``BENCH_blocked.json`` report.
 
 from __future__ import annotations
 
-from repro.core.config import MatcherConfig
+from repro.core.config import DEFAULT_BACKEND, MatcherConfig
 from repro.evaluation.harness import run_trial
 from repro.experiments.common import ExperimentResult, checkpoint_for
 from repro.generators.rmat import rmat_graph
@@ -37,7 +37,7 @@ def run(
     threshold: int = 2,
     iterations: int = 1,
     seed=0,
-    backend: str = "dict",
+    backend: str = DEFAULT_BACKEND,
     workers: int = 1,
     memory_budget_mb: int | None = None,
     candidate_pruning: str = "none",

@@ -21,9 +21,21 @@ from repro.core.selectors import select_greedy_top_score
 from repro.graphs.graph import Graph
 from repro.graphs.pair_index import GraphPairIndex
 
-HAS_SCIPY = kernels._sparse is not None
 
-SPARSE_MODES = [False] + ([True] if HAS_SCIPY else [])
+def join_handle(join: str):
+    """``native=`` argument selecting one of the two witness joins."""
+    if join == "sparse":
+        return None
+    from repro.core.native import load_native_library
+
+    nk = load_native_library(warn=False)
+    if nk is None:
+        pytest.skip("no C toolchain in this environment")
+    return nk
+
+
+#: The two implementations behind ``count_witnesses``.
+JOINS = ["sparse", "native"]
 
 
 def as_dict(scores: ArrayScores) -> dict:
@@ -58,8 +70,9 @@ class TestSegmentedGather:
 
 
 class TestCountWitnesses:
-    @pytest.mark.parametrize("use_sparse", SPARSE_MODES)
-    def test_matches_dict_kernel(self, pa_pair, pa_seeds, use_sparse):
+    @pytest.mark.parametrize("join", JOINS)
+    def test_matches_dict_kernel(self, pa_pair, pa_seeds, join):
+        native = join_handle(join)
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
         for min_degree in (1, 2, 4):
             expected, emitted = count_similarity_witnesses(
@@ -77,7 +90,7 @@ class TestCountWitnesses:
                 link_r,
                 ~linked1 & floor1,
                 ~linked2 & floor2,
-                use_sparse=use_sparse,
+                native=native,
             )
             assert got_emitted == emitted
             assert as_dict(scores) == reference_dict(expected)
@@ -108,22 +121,6 @@ class TestCountWitnesses:
         assert got == emitted
         assert as_dict(scores) == reference_dict(expected)
 
-    def test_sparse_and_numpy_paths_identical(self, pa_pair, pa_seeds):
-        if not HAS_SCIPY:
-            pytest.skip("scipy not installed")
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        link_l, link_r = index.intern_links(pa_seeds)
-        elig1 = np.ones(index.n1, dtype=bool)
-        elig2 = np.ones(index.n2, dtype=bool)
-        a, ea = count_witnesses(
-            index, link_l, link_r, elig1, elig2, use_sparse=True
-        )
-        b, eb = count_witnesses(
-            index, link_l, link_r, elig1, elig2, use_sparse=False
-        )
-        assert ea == eb
-        assert as_dict(a) == as_dict(b)
-
     def test_no_links(self, pa_pair):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
         scores, emitted = count_witnesses(
@@ -147,22 +144,6 @@ class TestCountWitnesses:
             np.zeros(index.n2, dtype=bool),
         )
         assert emitted == 0 and scores.num_pairs == 0
-
-    def test_use_sparse_without_scipy_raises(
-        self, pa_pair, pa_seeds, monkeypatch
-    ):
-        monkeypatch.setattr(kernels, "_sparse", None)
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        link_l, link_r = index.intern_links(pa_seeds)
-        with pytest.raises(RuntimeError):
-            count_witnesses(
-                index,
-                link_l,
-                link_r,
-                np.ones(index.n1, dtype=bool),
-                np.ones(index.n2, dtype=bool),
-                use_sparse=True,
-            )
 
 
 def _scores_fixture(pa_pair, pa_seeds):
@@ -241,7 +222,7 @@ class TestArraySelection:
 
 def canonical_table(scores: ArrayScores):
     """(packed key, count) arrays sorted by key — order-free equality."""
-    packed = scores.left * scores.index.n2 + scores.right
+    packed = scores.left.astype(np.int64) * scores.index.n2 + scores.right
     order = np.argsort(packed)
     return packed[order], scores.score[order]
 
@@ -330,17 +311,18 @@ class TestCountWitnessesBlocked:
         assert np.array_equal(mk, bk)
         assert np.array_equal(mc, bc)
 
-    @pytest.mark.parametrize("use_sparse", SPARSE_MODES)
-    def test_both_join_paths_identical(self, pa_pair, pa_seeds, use_sparse):
+    @pytest.mark.parametrize("join", JOINS)
+    def test_both_join_paths_identical(self, pa_pair, pa_seeds, join):
         from unittest import mock
 
         import repro.core.shards as shards
 
+        native = join_handle(join)
         index, ll, lr, e1, e2 = self._round(pa_pair, pa_seeds)
-        mono, _ = count_witnesses(index, ll, lr, e1, e2, use_sparse=use_sparse)
+        mono, _ = count_witnesses(index, ll, lr, e1, e2, native=native)
         with mock.patch.object(shards, "WITNESS_PAIR_BYTES", 1 << 21):
             blocked, _ = kernels.count_witnesses_blocked(
-                index, ll, lr, e1, e2, 1, use_sparse=use_sparse
+                index, ll, lr, e1, e2, 1, native=native
             )
         mk, mc = canonical_table(mono)
         bk, bc = canonical_table(blocked)
@@ -418,14 +400,13 @@ class TestUint32Compaction:
 
 class TestPackedKeyWidth:
     def test_no_wraparound_past_uint32_with_compacted_indices(self):
-        """Packed keys must go through int64 when n1*n2 exceeds int32.
+        """Candidate pairs past 2**32 in packed-key space stay distinct.
 
-        The compacted interning gathers uint32 neighbor ids; on
-        numpy 1.x value-based casting a uint32 * int64-scalar product
-        stays uint32, so without an explicit upcast the packed key
-        would wrap at 2**32 and collide distinct candidate pairs.
-        Faking a large id space over a tiny adjacency exercises the
-        wide branch directly.
+        The compacted interning gathers uint32 neighbor ids, which the
+        join must widen before they index a pair space of 2**42 keys;
+        a narrow product would wrap and collide distinct candidate
+        pairs.  Faking a large id space over a tiny adjacency exercises
+        the wide case directly.
         """
         from types import SimpleNamespace
 
@@ -441,7 +422,7 @@ class TestPackedKeyWidth:
         eligible[[hi - 1, hi]] = True
         link = np.zeros(1, dtype=np.int64)
         scores, emitted = count_witnesses(
-            index, link, link, eligible, eligible, use_sparse=False
+            index, link, link, eligible, eligible
         )
         assert emitted == 4
         got = sorted(zip(scores.left.tolist(), scores.right.tolist()))
@@ -483,7 +464,8 @@ class TestPackedKeyWidth:
         return index, link, elig1, elig2
 
     #: (n1, n2) with n1*n2 straddling 2**31: one just under the int32
-    #: packing limit, one at it, one just past — the promotion boundary.
+    #: range, one at it, one just past — where a narrow packed key
+    #: would first wrap.
     BOUNDARY_SHAPES = [
         (46340, 46340),            # 2_147_395_600 <  2**31 - 1: int32
         (46341, 46341),            # 2_147_488_281 >  2**31 - 1: int64
@@ -492,11 +474,9 @@ class TestPackedKeyWidth:
 
     @pytest.mark.parametrize("n1,n2", BOUNDARY_SHAPES)
     def test_promotion_boundary_straddling_2_31(self, n1, n2):
-        """Identical tables on either side of the int32→int64 switch."""
+        """Exact tables on either side of the int32 key range."""
         index, link, elig1, elig2 = self._boundary_index(n1, n2)
-        scores, emitted = count_witnesses(
-            index, link, link, elig1, elig2, use_sparse=False
-        )
+        scores, emitted = count_witnesses(index, link, link, elig1, elig2)
         expected = sorted(
             (l, r)
             for l in (n1 - 2, n1 - 1)
@@ -512,20 +492,25 @@ class TestPackedKeyWidth:
 
     @pytest.mark.parametrize("n1,n2", BOUNDARY_SHAPES)
     def test_promotion_boundary_native_matches(self, n1, n2):
-        """The C join packs in int64 throughout; same table either side."""
+        """The C join packs in int64 throughout; same table either side.
+
+        Native rows come out in strictly ascending packed-key order;
+        the sparse join's column-major rows are compared order-free.
+        """
         from repro.core.native import load_native_library
 
         nk = load_native_library(warn=False)
         if nk is None:
             pytest.skip("no C toolchain in this environment")
         index, link, elig1, elig2 = self._boundary_index(n1, n2)
-        ref, ref_emitted = count_witnesses(
-            index, link, link, elig1, elig2, use_sparse=False
-        )
+        ref, ref_emitted = count_witnesses(index, link, link, elig1, elig2)
         nat, nat_emitted = count_witnesses(
             index, link, link, elig1, elig2, native=nk
         )
         assert nat_emitted == ref_emitted
-        assert nat.left.tolist() == ref.left.tolist()
-        assert nat.right.tolist() == ref.right.tolist()
-        assert nat.score.tolist() == ref.score.tolist()
+        packed = nat.left.astype(np.int64) * n2 + nat.right
+        assert np.all(np.diff(packed) > 0)
+        rk, rc = canonical_table(ref)
+        nk_keys, nc = canonical_table(nat)
+        assert nk_keys.tolist() == rk.tolist()
+        assert nc.tolist() == rc.tolist()

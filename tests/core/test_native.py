@@ -1,8 +1,9 @@
 """Unit tests for the compiled kernels behind ``backend="native"``.
 
-Two families live here: bit-exactness of each C kernel against its
-numpy twin (witness join across all four index-dtype variants, packed
-merge, mutual-best under both tie policies, greedy scan), and the
+Two families live here: exactness of each C kernel against its
+reference (the witness join against the dict oracle across all four
+index-dtype variants; packed merge, mutual-best under both tie policies
+and greedy scan against their numpy twins), and the
 load/fallback machinery (module-level cache, kill switch, broken
 compiler, quiet resolution for workers).  Everything degrades — none of
 these tests require a working C toolchain except the ones explicitly
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import kernels, native
+from repro.core import native
 from repro.core.config import TiePolicy
 from repro.core.kernels import (
     ArrayScores,
@@ -31,6 +32,7 @@ from repro.core.native import (
     load_native_library,
     native_available,
 )
+from repro.core.scoring import count_similarity_witnesses
 from repro.graphs.pair_index import GraphPairIndex
 
 NATIVE = native_available()
@@ -83,24 +85,24 @@ def parts_of(*tables):
 
 
 class TestWitnessJoin:
-    def _both(self, index, links, native_handle):
-        args = linked_masks(index, links)
-        ref, ref_emitted = count_witnesses(index, *args)
-        numpy_ref, _ = count_witnesses(index, *args, use_sparse=False)
+    def _both(self, pair, index, links, native_handle):
+        """Native join == the dict oracle, rows in canonical order."""
+        ref, ref_emitted = count_similarity_witnesses(
+            pair.g1, pair.g2, links, 2
+        )
         nat, nat_emitted = count_witnesses(
-            index, *args, native=native_handle
+            index, *linked_masks(index, links), native=native_handle
         )
         assert nat_emitted == ref_emitted
-        assert canon(nat) == canon(ref)
-        # The pure-numpy path is row-for-row canonical (ascending packed
-        # key), and so is the native export.
-        assert table(nat) == table(numpy_ref)
+        assert nat.to_dict() == {v1: dict(row) for v1, row in ref.items()}
+        packed = nat.left.astype(np.int64) * index.n2 + nat.right
+        assert bool(np.all(np.diff(packed) > 0))
         assert nat.native is native_handle
         return nat
 
-    def test_matches_numpy_on_pa_workload(self, pa_pair, pa_seeds, nk):
+    def test_matches_dict_on_pa_workload(self, pa_pair, pa_seeds, nk):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        self._both(index, pa_seeds, nk)
+        self._both(pa_pair, index, pa_seeds, nk)
 
     @pytest.mark.parametrize("wide1", [False, True])
     @pytest.mark.parametrize("wide2", [False, True])
@@ -112,7 +114,7 @@ class TestWitnessJoin:
             index.csr1.indices = index.csr1.indices.astype(np.int64)
         if wide2:
             index.csr2.indices = index.csr2.indices.astype(np.int64)
-        self._both(index, pa_seeds, nk)
+        self._both(pa_pair, index, pa_seeds, nk)
 
     def test_empty_links(self, pa_pair, nk):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
@@ -331,6 +333,42 @@ class TestLoadAndFallback:
         again = load_native_library(warn=False)
         assert again is not None and again.lib_path == handle.lib_path
 
+    @pytest.mark.parametrize("plant", ["world-writable", "foreign-owned"])
+    def test_unsafe_default_build_dir_falls_back(self, fresh_cache,
+                                                 monkeypatch, tmp_path,
+                                                 plant):
+        """A planted per-user cache dir is refused, never loaded from."""
+        import os
+        import tempfile
+
+        monkeypatch.delenv("REPRO_NATIVE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        uid = os.getuid()
+        if plant == "foreign-owned":
+            # The directory is ours, but the process claims another uid.
+            uid += 1
+            monkeypatch.setattr(native.os, "getuid", lambda: uid)
+        planted = tmp_path / f"repro-native-{uid}"
+        planted.mkdir()
+        planted.chmod(0o777 if plant == "world-writable" else 0o700)
+        lib = planted / f"repro_native_{native._source_digest()}.so"
+        lib.write_bytes(b"not a library")
+        with pytest.warns(NativeFallbackWarning, match="refusing"):
+            assert load_native_library() is None
+
+    @needs_native
+    def test_default_build_dir_is_private(self, fresh_cache, monkeypatch,
+                                          tmp_path):
+        import tempfile
+
+        monkeypatch.delenv("REPRO_NATIVE_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        handle = load_native_library(warn=False)
+        assert handle is not None
+        mode = handle.lib_path.parent.stat().st_mode & 0o777
+        assert mode & 0o022 == 0
+
 
 class TestScatterWorkspace:
     def test_for_index_respects_cap(self, pa_pair):
@@ -364,18 +402,6 @@ class TestScatterWorkspace:
         assert ws._buf is buf
         assert table(first) == table(second)
         assert not ws._buf.any()
-
-
-class TestBincountFastPath:
-    def test_fast_path_equals_unique(self, pa_pair, pa_seeds, monkeypatch):
-        """Force both accumulation strategies and compare tables."""
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        args = linked_masks(index, pa_seeds)
-        fast, fast_emitted = count_witnesses(index, *args, use_sparse=False)
-        monkeypatch.setattr(kernels, "_SCATTER_KEYSPACE_CAP", 0)
-        slow, slow_emitted = count_witnesses(index, *args, use_sparse=False)
-        assert fast_emitted == slow_emitted
-        assert table(fast) == table(slow)
 
 
 class TestBlockedNative:

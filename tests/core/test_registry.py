@@ -8,8 +8,11 @@ The suite is parametrized over the registry, so adding a matcher
 automatically puts it under contract.
 """
 
+import inspect
+
 import pytest
 
+from repro.core.config import DEFAULT_BACKEND, MatcherConfig
 from repro.core.protocol import Matcher, ProgressEvent
 from repro.core.result import MatchingResult
 from repro.errors import MatcherRegistryError
@@ -34,6 +37,33 @@ def workload():
     pair = independent_copies(graph, s1=0.7, seed=12)
     seeds = sample_seeds(pair, 0.15, seed=13)
     return pair, seeds
+
+
+def backend_of(matcher) -> str:
+    """The backend a matcher instance will run on."""
+    config = getattr(matcher, "config", None)
+    return config.backend if config is not None else matcher.backend
+
+
+class TestDefaultBackend:
+    def test_matcher_config_defaults_to_native(self):
+        assert DEFAULT_BACKEND == "native"
+        assert MatcherConfig().backend == "native"
+
+    @pytest.mark.parametrize("name", matcher_names())
+    def test_matcher_without_backend_runs_default(self, name):
+        assert backend_of(get_matcher(name)) == DEFAULT_BACKEND
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.experiments.fig2_pa", "repro.experiments.table2_rmat"],
+    )
+    def test_driver_without_backend_runs_default(self, module):
+        import importlib
+
+        run = importlib.import_module(module).run
+        default = inspect.signature(run).parameters["backend"].default
+        assert default == DEFAULT_BACKEND
 
 
 class TestProtocolConformance:

@@ -23,7 +23,7 @@ class TestReconcilerCustomStages:
             return select_mutual_best(scores, threshold)
 
         ref = Reconciler(
-            threshold=2, rounds=2, selector=my_selector
+            threshold=2, rounds=2, selector=my_selector, backend="dict"
         ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
         csr = Reconciler(
             threshold=2, rounds=2, selector=my_selector, backend="csr"
@@ -54,18 +54,20 @@ class TestReconcilerCustomStages:
 
 class TestRunTrialBackend:
     def test_backend_applied_to_default_matcher(self, pa_pair, pa_seeds):
-        ref = run_trial(pa_pair, pa_seeds)
+        ref = run_trial(pa_pair, pa_seeds, backend="dict")
         csr = run_trial(pa_pair, pa_seeds, backend="csr")
         assert csr.result.links == ref.result.links
 
     def test_backend_overrides_config(self, pa_pair, pa_seeds):
-        config = MatcherConfig(threshold=3, iterations=2)
+        config = MatcherConfig(threshold=3, iterations=2, backend="dict")
         ref = run_trial(pa_pair, pa_seeds, config=config)
         csr = run_trial(pa_pair, pa_seeds, config=config, backend="csr")
         assert csr.result.links == ref.result.links
 
     def test_backend_forwarded_to_named_matcher(self, pa_pair, pa_seeds):
-        ref = run_trial(pa_pair, pa_seeds, matcher="common-neighbors")
+        ref = run_trial(
+            pa_pair, pa_seeds, matcher="common-neighbors", backend="dict"
+        )
         csr = run_trial(
             pa_pair, pa_seeds, matcher="common-neighbors", backend="csr"
         )

@@ -75,7 +75,9 @@ class TestRunTrialMemory:
 
     def test_budget_knob_threaded_to_named_matcher(self, workload):
         pair, seeds = workload
-        ref = run_trial(pair, seeds, matcher="common-neighbors")
+        ref = run_trial(
+            pair, seeds, matcher="common-neighbors", backend="dict"
+        )
         budgeted = run_trial(
             pair,
             seeds,

@@ -40,7 +40,7 @@ class TestStreamingTrial:
             deltas=deltas,
         )
         cold = UserMatching(
-            MatcherConfig(threshold=2, backend="csr")
+            MatcherConfig(threshold=2, backend="dict")
         ).run(pair.g1, pair.g2, seeds)
         assert trial.result.links == cold.links
 
@@ -82,7 +82,9 @@ class TestStreamingTrial:
         assert trial.delta_outcomes[0].mode == "cold"
         from repro.registry import get_matcher
 
-        cold = get_matcher("common-neighbors").run(pair.g1, pair.g2, seeds)
+        cold = get_matcher("common-neighbors", backend="dict").run(
+            pair.g1, pair.g2, seeds
+        )
         assert trial.result.links == cold.links
         assert "dirty_links" not in trial.row()
 

@@ -147,7 +147,7 @@ class TestColdFallback:
         )
         assert outcome.mode == "cold"
         assert outcome.dirty_links is None
-        cold = get_matcher(name).run(pair.g1, pair.g2, seeds)
+        cold = get_matcher(name, backend="dict").run(pair.g1, pair.g2, seeds)
         assert engine.result.links == cold.links
 
     def test_fallback_checkpoint_refused(self, tmp_path):

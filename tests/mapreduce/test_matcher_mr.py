@@ -5,6 +5,8 @@ paper; the sequential matcher uses the deferred incremental witness table.
 They must produce identical links under every configuration.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import MatcherConfig, TiePolicy
@@ -50,15 +52,20 @@ def workloads():
 
 
 class TestEquivalence:
+    @pytest.mark.parametrize("mr_backend", ["dict", "native"])
     @pytest.mark.parametrize("config", CONFIGS, ids=str)
-    def test_links_identical(self, workloads, config):
+    def test_links_identical(self, workloads, config, mr_backend):
         for pair, seeds in workloads:
-            seq = UserMatching(config).run(pair.g1, pair.g2, seeds)
-            mr = MapReduceUserMatching(config).run(pair.g1, pair.g2, seeds)
+            seq = UserMatching(
+                dataclasses.replace(config, backend="dict")
+            ).run(pair.g1, pair.g2, seeds)
+            mr = MapReduceUserMatching(
+                dataclasses.replace(config, backend=mr_backend)
+            ).run(pair.g1, pair.g2, seeds)
             assert seq.links == mr.links
 
     def test_phase_structure_matches(self, workloads):
-        config = MatcherConfig(threshold=2, iterations=1)
+        config = MatcherConfig(threshold=2, iterations=1, backend="dict")
         pair, seeds = workloads[0]
         seq = UserMatching(config).run(pair.g1, pair.g2, seeds)
         mr = MapReduceUserMatching(config).run(pair.g1, pair.g2, seeds)
@@ -73,7 +80,7 @@ class TestRoundAccounting:
         """The paper's claim: each bucket pass is 4 MapReduce rounds."""
         pair, seeds = workloads[0]
         engine = LocalMapReduce()
-        config = MatcherConfig(threshold=2, iterations=1)
+        config = MatcherConfig(threshold=2, iterations=1, backend="dict")
         matcher = MapReduceUserMatching(config, engine=engine)
         result = matcher.run(pair.g1, pair.g2, seeds)
         assert engine.rounds_executed == 4 * len(result.phases)
@@ -82,7 +89,8 @@ class TestRoundAccounting:
         pair, seeds = workloads[0]
         engine = LocalMapReduce()
         matcher = MapReduceUserMatching(
-            MatcherConfig(threshold=2, iterations=1), engine=engine
+            MatcherConfig(threshold=2, iterations=1, backend="dict"),
+            engine=engine,
         )
         matcher.run(pair.g1, pair.g2, seeds)
         names = [s.name for s in engine.history[:4]]
@@ -97,7 +105,7 @@ class TestRoundAccounting:
         """Total rounds = 4 * k * (log D - floor + 1) when no early stop."""
         pair, seeds = workloads[0]
         engine = LocalMapReduce()
-        config = MatcherConfig(threshold=2, iterations=1)
+        config = MatcherConfig(threshold=2, iterations=1, backend="dict")
         matcher = MapReduceUserMatching(config, engine=engine)
         matcher.run(pair.g1, pair.g2, seeds)
         d = max(pair.g1.max_degree(), pair.g2.max_degree())

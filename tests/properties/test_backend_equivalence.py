@@ -81,7 +81,7 @@ class TestUserMatchingProperties:
     def test_links_identical_over_thresholds(self, wl, threshold):
         pair, seeds = wl
         ref = UserMatching(
-            MatcherConfig(threshold=threshold, iterations=2)
+            MatcherConfig(threshold=threshold, iterations=2, backend="dict")
         ).run(pair.g1, pair.g2, seeds)
         csr = UserMatching(
             MatcherConfig(
@@ -99,7 +99,7 @@ class TestUserMatchingProperties:
             {"use_degree_buckets": False},
             {"min_bucket_exponent": 0, "threshold": 1},
         ):
-            ref = UserMatching(MatcherConfig(**kwargs)).run(
+            ref = UserMatching(MatcherConfig(backend="dict", **kwargs)).run(
                 pair.g1, pair.g2, seeds
             )
             csr = UserMatching(
@@ -173,7 +173,9 @@ class TestStringIds:
             nodes=(relabel2[v] for v in pair.g2.nodes()),
         )
         str_seeds = {relabel1[v1]: relabel2[v2] for v1, v2 in seeds.items()}
-        ref = UserMatching(MatcherConfig(threshold=2)).run(h1, h2, str_seeds)
+        ref = UserMatching(
+            MatcherConfig(threshold=2, backend="dict")
+        ).run(h1, h2, str_seeds)
         csr = UserMatching(
             MatcherConfig(threshold=2, backend="csr")
         ).run(h1, h2, str_seeds)

@@ -231,7 +231,7 @@ class TestSelectorAndMRSweeps:
         from repro.mapreduce.matcher_mr import MapReduceUserMatching
 
         pair, seeds = workload(n=120, seed=31)
-        cfg = MatcherConfig(threshold=2, iterations=1)
+        cfg = MatcherConfig(threshold=2, iterations=1, backend="dict")
         ref = MapReduceUserMatching(
             cfg, engine=LocalMapReduce(partitions=partitions)
         ).run(pair.g1, pair.g2, seeds)

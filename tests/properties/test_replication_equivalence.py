@@ -130,7 +130,7 @@ class TestRandomStreams:
         assert replica.version == service.version
         assert replica.engine.links == engine.links
         cold = UserMatching(
-            MatcherConfig(threshold=2, iterations=2, backend="csr")
+            MatcherConfig(threshold=2, iterations=2, backend="dict")
         ).run(pair.g1, pair.g2, seeds)
         assert replica.engine.links == cold.links
 
@@ -168,6 +168,6 @@ class TestRandomStreams:
         assert replica.batches_done == split
         drain_sync(replica, batches=len(deltas))
         cold = UserMatching(
-            MatcherConfig(threshold=2, backend="csr")
+            MatcherConfig(threshold=2, backend="dict")
         ).run(pair.g1, pair.g2, seeds)
         assert replica.engine.links == cold.links

@@ -82,10 +82,6 @@ class TestBackendColumns:
     def test_suffix_classification(self, gate):
         assert gate.backend_of("m.py::test_bench_join") == "dict"
         assert gate.backend_of("m.py::test_bench_join_csr") == "csr"
-        assert (
-            gate.backend_of("m.py::test_bench_join_csr_numpy")
-            == "csr-numpy"
-        )
         assert gate.backend_of("m.py::test_bench_join_native") == "native"
 
     def test_parametrized_ids_ignored(self, gate):
