@@ -163,14 +163,14 @@ def test_bench_full_matcher_native(benchmark, workload, native_kernels):
 
 
 def test_bench_csr_construction(benchmark, workload):
-    """CSRGraph build (one np.lexsort, no per-node Python sorts)."""
+    """CSRGraph build (C-level adjacency walk + one packed-key int sort)."""
     pair, _seeds = workload
     csr = benchmark(CSRGraph, pair.g1)
     assert csr.num_nodes == pair.g1.num_nodes
 
 
 def test_bench_pair_index_build(benchmark, workload):
-    """Full interning cost — what backend="csr" pays once per run."""
+    """Full interning cost — what every array backend pays once per run."""
     pair, _seeds = workload
     index = benchmark(GraphPairIndex, pair.g1, pair.g2)
     assert index.n1 == pair.g1.num_nodes

@@ -217,7 +217,7 @@ static int64_t repro_ctz64(uint64_t x) {
  *     candidate v1 (ascending) gathers its contributing links (those
  *     with a non-empty filtered row) and dispatches on their count.
  *     Neighbor rows are strictly ascending and duplicate-free (the
- *     Graph stores adjacency as sets; interning lexsorts), so one
+ *     Graph stores adjacency as sets; interning sorts rows), so one
  *     contributing link means the filtered row IS the output — a
  *     straight copy with count 1 — and two mean a two-pointer sorted
  *     merge (equal heads emit count 2).  Three or more fall back to

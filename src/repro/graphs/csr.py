@@ -2,13 +2,21 @@
 
 The CSR view is read-only and numpy-backed: node ids are densified to
 ``0..n-1`` and each node's neighbor ids live in a contiguous slice of one
-array.  It exists for vectorized statistics and cache-friendly traversal in
-benchmarks; the mutable :class:`Graph` remains the canonical representation.
+array.  It is the execution substrate of every array backend — each
+reconciliation interns both graphs into CSR through
+:class:`~repro.graphs.pair_index.GraphPairIndex` — while the mutable
+:class:`Graph` remains the canonical, editable representation.
+
+Construction iterates the adjacency with C-level iterators (``map``,
+``itertools.chain``, ``np.fromiter``) and orders every row with one sort of
+a packed ``row * n + neighbor`` int64 key, so interning costs no Python
+bytecode per adjacency entry.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from itertools import chain
+from typing import Hashable, KeysView, Sequence, cast
 
 import numpy as np
 
@@ -18,59 +26,92 @@ from repro.graphs.graph import Graph
 Node = Hashable
 
 
+def _dense_lookup(
+    adj: dict[Node, set[Node]], ranks: np.ndarray
+) -> np.ndarray | None:
+    """Dense-id table indexed by original id, or ``None`` if ids don't fit.
+
+    Used when every node id is a plain non-negative ``int`` (``type(v)
+    is int`` — ``bool`` and numpy integers take the dict path) and the
+    largest id is below ``4n``, so the table stays within a few times
+    the node map's size.  Neighbor ids then densify with one numpy
+    gather instead of one dict lookup per adjacency entry.
+    """
+    n = len(adj)
+    if not n or set(map(type, adj)) != {int}:
+        return None
+    ids = cast("KeysView[int]", adj.keys())
+    top = max(ids)
+    if min(ids) < 0 or top >= 4 * n:
+        return None
+    lookup = np.empty(top + 1, dtype=np.int64)
+    lookup[np.fromiter(ids, dtype=np.int64, count=n)] = ranks
+    return lookup
+
+
 class CSRGraph:
     """Immutable CSR adjacency built from a :class:`Graph`.
 
     Attributes:
         indptr: ``int64[n + 1]`` — neighbor-slice offsets per dense node id.
         indices: ``int64[2m]`` — concatenated, per-node-sorted neighbor ids
-            (dense).
+            (dense); :class:`~repro.graphs.pair_index.GraphPairIndex`
+            compacts it to ``uint32`` in place
+            (:func:`~repro.graphs.pair_index.compact_csr_indices`).
         node_ids: the original node id for each dense id.
     """
 
     __slots__ = ("indptr", "indices", "node_ids", "_dense_of")
 
     def __init__(self, graph: Graph, order: Sequence[Node] | None = None):
-        nodes = list(order) if order is not None else list(graph.nodes())
-        if order is not None:
-            node_set = set(nodes)
-            if len(node_set) != len(nodes):
-                raise ValueError("order contains duplicate nodes")
-            for node in nodes:
-                if not graph.has_node(node):
-                    raise NodeNotFoundError(node)
-            if len(nodes) != graph.num_nodes:
-                raise ValueError("order must cover every node exactly once")
-        self.node_ids: list[Node] = nodes
-        self._dense_of: dict[Node, int] = {
-            node: i for i, node in enumerate(nodes)
-        }
-        dense_of = self._dense_of
+        adj = graph.adjacency()
+        nodes = list(order) if order is not None else list(adj)
         n = len(nodes)
-        degrees = np.fromiter(
-            (graph.degree(node) for node in nodes),
-            dtype=np.int64,
-            count=n,
+        dense_of = dict(zip(nodes, range(n)))
+        if order is not None:
+            if len(dense_of) != n:
+                raise ValueError("order contains duplicate nodes")
+            if not dense_of.keys() <= adj.keys():
+                raise NodeNotFoundError(
+                    next(node for node in nodes if node not in adj)
+                )
+            if n != len(adj):
+                raise ValueError("order must cover every node exactly once")
+        if n * n - 1 > np.iinfo(np.int64).max:
+            raise ValueError(  # pragma: no cover - needs a > 3e9-node graph
+                f"{n} nodes overflow the int64 (src * n + dst) sort key"
+            )
+        self.node_ids: list[Node] = nodes
+        self._dense_of: dict[Node, int] = dense_of
+        # Walk the adjacency in insertion order with C-level iterators:
+        # each row's dense rank, its degree, and every neighbor's dense id.
+        ranks = np.fromiter(
+            map(dense_of.__getitem__, adj), dtype=np.int64, count=n
         )
+        degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
+        total = int(degrees.sum())
+        neighbors = chain.from_iterable(adj.values())
+        lookup = _dense_lookup(adj, ranks)
+        if lookup is not None:
+            dst = lookup[np.fromiter(neighbors, dtype=np.int64, count=total)]
+        else:
+            dst = np.fromiter(
+                map(dense_of.__getitem__, neighbors),
+                dtype=np.int64,
+                count=total,
+            )
+        # One integer sort of the packed (row, neighbor) key orders every
+        # row and every row's neighbor slice at once.
+        key = np.repeat(ranks * n, degrees)
+        key += dst
+        key.sort()
+        dense_degrees = np.zeros(n, dtype=np.int64)
+        dense_degrees[ranks] = degrees
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
-        dst = np.fromiter(
-            (
-                dense_of[v]
-                for node in nodes
-                for v in graph.neighbors(node)
-            ),
-            dtype=np.int64,
-            count=total,
-        )
-        # One global lexsort replaces the per-node sorted() loop: the
-        # source column is already non-decreasing (rows are emitted in
-        # dense order), so sorting by (src, dst) orders each row's
-        # neighbor slice in place.
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        np.cumsum(dense_degrees, out=indptr[1:])
+        key %= max(n, 1)
         self.indptr = indptr
-        self.indices = dst[np.lexsort((dst, src))]
+        self.indices = key
 
     # ------------------------------------------------------------------
     @classmethod

@@ -183,9 +183,9 @@ class Graph:
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges, each reported once as ``(u, v)``.
 
-        For orderable node ids each edge is reported with ``u <= v``;
-        for non-orderable ids an arbitrary but consistent endpoint order
-        is used.
+        ``u`` is the endpoint that entered the graph first (insertion
+        order of :meth:`nodes`), not the smaller id:
+        ``Graph.from_edges([(5, 1)]).edges()`` yields ``(5, 1)``.
         """
         seen: set[Node] = set()
         for u, nbrs in self._adj.items():

@@ -97,15 +97,27 @@ class GraphPairIndex:
         "g1", "g2", "csr1", "csr2", "deg1", "deg2", "exp1", "exp2",
     )
 
-    def __init__(self, g1: Graph, g2: Graph) -> None:
+    def __init__(
+        self,
+        g1: Graph,
+        g2: Graph,
+        *,
+        order1: "list[Node] | None" = None,
+        order2: "list[Node] | None" = None,
+    ) -> None:
+        """Intern ``(g1, g2)``; *order1*/*order2* override the canonical
+        interning order (a restored :class:`DeltaIndex` passes its
+        append-only order)."""
         # Imported here, not at module level: graphs/__init__ loads this
         # module while repro.core may still be initializing (core modules
         # import repro.graphs.graph), and the canonical-order key is only
         # needed at construction time.
         from repro.core.ordering import node_sort_key
 
-        order1 = sorted(g1.nodes(), key=node_sort_key)
-        order2 = sorted(g2.nodes(), key=node_sort_key)
+        if order1 is None:
+            order1 = sorted(g1.nodes(), key=node_sort_key)
+        if order2 is None:
+            order2 = sorted(g2.nodes(), key=node_sort_key)
         self.g1 = g1
         self.g2 = g2
         self.csr1 = CSRGraph(g1, order=order1)

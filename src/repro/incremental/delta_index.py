@@ -189,22 +189,7 @@ class DeltaIndex(GraphPairIndex):
         compact_ratio: float = COMPACT_RATIO,
         compact_min_edges: int = COMPACT_MIN_EDGES,
     ) -> None:
-        from repro.core.ordering import node_sort_key
-
-        if order1 is None:
-            order1 = sorted(g1.nodes(), key=node_sort_key)
-        if order2 is None:
-            order2 = sorted(g2.nodes(), key=node_sort_key)
-        self.g1 = g1
-        self.g2 = g2
-        self.csr1 = CSRGraph(g1, order=order1)
-        self.csr2 = CSRGraph(g2, order=order2)
-        compact_csr_indices(self.csr1)
-        compact_csr_indices(self.csr2)
-        self.deg1 = self.csr1.degree_array()
-        self.deg2 = self.csr2.degree_array()
-        self.exp1 = degree_exponents(self.deg1)
-        self.exp2 = degree_exponents(self.deg2)
+        super().__init__(g1, g2, order1=order1, order2=order2)
         self._patch1 = _AdjacencyPatch()
         self._patch2 = _AdjacencyPatch()
         # Nodes interned after construction: dense ids past the base CSR.

@@ -4,8 +4,23 @@ import numpy as np
 import pytest
 
 from repro.errors import NodeNotFoundError
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, _dense_lookup
 from repro.graphs.graph import Graph
+
+
+#: One id map per densify path: plain small ints hit CSRGraph's lookup
+#: table, strings its dict path.
+ID_PATHS = {"table": lambda i: i, "dict": lambda i: f"n{i}"}
+
+
+def _path_graph(path):
+    """The path 0-1-2 under *path*'s ids, checked to take that path."""
+    node = ID_PATHS[path]
+    g = Graph.from_edges([(node(0), node(1)), (node(1), node(2))])
+    ranks = np.arange(g.num_nodes, dtype=np.int64)
+    table = _dense_lookup(g.adjacency(), ranks) is not None
+    assert table == (path == "table")
+    return g, node
 
 
 @pytest.fixture
@@ -35,26 +50,33 @@ class TestCSRConstruction:
         degs = csr.degree_array()
         assert int(degs.sum()) == 2 * small_pa.num_edges
 
-    def test_custom_order(self):
-        g = Graph.from_edges([(0, 1), (1, 2)])
-        csr = CSRGraph(g, order=[2, 1, 0])
-        assert csr.node_ids == [2, 1, 0]
-        assert csr.degree(0) == g.degree(2)
+    @pytest.mark.parametrize("path", sorted(ID_PATHS))
+    def test_custom_order(self, path):
+        g, node = _path_graph(path)
+        csr = CSRGraph(g, order=[node(2), node(1), node(0)])
+        assert csr.node_ids == [node(2), node(1), node(0)]
+        assert csr.degree(0) == g.degree(node(2))
+        assert csr.indptr.tolist() == [0, 1, 3, 4]
+        assert csr.indices.tolist() == [1, 0, 2, 1]
 
-    def test_order_must_cover_all_nodes(self):
-        g = Graph.from_edges([(0, 1), (1, 2)])
-        with pytest.raises(ValueError):
-            CSRGraph(g, order=[0, 1])
+    @pytest.mark.parametrize("path", sorted(ID_PATHS))
+    def test_order_must_cover_all_nodes(self, path):
+        g, node = _path_graph(path)
+        with pytest.raises(ValueError, match="cover every node"):
+            CSRGraph(g, order=[node(0), node(1)])
 
-    def test_order_rejects_duplicates(self):
-        g = Graph.from_edges([(0, 1)])
-        with pytest.raises(ValueError):
-            CSRGraph(g, order=[0, 0])
+    @pytest.mark.parametrize("path", sorted(ID_PATHS))
+    def test_order_rejects_duplicates(self, path):
+        g, node = _path_graph(path)
+        with pytest.raises(ValueError, match="duplicate"):
+            CSRGraph(g, order=[node(0), node(0), node(1)])
 
-    def test_order_rejects_unknown_nodes(self):
-        g = Graph.from_edges([(0, 1)])
-        with pytest.raises(NodeNotFoundError):
-            CSRGraph(g, order=[0, 7])
+    @pytest.mark.parametrize("path", sorted(ID_PATHS))
+    def test_order_rejects_unknown_nodes(self, path):
+        g, node = _path_graph(path)
+        with pytest.raises(NodeNotFoundError) as err:
+            CSRGraph(g, order=[node(0), node(7), node(2), node(9)])
+        assert err.value.node == node(7)
 
 
 class TestCSRQueries:

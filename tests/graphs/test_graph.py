@@ -135,6 +135,12 @@ class TestIteration:
         canonical = {frozenset(e) for e in edges}
         assert len(canonical) == 3
 
+    def test_edges_start_at_first_inserted_endpoint(self):
+        # Not ``u <= v``: the served stream sorts these tuples as given.
+        assert list(Graph.from_edges([(5, 1)]).edges()) == [(5, 1)]
+        g = Graph.from_edges([(3, 9), (9, 2)], nodes=[9])
+        assert sorted(g.edges()) == [(9, 2), (9, 3)]
+
     def test_edge_count_matches_iteration(self, small_pa):
         assert sum(1 for _ in small_pa.edges()) == small_pa.num_edges
 

@@ -1,8 +1,11 @@
 """Property-based tests (hypothesis) for graph invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ordering import node_sort_key
+from repro.graphs.csr import CSRGraph, _dense_lookup
 from repro.graphs.graph import Graph
 from repro.graphs.ops import induced_subgraph, intersection, relabel, union
 
@@ -97,3 +100,61 @@ class TestOpsInvariants:
     def test_union_contains_both(self, edges):
         g = build(edges)
         assert union(g, Graph()) == g
+
+
+#: Node-id kinds for the CSR wall: name -> (id of the i-th node, whether
+#: CSRGraph densifies them through its lookup table or the dict path).
+ID_KINDS = {
+    "dense-int": (lambda i: i, True),
+    "wide-int": (lambda i: 4 * i + 4, False),  # max id >= 4n
+    "negative-int": (lambda i: i - 3, False),
+    "numpy-int": (lambda i: np.int64(i), False),
+    "str": (lambda i: f"u{i}", False),
+    "tuple": (lambda i: (i % 3, i), False),
+    "mixed": (lambda i: i if i % 2 else str(i), False),
+}
+
+
+@st.composite
+def id_graphs(draw):
+    """A graph of one id kind with isolated nodes and shuffled insertion."""
+    kind = draw(st.sampled_from(sorted(ID_KINDS)))
+    node_of, _ = ID_KINDS[kind]
+    n = draw(st.integers(0, 25))
+    ends = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=80))
+    inserted = draw(st.permutations(range(n)))
+    g = Graph.from_edges(
+        [(node_of(u), node_of(v)) for u, v in edges if u != v],
+        nodes=[node_of(i) for i in inserted],
+    )
+    return kind, g
+
+
+class TestCSRWall:
+    @given(id_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_csr_equals_per_node_reference(self, case):
+        kind, g = case
+        for order in (None, sorted(g.nodes(), key=node_sort_key)):
+            csr = CSRGraph(g, order=order)
+            nodes = list(g.nodes()) if order is None else order
+            dense_of = {node: i for i, node in enumerate(nodes)}
+            rows = [
+                sorted(dense_of[v] for v in g.neighbors(node))
+                for node in nodes
+            ]
+            indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+            np.cumsum([len(row) for row in rows], out=indptr[1:])
+            indices = np.array(
+                [v for row in rows for v in row], dtype=np.int64
+            )
+            assert csr.indptr.dtype == np.int64
+            assert csr.indices.dtype == np.int64
+            assert np.array_equal(csr.indptr, indptr)
+            assert np.array_equal(csr.indices, indices)
+            assert csr.node_ids == nodes
+            assert csr._dense_of == dense_of
+        ranks = np.arange(g.num_nodes, dtype=np.int64)
+        table = _dense_lookup(g.adjacency(), ranks) is not None
+        assert table == (ID_KINDS[kind][1] and g.num_nodes > 0)
