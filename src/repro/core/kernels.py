@@ -31,7 +31,9 @@ join, merge, selection — for its compiled twin while keeping the same
 integer counts, so all three backends select identical links.
 Independently, the merges are *sort-free* whenever the packed key space
 is bounded: a reusable :class:`ScatterWorkspace` buffer replaces the
-merge sorts.
+merge sorts.  Under the same bound the sweep keeps a
+:class:`CarriedWitnessTable` across rounds, so each round joins only new
+links and newly eligible degree bands instead of recounting every link.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.config import TiePolicy
+from repro.core.native import check_eligibility_masks
 from repro.graphs.pair_index import GraphPairIndex
 
 if TYPE_CHECKING:
     from repro.core.native import NativeKernels
+    from repro.graphs.csr import CSRGraph
 
 Node = Hashable
 
@@ -120,6 +124,255 @@ class ScatterWorkspace:
         out_counts = buf[out_keys]
         buf[out_keys] = 0
         return out_keys, out_counts
+
+
+class CarriedWitnessTable:
+    """The array sweep's score table, carried across rounds.
+
+    Links only grow and degrees never change, so once a pair is
+    degree-eligible a link's witnesses for it never change either.  The
+    sweep therefore does not recount every link every round; it folds
+    into one running dense ``n1 * n2`` table only what is new:
+
+    - links added since the last join, joined against the lowest degree
+      floor covered so far;
+    - when the floor drops from ``2^c`` to ``2^j``, the older links
+      against just the newly eligible band — ``band1 x floor2(j)`` plus
+      ``floor1(c) x band2`` (disjoint, and together exactly the pairs
+      eligible at ``2^j`` but not at ``2^c``).
+
+    Every join masks out already-linked nodes, and a node never unlinks,
+    so a pair with both endpoints free has every link's witnesses in the
+    table once its degree band is covered.  Each round then extracts the
+    rows whose endpoints are both free and both at or above that round's
+    floor — the per-round recount's table, less the rows below the
+    selection threshold — which is also what keeps iteration 2 exact
+    when its floor resets to the top.
+
+    ``witnesses_emitted`` keeps the recount's meaning ``Σ a_k · b_k``
+    (``a_k``/``b_k``: link ``k``'s eligible neighbors per side) without
+    a join: per link and side, a histogram of free neighbors by clamped
+    degree exponent gives ``a_k`` as a suffix sum, and linking a node
+    only decrements the histogram rows of the links next to it.
+
+    Every join goes through the caller's *count* (so worker pools,
+    memory-budgeted blocks and the compiled join compose unchanged);
+    *keep* (community pruning) filters each join's output before it is
+    folded, which is the same as filtering the extracted table.
+    """
+
+    __slots__ = (
+        "index",
+        "_count",
+        "_keep",
+        "_native",
+        "_buf",
+        "_floor",
+        "_joined",
+        "_low",
+        "_col1",
+        "_col2",
+        "_pos1",
+        "_pos2",
+        "_hist1",
+        "_hist2",
+    )
+
+    def __init__(
+        self,
+        index: GraphPairIndex,
+        exponents: "list[int]",
+        count: WitnessCounter,
+        *,
+        keep: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
+        native: "NativeKernels | None" = None,
+    ) -> None:
+        self.index = index
+        self._count = count
+        self._keep = keep
+        self._native = native
+        # A pair's witness count is at most the number of links, which
+        # the keyspace cap bounds far below 2**31.
+        self._buf = np.zeros(index.n1 * index.n2, dtype=np.int32)
+        self._floor: int | None = None  # lowest min_degree joined so far
+        self._joined = 0  # links [0, _joined) are folded into _buf
+        top, self._low = exponents[0], exponents[-1]
+        width = top - self._low + 1
+
+        def columns(exp: np.ndarray) -> np.ndarray:
+            # Histogram column of each node: its degree exponent clamped
+            # to the sweep's top bucket, -1 if it is never eligible.
+            col = np.minimum(exp, top) - self._low
+            col[col < 0] = -1
+            return col
+
+        self._col1, self._col2 = columns(index.exp1), columns(index.exp2)
+        self._pos1 = np.full(index.n1, -1, dtype=np.int64)
+        self._pos2 = np.full(index.n2, -1, dtype=np.int64)
+        self._hist1 = np.zeros((0, width), dtype=np.int64)
+        self._hist2 = np.zeros((0, width), dtype=np.int64)
+
+    @classmethod
+    def for_index(
+        cls,
+        index: GraphPairIndex,
+        exponents: "list[int]",
+        count: WitnessCounter,
+        *,
+        keep: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
+        native: "NativeKernels | None" = None,
+    ) -> "CarriedWitnessTable | None":
+        """A carried table for *index*, or ``None`` if the key space is
+        empty or larger than the dense scatter cap.
+
+        A ``None`` sweep recounts every link in every round.
+        """
+        if 0 < index.n1 * index.n2 <= _SCATTER_KEYSPACE_CAP:
+            return cls(index, exponents, count, keep=keep, native=native)
+        return None
+
+    def round(
+        self,
+        link_l: np.ndarray,
+        link_r: np.ndarray,
+        linked1: np.ndarray,
+        linked2: np.ndarray,
+        exponent: int,
+        threshold: int,
+    ) -> tuple[ArrayScores, int]:
+        """Bring the table up to date and extract one round's scores.
+
+        *link_l*/*link_r* are all current links (the previous round's
+        arrays plus any new rows appended), *linked1*/*linked2* their
+        endpoint masks, and the round's floor is ``2^exponent``.
+        Returns the eligible rows scoring at least *threshold* (rows
+        below it can never be selected) in ascending packed-key order,
+        and the recount's ``witnesses_emitted`` for the round.
+        """
+        index = self.index
+        min_degree = 1 << exponent
+        free1, free2 = ~linked1, ~linked2
+        floor = self._floor
+        if floor is None or min_degree < floor:
+            if floor is not None and self._joined:
+                old1, old2 = index.eligibility(floor)
+                new1, new2 = index.eligibility(min_degree)
+                old_l, old_r = link_l[: self._joined], link_r[: self._joined]
+                self._fold(old_l, old_r, free1 & new1 & ~old1, free2 & new2)
+                self._fold(old_l, old_r, free1 & old1, free2 & new2 & ~old2)
+            self._floor = floor = min_degree
+        if self._joined < len(link_l):
+            floor1, floor2 = index.eligibility(floor)
+            self._track(link_l, link_r, free1, free2)
+            self._fold(
+                link_l[self._joined :],
+                link_r[self._joined :],
+                free1 & floor1,
+                free2 & floor2,
+            )
+            self._joined = len(link_l)
+        column = exponent - self._low
+        a = self._hist1[:, column:].sum(axis=1)
+        b = self._hist2[:, column:].sum(axis=1)
+        emitted = int((a * b).sum())
+
+        floor1, floor2 = index.eligibility(min_degree)
+        rows = np.flatnonzero(free1 & floor1)
+        block = self._buf.reshape(index.n1, index.n2)[rows].ravel()
+        hot = np.flatnonzero(block >= threshold)
+        row, right = np.divmod(hot, np.int64(index.n2))
+        keep = free2[right] & floor2[right]
+        return (
+            ArrayScores(
+                index,
+                rows[row[keep]],
+                right[keep],
+                block[hot[keep]],
+                native=self._native,
+            ),
+            emitted,
+        )
+
+    def _fold(
+        self,
+        link_l: np.ndarray,
+        link_r: np.ndarray,
+        eligible1: np.ndarray,
+        eligible2: np.ndarray,
+    ) -> None:
+        """Join *links* over the masks and add the result to the table."""
+        if not (len(link_l) and eligible1.any() and eligible2.any()):
+            return
+        scores, _ = self._count(link_l, link_r, eligible1, eligible2)
+        if self._keep is not None:
+            scores = prune_scores(
+                scores, self._keep(scores.left, scores.right)
+            )
+        if scores.num_pairs:
+            keys = scores.left.astype(np.int64) * self.index.n2 + scores.right
+            # Join outputs have unique keys, so fancy-index addition is
+            # exact.
+            self._buf[keys] += scores.score
+
+    def _track(
+        self,
+        link_l: np.ndarray,
+        link_r: np.ndarray,
+        free1: np.ndarray,
+        free2: np.ndarray,
+    ) -> None:
+        """Update the eligible-neighbor histograms for the new links."""
+        index = self.index
+        start = self._joined
+        new = np.arange(start, len(link_l), dtype=np.int64)
+        self._hist1 = _track_side(
+            index.csr1,
+            self._hist1,
+            self._pos1,
+            self._col1,
+            link_l[start:],
+            new,
+            free1,
+        )
+        self._hist2 = _track_side(
+            index.csr2,
+            self._hist2,
+            self._pos2,
+            self._col2,
+            link_r[start:],
+            new,
+            free2,
+        )
+
+
+def _track_side(
+    csr: "CSRGraph",
+    hist: np.ndarray,
+    pos: np.ndarray,
+    col: np.ndarray,
+    nodes: np.ndarray,
+    positions: np.ndarray,
+    free: np.ndarray,
+) -> np.ndarray:
+    """One side of :meth:`CarriedWitnessTable._track`.
+
+    *nodes* just became linked: each older link next to one loses that
+    free neighbor from its histogram row, then the new links' rows —
+    their free neighbors counted by column — are appended.
+    """
+    nbr, seg = segmented_gather(csr.indptr, csr.indices, nodes)
+    owner = pos[nbr]
+    lost = col[nodes][seg]
+    hit = (owner >= 0) & (lost >= 0)
+    np.subtract.at(hist, (owner[hit], lost[hit]), 1)
+    pos[nodes] = positions
+    width = hist.shape[1]
+    got = col[nbr]
+    hit = free[nbr] & (got >= 0)
+    rows = np.bincount(
+        seg[hit] * width + got[hit], minlength=len(nodes) * width
+    ).reshape(len(nodes), width)
+    return np.concatenate([hist, rows])
 
 
 def segmented_gather(
@@ -269,7 +522,8 @@ def count_witnesses(
         link_right: parallel dense g2 endpoints.
         eligible1: bool[n1] candidate mask (typically "unmatched and at
             least the bucket's degree floor").
-        eligible2: bool[n2] candidate mask.
+        eligible2: bool[n2] candidate mask.  Both masks are validated
+            (dtype and length) before either join runs.
         native: compiled-kernel handle (``backend="native"``); callers
             resolve it once per run via
             :func:`repro.core.native.load_native_library` so the
@@ -280,7 +534,12 @@ def count_witnesses(
         ``(scores, witnesses_emitted)`` where *witnesses_emitted* is the
         total cross-product work ``Σ a_k · b_k`` (the round's cost in
         the paper's accounting, identical in all implementations).
+
+    Raises:
+        KernelInputError: if a mask is not ``bool`` of length
+            ``n1`` / ``n2``.
     """
+    check_eligibility_masks(eligible1, eligible2, index.n1, index.n2)
     csr1, csr2 = index.csr1, index.csr2
     if len(link_left) == 0 or index.n1 == 0 or index.n2 == 0:
         return ArrayScores(index, _EMPTY, _EMPTY, _EMPTY, native=native), 0

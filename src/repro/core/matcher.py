@@ -33,13 +33,19 @@ Backends.  The above describes ``backend="dict"``, the reference
 implementation over Python dicts keyed by original node ids.  With
 ``MatcherConfig(backend="csr")`` the same sweep runs over a
 :class:`~repro.graphs.pair_index.GraphPairIndex`: node ids are interned
-to dense integers once, each (iteration, bucket) round recounts
-witnesses with the sparse incidence product of
-:func:`repro.core.kernels.count_witnesses` (the MapReduce dataflow at
-array speed), and selection is the vectorized mutual-best kernel.  The
-two backends are link-identical — the per-round recount sees exactly the
-eligible-pair scores of the incremental table, which is the same
-equality the MapReduce tests already pin down.
+to dense integers once, witnesses are counted with the sparse incidence
+product of :func:`repro.core.kernels.count_witnesses`, and selection is
+the vectorized mutual-best kernel.  When the dense key space ``n1 * n2``
+fits the scatter cap, the score table is carried across rounds
+(:class:`~repro.core.kernels.CarriedWitnessTable`): each round joins
+only the links added since the last join and, when the degree floor
+drops, the older links against the newly eligible band, then extracts
+the pairs that are unlinked and at or above the round's floor.  Larger
+key spaces recount every link in every round, the MapReduce dataflow at
+array speed.  Either way each round selects from exactly the
+eligible-pair scores of the incremental table, so the two backends are
+link-identical — the same equality the MapReduce tests already pin
+down.
 ``MatcherConfig(backend="native")`` — the default — is the same sweep
 again with the compiled hot kernels of :mod:`repro.core.native`
 (hash-accumulated witness join, compiled merges and selection) and
@@ -48,7 +54,7 @@ C toolchain exists; the three-way property wall pins all backends
 bit-identical.
 
 Parallelism.  ``MatcherConfig(backend="csr", workers=N)`` additionally
-fans each round's recount out to a shared-memory worker pool
+fans each round's joins out to a shared-memory worker pool
 (:mod:`repro.core.parallel`); the merge is deterministic, so any worker
 count produces bit-identical links to ``workers=1``.
 
@@ -432,17 +438,22 @@ class UserMatching:
         seeds: dict[Node, Node],
         reporter: ProgressReporter,
     ) -> MatchingResult:
-        """Array-backed sweep: dense interning + per-bucket CSR recount.
+        """Array-backed sweep: dense interning + CSR witness joins.
 
-        Links only grow, so recounting each bucket against the full link
-        set (the MapReduce formulation's dataflow) yields exactly the
-        eligible-pair scores of the dict backend's incremental table —
-        and the recount is one vectorized CSR join instead of a Python
-        dict merge.
+        Links only grow and degrees never change, so a link's witnesses
+        for an eligible pair never change either.  When the key space
+        ``n1 * n2`` fits the dense scatter cap, the sweep carries one
+        score table across rounds
+        (:class:`~repro.core.kernels.CarriedWitnessTable`) and joins
+        only new links and newly eligible degree bands; larger key
+        spaces recount every bucket against the full link set (the
+        MapReduce formulation's dataflow).  Both yield exactly the
+        eligible-pair scores of the dict backend's incremental table,
+        and the same ``PhaseRecord`` values.
 
-        With ``workers > 1`` the recount of every round is fanned out to
-        a :class:`~repro.core.parallel.WitnessPool`: the CSR arrays go
-        into shared memory once, each round's links are LPT-sharded, and
+        With ``workers > 1`` every join is fanned out to a
+        :class:`~repro.core.parallel.WitnessPool`: the CSR arrays go
+        into shared memory once, each join's links are LPT-sharded, and
         the per-shard tables are summed deterministically — selection
         then sees exactly the serial table, so the links are
         bit-identical for any worker count.
@@ -548,7 +559,7 @@ class UserMatching:
         reporter: ProgressReporter,
         native: "NativeKernels | None" = None,
     ) -> MatchingResult:
-        """The bucket sweep over dense ids (serial or pooled recount)."""
+        """The bucket sweep over dense ids (serial or pooled joins)."""
         import numpy as np
 
         from repro.core import kernels
@@ -620,25 +631,40 @@ class UserMatching:
         links: dict[Node, Node] = dict(seeds)
         phases: list[PhaseRecord] = []
         exponents = self.bucket_exponents_index(index)
+        # Small key spaces carry one score table across rounds and join
+        # only new links and newly eligible degree bands; larger ones
+        # recount every round.
+        table = kernels.CarriedWitnessTable.for_index(
+            index,
+            exponents,
+            count,
+            keep=assignment.allowed_mask if assignment is not None else None,
+            native=native,
+        )
 
         for iteration in range(1, cfg.iterations + 1):
             added_this_iteration = 0
             for j in exponents:
                 min_degree = 1 << j
-                floor1, floor2 = index.eligibility(min_degree)
-                scores, emitted = count(
-                    link_l,
-                    link_r,
-                    ~linked1 & floor1,
-                    ~linked2 & floor2,
-                )
-                if assignment is not None:
-                    scores = kernels.prune_scores(
-                        scores,
-                        assignment.allowed_mask(
-                            scores.left, scores.right
-                        ),
+                if table is not None:
+                    scores, emitted = table.round(
+                        link_l, link_r, linked1, linked2, j, cfg.threshold
                     )
+                else:
+                    floor1, floor2 = index.eligibility(min_degree)
+                    scores, emitted = count(
+                        link_l,
+                        link_r,
+                        ~linked1 & floor1,
+                        ~linked2 & floor2,
+                    )
+                    if assignment is not None:
+                        scores = kernels.prune_scores(
+                            scores,
+                            assignment.allowed_mask(
+                                scores.left, scores.right
+                            ),
+                        )
                 new_l, new_r, candidates = (
                     kernels.select_mutual_best_arrays(
                         scores, cfg.threshold, cfg.tie_policy

@@ -57,9 +57,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import KernelInputError
+
 __all__ = [
     "NativeFallbackWarning",
     "NativeKernels",
+    "check_eligibility_masks",
     "load_native_library",
     "native_available",
 ]
@@ -537,6 +540,28 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: ``_o64`` variants on small workloads.
 _NATIVE_OUT32_MAX = 2**31 - 1
 
+
+def check_eligibility_masks(
+    eligible1: np.ndarray, eligible2: np.ndarray, n1: int, n2: int
+) -> None:
+    """Refuse witness-join masks that are not ``bool[n1]`` / ``bool[n2]``.
+
+    Both joins read the masks by node id: a short mask is read past its
+    end by the C join, and a non-bool one is reinterpreted byte-wise
+    (C) or taken as a fancy index (numpy) — either way a plausible but
+    wrong table.
+
+    Raises:
+        KernelInputError: on a wrong dtype or length.
+    """
+    for side, mask, n in ((1, eligible1, n1), (2, eligible2, n2)):
+        if mask.dtype != np.bool_ or mask.shape != (n,):
+            raise KernelInputError(
+                f"eligible{side} must be a bool array of shape ({n},), "
+                f"got {mask.dtype} of shape {mask.shape}"
+            )
+
+
 #: module-level cache: ``None`` = not attempted, ``(kernels,)`` =
 #: loaded, ``()`` = attempted and failed (don't recompile every round).
 _CACHE: "tuple[NativeKernels] | tuple[()] | None" = None
@@ -708,6 +733,27 @@ class NativeKernels:
         pack keys with strong ``np.int64`` scalars, so the narrow
         columns promote before any arithmetic can overflow.
         """
+        # The C join indexes every array below by node id with no
+        # bounds checks: refuse anything that would read or write out
+        # of bounds, in O(links) — the neighbor ids are not scanned.
+        check_eligibility_masks(eligible1, eligible2, n1, n2)
+        for side, indptr, n in ((1, indptr1, n1), (2, indptr2, n2)):
+            if indptr.shape != (n + 1,):
+                raise KernelInputError(
+                    f"indptr{side} must have length n{side} + 1 = {n + 1}, "
+                    f"got shape {indptr.shape}"
+                )
+        if link_l.shape != link_r.shape or link_l.ndim != 1:
+            raise KernelInputError(
+                "link_l and link_r must be 1-d arrays of equal length, "
+                f"got shapes {link_l.shape} and {link_r.shape}"
+            )
+        for side, links, n in ((1, link_l, n1), (2, link_r, n2)):
+            if len(links) and (links.min() < 0 or links.max() >= n):
+                raise KernelInputError(
+                    f"link ids on side {side} must lie in [0, {n}), got "
+                    f"[{links.min()}, {links.max()}]"
+                )
         if len(link_l) == 0:
             return _EMPTY, _EMPTY, _EMPTY, 0
         if len(link_l) >= 2**31:

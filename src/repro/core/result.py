@@ -17,10 +17,21 @@ class PhaseRecord:
         bucket_exponent: the ``j`` of the degree bucket ``2^j`` (``None``
             when bucketing is disabled).
         min_degree: the degree floor ``2^j`` applied in this round.
-        candidates: number of candidate pairs that received a nonzero
-            similarity score.
-        witnesses_emitted: total similarity-witness pairs counted (the
-            size of the paper's second MapReduce round output).
+        candidates: number of candidate pairs whose score reached the
+            selection ``threshold``, counted after the round's
+            eligibility filter (both endpoints unlinked and at or above
+            ``min_degree``) and after candidate pruning.
+        witnesses_emitted: the round's similarity-witness pairs as a
+            full recount would emit them — ``Σ_k a_k · b_k`` over all
+            current links, with ``a_k``/``b_k`` link ``k``'s eligible
+            neighbors in each copy (the size of the paper's second
+            MapReduce round output).  The array backends
+            (``csr``/``native``), the MapReduce reference and the
+            incremental engine all report this recount figure whatever
+            join strategy ran, including a sweep that carries its score
+            table across rounds and joins only what is new.  The
+            ``dict`` backend instead reports the pairs its deferred
+            incremental table materialized in the round.
         links_added: new identification links produced by this round.
     """
 

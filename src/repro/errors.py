@@ -80,3 +80,13 @@ class MmapIndexClosedError(ReproError, ValueError):
     mapped CSR arrays for sentinels that raise this error, so a stale
     reference fails loudly instead of reading unmapped memory.
     """
+
+
+class KernelInputError(ReproError, ValueError):
+    """Raised when a witness-join kernel receives malformed arrays.
+
+    The compiled join indexes raw buffers through :mod:`ctypes` with no
+    bounds checks, so its inputs — eligibility masks, CSR row pointers,
+    link endpoints — are validated before any C call; the numpy join
+    refuses the same malformed masks.
+    """

@@ -18,6 +18,7 @@ from repro.core.scoring import (
     count_similarity_witnesses_arrays,
 )
 from repro.core.selectors import select_greedy_top_score
+from repro.errors import KernelInputError
 from repro.graphs.graph import Graph
 from repro.graphs.pair_index import GraphPairIndex
 
@@ -144,6 +145,52 @@ class TestCountWitnesses:
             np.zeros(index.n2, dtype=bool),
         )
         assert emitted == 0 and scores.num_pairs == 0
+
+
+class TestMaskValidation:
+    """Both joins refuse the same malformed eligibility masks."""
+
+    @staticmethod
+    def star_round():
+        """Link (0, 0) of two 3-leaf stars: 3 x 3 = 9 witnessed pairs."""
+        g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
+        index = GraphPairIndex(g, g.copy())
+        link = np.zeros(1, dtype=np.int64)
+        eligible = np.ones(index.n1, dtype=bool)
+        eligible[0] = False
+        return index, link, eligible
+
+    @pytest.mark.parametrize("join", JOINS)
+    def test_well_formed_round(self, join):
+        index, link, eligible = self.star_round()
+        scores, emitted = count_witnesses(
+            index, link, link, eligible, eligible, native=join_handle(join)
+        )
+        assert emitted == 9 and scores.num_pairs == 9
+
+    @pytest.mark.parametrize("join", JOINS)
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            pytest.param(lambda m: m.astype(np.int64), id="int64"),
+            pytest.param(lambda m: m.view(np.uint8), id="uint8"),
+            pytest.param(lambda m: m[:-1], id="short"),
+            pytest.param(lambda m: np.append(m, True), id="long"),
+            pytest.param(lambda m: m[None, :], id="2d"),
+        ],
+    )
+    def test_malformed_mask_refused(self, join, side, malform):
+        index, link, eligible = self.star_round()
+        masks = [eligible, eligible.copy()]
+        masks[side - 1] = malform(masks[side - 1])
+        with pytest.raises(KernelInputError, match=f"eligible{side}"):
+            count_witnesses(
+                index, link, link, *masks, native=join_handle(join)
+            )
+
+    def test_error_is_a_value_error(self):
+        assert issubclass(KernelInputError, ValueError)
 
 
 def _scores_fixture(pa_pair, pa_seeds):

@@ -33,6 +33,8 @@ from repro.core.native import (
     native_available,
 )
 from repro.core.scoring import count_similarity_witnesses
+from repro.errors import KernelInputError
+from repro.graphs.graph import Graph
 from repro.graphs.pair_index import GraphPairIndex
 
 NATIVE = native_available()
@@ -177,6 +179,62 @@ class TestWitnessJoin:
         keys = left * np.int64(index.n2) + right
         assert np.all(np.diff(keys) > 0)
         assert int(counts.sum()) == emitted
+
+
+class TestJoinBoundary:
+    """The ctypes boundary refuses inputs the C join would misread.
+
+    The C join indexes ``head[]``, the masks and the row pointers by
+    node id without bounds checks: an out-of-range link id wrote past
+    ``head[]``, a short mask was read past its end, and an int64 mask
+    was reinterpreted byte-wise (0 pairs instead of 9).  Each is now a
+    :class:`KernelInputError` before any C call.
+    """
+
+    @staticmethod
+    def star_args():
+        """Link (0, 0) of two 3-leaf stars: 3 x 3 = 9 witnessed pairs."""
+        g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
+        index = GraphPairIndex(g, g.copy())
+        eligible = np.ones(index.n1, dtype=bool)
+        eligible[0] = False
+        return {
+            "indptr1": index.csr1.indptr,
+            "indices1": index.csr1.indices,
+            "indptr2": index.csr2.indptr,
+            "indices2": index.csr2.indices,
+            "link_l": np.zeros(1, dtype=np.int64),
+            "link_r": np.zeros(1, dtype=np.int64),
+            "eligible1": eligible,
+            "eligible2": eligible.copy(),
+            "n1": index.n1,
+            "n2": index.n2,
+        }
+
+    def test_well_formed_join(self, nk):
+        left, _, _, emitted = nk.witness_join(**self.star_args())
+        assert emitted == 9 and left.size == 9
+
+    @pytest.mark.parametrize(
+        "name,value,match",
+        [
+            ("link_l", np.array([4]), "side 1"),
+            ("link_r", np.array([4]), "side 2"),
+            ("link_l", np.array([-1]), "side 1"),
+            ("link_r", np.array([0, 1]), "equal length"),
+            ("eligible1", np.ones(3, dtype=bool), "eligible1"),
+            ("eligible2", np.ones(5, dtype=bool), "eligible2"),
+            ("eligible1", np.array([0, 1, 1, 1]), "eligible1"),
+            ("eligible2", np.array([0, 1, 1, 1], np.uint8), "eligible2"),
+            ("indptr1", np.array([0, 3, 4, 5], dtype=np.int64), "indptr1"),
+            ("indptr2", np.zeros(6, dtype=np.int64), "indptr2"),
+        ],
+    )
+    def test_malformed_input_refused(self, nk, name, value, match):
+        args = self.star_args()
+        args[name] = value
+        with pytest.raises(KernelInputError, match=match):
+            nk.witness_join(**args)
 
 
 class TestMergePacked:
