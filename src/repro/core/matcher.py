@@ -215,35 +215,34 @@ class UserMatching:
         With bucketing disabled this is a single pseudo-bucket at the
         minimum exponent.
         """
-        cfg = self.config
-        if not cfg.use_degree_buckets:
-            return [cfg.min_bucket_exponent]
-        d = cfg.max_degree
-        if d is None:
-            d = max(g1.max_degree(), g2.max_degree(), 1)
-        top = max(d.bit_length() - 1, cfg.min_bucket_exponent)
-        return list(range(top, cfg.min_bucket_exponent - 1, -1))
+        return self._bucket_schedule(max(g1.max_degree(), g2.max_degree()))
 
     def bucket_exponents_index(
         self, index: "GraphPairIndex"
     ) -> list[int]:
         """:meth:`bucket_exponents` from an index's degree arrays.
 
-        The graph-free twin used by the array sweep — a memory-mapped
-        index (:meth:`~repro.graphs.pair_index.GraphPairIndex.open_mmap`)
-        has no backing :class:`Graph` objects, and the observed maximum
+        The graph-free twin used by the array sweep and the incremental
+        engine — a memory-mapped index
+        (:meth:`~repro.graphs.pair_index.GraphPairIndex.open_mmap`) has
+        no backing :class:`Graph` objects, and the observed maximum
         degree is already an ``O(n)`` array reduction.
         """
+        return self._bucket_schedule(
+            max(
+                int(index.deg1.max(initial=0)),
+                int(index.deg2.max(initial=0)),
+            )
+        )
+
+    def _bucket_schedule(self, observed_max_degree: int) -> list[int]:
+        """The bucket exponents given the pair's observed max degree."""
         cfg = self.config
         if not cfg.use_degree_buckets:
             return [cfg.min_bucket_exponent]
         d = cfg.max_degree
         if d is None:
-            d = max(
-                int(index.deg1.max(initial=0)),
-                int(index.deg2.max(initial=0)),
-                1,
-            )
+            d = max(observed_max_degree, 1)
         top = max(d.bit_length() - 1, cfg.min_bucket_exponent)
         return list(range(top, cfg.min_bucket_exponent - 1, -1))
 

@@ -8,8 +8,8 @@ changed — what *now*?" without starting over:
   additions/removals plus newly confirmed seed links.
 - :class:`~repro.incremental.delta_index.DeltaIndex` — a
   :class:`~repro.graphs.pair_index.GraphPairIndex` that absorbs deltas
-  by appending (patch segments + periodic compaction) instead of
-  re-interning.
+  by appending new nodes and splicing each delta into fresh CSR arrays
+  instead of re-interning.
 - :class:`~repro.incremental.engine.IncrementalReconciler` — warm-start
   engine: re-scores only links whose witness neighborhoods intersect
   the delta, bit-identical to a cold run on the final graphs; persists

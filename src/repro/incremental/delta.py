@@ -235,15 +235,29 @@ def delta_from_payload(payload: "Mapping[str, object]") -> GraphDelta:
     return GraphDelta.build(**kwargs)
 
 
-def validate_delta(g1: Graph, g2: Graph, delta: GraphDelta) -> None:
+def validate_delta(
+    g1: Graph,
+    g2: Graph,
+    delta: GraphDelta,
+    *,
+    seeds: "Mapping[Node, Node] | None" = None,
+) -> None:
     """Check that *delta* would apply cleanly, without mutating anything.
 
     Mirrors :func:`apply_delta_to_graphs` exactly (additions before
     removals, per side; duplicates within the delta count as already
     applied) so a delta that validates can no longer raise — and
     therefore can no longer leave the graphs partially mutated.  The
-    serving layer runs this before logging/applying every batch: a bad
-    request becomes a clean rejection instead of a corrupted engine.
+    incremental engine runs this first in every ``apply``, and the
+    serving layer before logging each batch: a bad request becomes a
+    clean rejection instead of a corrupted engine.
+
+    Parameters
+    ----------
+    seeds : mapping, optional
+        The seed links the delta's ``added_seeds`` join.  When given,
+        the merged seed set must stay one-to-one and no seed may be
+        remapped to a different g2 node.
 
     Raises
     ------
@@ -289,6 +303,20 @@ def validate_delta(g1: Graph, g2: Graph, delta: GraphDelta) -> None:
             raise DeltaError(
                 f"added_seeds: {v1!r} -> {v2!r}: {v2!r} not in g2"
             )
+    if len({v1 for v1, _v2 in delta.added_seeds}) != len(delta.added_seeds):
+        raise DeltaError("added_seeds: a g1 endpoint appears twice")
+    if seeds is None:
+        return
+    merged = dict(seeds)
+    for v1, v2 in delta.added_seeds:
+        if merged.get(v1, v2) != v2:
+            raise DeltaError(
+                f"added_seeds: {v1!r} is already linked to "
+                f"{merged[v1]!r} and cannot be remapped"
+            )
+        merged[v1] = v2
+    if len(set(merged.values())) != len(merged):
+        raise DeltaError("added_seeds: seed links must remain one-to-one")
 
 
 def apply_delta_to_graphs(g1: Graph, g2: Graph, delta: GraphDelta) -> None:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
@@ -51,12 +51,17 @@ from repro.core.kernels import ArrayScores, _segment_cross_product
 from repro.core.matcher import UserMatching
 from repro.core.result import MatchingResult, PhaseRecord
 from repro.errors import ReproError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.incremental.delta import (
     GraphDelta,
     apply_delta_to_graphs,
+    validate_delta,
 )
 from repro.incremental.delta_index import AppliedDelta, DeltaIndex
+
+if TYPE_CHECKING:
+    from repro.core.native import NativeKernels
 
 Node = Hashable
 
@@ -141,6 +146,13 @@ class _ReplayStats:
     full_rounds: int = 0
 
 
+def _row(csr: CSRGraph, dense: int) -> np.ndarray:
+    """*dense*'s neighbours in *csr* as ``int64`` (none past its rows)."""
+    if dense >= csr.num_nodes:
+        return _EMPTY
+    return csr.neighbors(dense).astype(np.int64)
+
+
 def _count_subset_from_lists(
     nbrs1_of: "Callable[[int], np.ndarray]",
     nbrs2_of: "Callable[[int], np.ndarray]",
@@ -153,11 +165,10 @@ def _count_subset_from_lists(
     """Witness-count a small link subset from per-node neighbor arrays.
 
     The frontier twin of :func:`repro.core.kernels.count_witnesses`:
-    instead of gathering neighborhoods from one frozen CSR, each link
+    instead of gathering neighborhoods from the current CSR, each link
     endpoint's neighbor array is supplied by a callable — which lets
-    the caller serve *patched* (current) or *snapshotted* (pre-delta)
-    adjacency.  Same packed-key/``np.unique`` collapse, same integer
-    counts; returns ``(packed_keys_sorted, score, emitted)``.
+    the caller serve the pre-delta adjacency of departed links.  Same
+    integer counts; returns ``(packed_keys_sorted, score, emitted)``.
     """
     k = len(link_l)
     if k == 0:
@@ -243,9 +254,11 @@ class IncrementalReconciler:
     ----------
     config : MatcherConfig, optional
         Configuration for the default warm engine (the paper's
-        User-Matching sweep).  ``backend`` is irrelevant here — the
-        warm replay always runs on the array substrate and its links
-        equal either backend's cold run.
+        User-Matching sweep).  The warm replay always runs on the array
+        substrate; ``backend="native"`` runs its joins through the
+        compiled kernels (resolved once per engine, csr fallback with a
+        warning), any other backend through the scipy join.  Links and
+        phases are the same either way.
     matcher : Matcher, optional
         A pre-built matcher instance.  A
         :class:`~repro.core.matcher.UserMatching` routes to the warm
@@ -286,6 +299,11 @@ class IncrementalReconciler:
             self.config = None
             self._matcher = matcher
             self.mode = "cold"
+        self._native: "NativeKernels | None" = None
+        if self.mode == "warm" and self.config.backend == "native":
+            from repro.core.native import load_native_library
+
+            self._native = load_native_library()
         self.g1: Graph | None = None
         self.g2: Graph | None = None
         self.seeds: dict[Node, Node] = {}
@@ -357,12 +375,14 @@ class IncrementalReconciler:
         ------
         ReproError
             If the engine has not been started, or the delta is
-            inconsistent with the graphs (the graphs may be partially
-            mutated in that case).
+            inconsistent with the graphs or the seeds
+            (:class:`~repro.incremental.delta.DeltaError`, raised before
+            anything is mutated).
         """
         if self.result is None:
             raise ReproError("call start() before apply()")
         began = time.perf_counter()
+        validate_delta(self.g1, self.g2, delta, seeds=self.seeds)
         previous = self.result.links
         if delta.is_empty:
             return DeltaOutcome(
@@ -379,8 +399,7 @@ class IncrementalReconciler:
             stats = None
         else:
             snapshot = self.index.apply_delta(delta)
-            self.seeds.update(snapshot.new_seeds)
-            UserMatching._validate_seeds(self.g1, self.g2, self.seeds)
+            self.seeds.update(delta.added_seeds)
             if self.rounds and self.index.n2 != self._packed_n2:
                 # New g2 nodes widen the key space; repack the cached
                 # tables ((v1, v2) lex order is n2-invariant, so the
@@ -393,9 +412,6 @@ class IncrementalReconciler:
                         + rc.packed % old_n2
                     )
             cache = {rc.key: rc for rc in self.rounds}
-            # Compact *before* replaying: the splice is cheap and a
-            # compact CSR keeps every gather on the vectorized path.
-            self.index.maybe_compact()
             self.result, stats = self._replay(cache, snapshot)
         links = self.result.links
         return DeltaOutcome(
@@ -416,7 +432,7 @@ class IncrementalReconciler:
     # ------------------------------------------------------------------
     # The warm replay
     # ------------------------------------------------------------------
-    def _count_gathered(
+    def _join(
         self,
         link_l: np.ndarray,
         link_r: np.ndarray,
@@ -424,76 +440,27 @@ class IncrementalReconciler:
         e2: np.ndarray,
         n2: int,
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Patch-aware vectorized witness join (any link subset).
+        """Witness join over the current adjacency (any link subset).
 
-        The CSR-join dataflow of
-        :func:`repro.core.kernels.count_witnesses` over the index's
-        *merged* adjacency view — pending patches never force a
-        compaction into the hot path.  Returns
-        ``(packed_sorted, score, emitted)``.
+        The batch sweep's kernel — compiled when the engine holds a
+        native handle, else the scipy product — streamed in blocks
+        under a memory budget.  Returns ``(packed_sorted, score,
+        emitted)`` with ``int64`` keys ``v1 * n2 + v2``; the compiled
+        join's rows already ascend, the scipy join's are sorted here.
         """
-        index = self.index
-        k = len(link_l)
-        if k == 0:
-            return _EMPTY, _EMPTY, 0
-        vals1, seg1 = index.gather_neighbors1(link_l)
-        keep1 = e1[vals1]
-        vals1, seg1 = vals1[keep1], seg1[keep1]
-        vals2, seg2 = index.gather_neighbors2(link_r)
-        keep2 = e2[vals2]
-        vals2, seg2 = vals2[keep2], seg2[keep2]
-        a = np.bincount(seg1, minlength=k)
-        b = np.bincount(seg2, minlength=k)
-        emitted = int((a * b).sum())
-        if emitted == 0:
-            return _EMPTY, _EMPTY, 0
-        pair_l, pair_r = _segment_cross_product(vals1, seg1, vals2, seg2, k)
-        packed = pair_l * np.int64(n2) + pair_r
-        keys, counts = np.unique(packed, return_counts=True)
-        return keys, counts.astype(np.int64), emitted
-
-    def _full_count(
-        self,
-        link_l: np.ndarray,
-        link_r: np.ndarray,
-        e1: np.ndarray,
-        e2: np.ndarray,
-        n2: int,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Full witness join for a cache-miss round.
-
-        Returns ``(packed_sorted, score, emitted)``.  With a memory
-        budget the round streams through the stock blocked kernel
-        (which needs a compact CSR); otherwise the patch-aware join
-        runs directly.
-        """
-        budget = self.config.memory_budget_mb
-        if budget is None:
-            return self._count_gathered(link_l, link_r, e1, e2, n2)
-        self.index.ensure_compact()
         scores, emitted = kernels.count_witnesses_blocked(
-            self.index, link_l, link_r, e1, e2, budget
+            self.index, link_l, link_r, e1, e2,
+            self.config.memory_budget_mb, native=self._native,
         )
-        packed = scores.left * np.int64(n2) + scores.right
+        packed = (
+            scores.left.astype(np.int64, copy=False) * np.int64(n2)
+            + scores.right
+        )
+        score = scores.score.astype(np.int64, copy=False)
         if len(packed) > 1 and not np.all(packed[1:] > packed[:-1]):
             order = np.argsort(packed)
-            return packed[order], scores.score[order], emitted
-        return packed, scores.score, emitted
-
-    def _dirty_subset_count(
-        self,
-        link_l: np.ndarray,
-        link_r: np.ndarray,
-        e1: np.ndarray,
-        e2: np.ndarray,
-        n2: int,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Current-graph witness join of a dirty link subset.
-
-        Same patch-aware vectorized join as a full round, on fewer
-        links.  Returns ``(packed_sorted, score, emitted)``.
-        """
-        return self._count_gathered(link_l, link_r, e1, e2, n2)
+            return packed[order], score[order], emitted
+        return packed, score, emitted
 
     def _replay(
         self,
@@ -520,18 +487,16 @@ class IncrementalReconciler:
         links: dict[Node, Node] = dict(self.seeds)
         phases: list[PhaseRecord] = []
         new_rounds: list[_RoundCache] = []
-        exponents = self._matcher.bucket_exponents(self.g1, self.g2)
+        exponents = self._matcher.bucket_exponents_index(index)
         if snapshot is not None:
             old_deg1 = self._pad(snapshot.old_deg1, n1)
             old_deg2 = self._pad(snapshot.old_deg2, n2)
 
             def old_nbrs1(dense: int) -> np.ndarray:
-                arr = snapshot.old_neighbors1.get(dense)
-                return arr if arr is not None else index.neighbors1(dense)
+                return _row(snapshot.old_csr1, dense)
 
             def old_nbrs2(dense: int) -> np.ndarray:
-                arr = snapshot.old_neighbors2.get(dense)
-                return arr if arr is not None else index.neighbors2(dense)
+                return _row(snapshot.old_csr2, dense)
 
         for iteration in range(1, cfg.iterations + 1):
             added_this_iteration = 0
@@ -558,7 +523,7 @@ class IncrementalReconciler:
                         stats,
                     )
                 if table is None:
-                    table = self._full_count(
+                    table = self._join(
                         link_l, link_r, eligible1, eligible2, n2
                     )
                     stats.full_rounds += 1
@@ -671,13 +636,18 @@ class IncrementalReconciler:
         adjm2 = np.zeros(n2, dtype=bool)
         adjm1[snapshot.changed1] = True
         adjm2[snapshot.changed2] = True
+        csr1, csr2 = index.csr1, index.csr2
         nbr_flip1 = np.zeros(n1, dtype=bool)
         nbr_flip2 = np.zeros(n2, dtype=bool)
         if flip1.any():
-            vals, _seg = index.gather_neighbors1(np.flatnonzero(flip1))
+            vals, _seg = kernels.segmented_gather(
+                csr1.indptr, csr1.indices, np.flatnonzero(flip1)
+            )
             nbr_flip1[vals] = True
         if flip2.any():
-            vals, _seg = index.gather_neighbors2(np.flatnonzero(flip2))
+            vals, _seg = kernels.segmented_gather(
+                csr2.indptr, csr2.indices, np.flatnonzero(flip2)
+            )
             nbr_flip2[vals] = True
         packed_new = link_l * np.int64(n2) + link_r
         packed_old = (cached.start_l * np.int64(n2) + cached.start_r)
@@ -732,8 +702,14 @@ class IncrementalReconciler:
         fu2 = link_r[flip_dirty]
         flip_state = None
         if len(fu1):
-            vals1, seg1 = index.gather_neighbors1(fu1)
-            vals2, seg2 = index.gather_neighbors2(fu2)
+            vals1, seg1 = kernels.segmented_gather(
+                csr1.indptr, csr1.indices, fu1
+            )
+            vals2, seg2 = kernels.segmented_gather(
+                csr2.indptr, csr2.indices, fu2
+            )
+            vals1 = vals1.astype(np.int64)
+            vals2 = vals2.astype(np.int64)
             in_a = e1_old[vals1]
             in_ap = eligible1[vals1]
             in_b = e2_old[vals2]
@@ -777,7 +753,7 @@ class IncrementalReconciler:
         if len(sub_packed):
             parts.append((sub_packed, -sub_score))
         emitted -= sub_emitted
-        add_packed, add_score, add_emitted = self._dirty_subset_count(
+        add_packed, add_score, add_emitted = self._join(
             link_l[arrived],
             link_r[arrived],
             eligible1,
@@ -866,9 +842,9 @@ class IncrementalReconciler:
         scratch2 = np.zeros(n2, dtype=bool)
         for u1, u2 in zip(adj_l.tolist(), adj_r.tolist()):
             old1 = old_nbrs1(u1)
-            cur1 = index.neighbors1(u1)
+            cur1 = _row(index.csr1, u1)
             old2 = old_nbrs2(u2)
-            cur2 = index.neighbors2(u2)
+            cur2 = _row(index.csr2, u2)
             a = old1[e1_old[old1]]
             ap = cur1[eligible1[cur1]]
             b = old2[e2_old[old2]]

@@ -11,9 +11,10 @@ into a long-running, crash-safe component:
   :meth:`~repro.incremental.engine.IncrementalReconciler.apply` — so a
   burst of concurrent POSTs pays one warm apply, not one per request.
   Every delta is pre-validated with
-  :func:`~repro.incremental.delta.validate_delta` before it is logged
-  or applied, which is what keeps a rejected request from leaving the
-  graphs partially mutated.
+  :func:`~repro.incremental.delta.validate_delta` (graphs and seed set)
+  before it is logged, so a rejected request never reaches the log —
+  and the engine's ``apply`` runs the same check first, so it never
+  leaves the graphs partially mutated either.
 - **Admission control.**  The write queue is bounded; past
   ``max_pending`` the submit raises :class:`AdmissionError` (the HTTP
   layer maps it to 429 with a ``Retry-After`` derived from observed
@@ -539,22 +540,9 @@ class ReconciliationService:
 
     def _validate(self, delta: GraphDelta) -> None:
         assert self.engine.g1 is not None and self.engine.g2 is not None
-        validate_delta(self.engine.g1, self.engine.g2, delta)
-        # The engine additionally requires the accumulated seed set to
-        # stay one-to-one and stable; check it here so apply() cannot
-        # raise after the graphs have been mutated.
-        merged = dict(self.engine.seeds)
-        for v1, v2 in delta.added_seeds:
-            if merged.get(v1, v2) != v2:
-                raise DeltaError(
-                    f"added_seeds: {v1!r} is already linked to "
-                    f"{merged[v1]!r} and cannot be remapped"
-                )
-            merged[v1] = v2
-        if len(set(merged.values())) != len(merged):
-            raise DeltaError(
-                "added_seeds: seed links must remain one-to-one"
-            )
+        validate_delta(
+            self.engine.g1, self.engine.g2, delta, seeds=self.engine.seeds
+        )
 
     def _apply_validated(self, delta: GraphDelta, coalesced: int) -> dict:
         engine = self.engine

@@ -17,7 +17,7 @@ def small_pair():
 
 
 def assert_matches_fresh(index: DeltaIndex):
-    """The merged view must equal a from-scratch canonical interning."""
+    """The CSR must equal a from-scratch canonical interning."""
     fresh = GraphPairIndex(index.g1, index.g2)
     # Same node universe (possibly different dense order after appends).
     assert {index.node1(d) for d in range(index.n1)} == set(
@@ -27,8 +27,8 @@ def assert_matches_fresh(index: DeltaIndex):
         fresh.csr2.node_ids
     )
     for side, nbrs, graph in (
-        (1, index.neighbors1, index.g1),
-        (2, index.neighbors2, index.g2),
+        (1, index.csr1.neighbors, index.g1),
+        (2, index.csr2.neighbors, index.g2),
     ):
         node_of = index.node1 if side == 1 else index.node2
         n = index.n1 if side == 1 else index.n2
@@ -51,7 +51,6 @@ class TestDeltaIndex:
     def test_fresh_index_is_compact_and_canonical(self):
         g1, g2 = small_pair()
         index = DeltaIndex(g1, g2)
-        assert index.is_compact
         # Fresh interning is canonical: ranks are the identity.
         assert np.array_equal(index.rank1, np.arange(index.n1))
         fresh = GraphPairIndex(g1, g2)
@@ -64,7 +63,6 @@ class TestDeltaIndex:
         index = DeltaIndex(g1, g2)
         assert index.csr1.indices.dtype == np.uint32
         index.apply_delta(GraphDelta.build(added_edges1=[(1, 3)]))
-        index.compact()
         assert index.csr1.indices.dtype == np.uint32
 
     def test_apply_add_and_remove(self):
@@ -75,7 +73,6 @@ class TestDeltaIndex:
                 added_edges1=[(1, 3)], removed_edges2=[(2, 3)]
             )
         )
-        assert not index.is_compact
         assert set(applied.changed1.tolist()) == {
             index.dense1(1),
             index.dense1(3),
@@ -86,10 +83,12 @@ class TestDeltaIndex:
         g1, g2 = small_pair()
         index = DeltaIndex(g1, g2)
         d1 = index.dense1(1)
-        before = set(index.neighbors1(d1).tolist())
+        before = set(index.csr1.neighbors(d1).tolist())
         applied = index.apply_delta(GraphDelta.build(added_edges1=[(1, 3)]))
-        assert set(applied.old_neighbors1[d1].tolist()) == before
-        assert set(index.neighbors1(d1).tolist()) == before | {index.dense1(3)}
+        assert set(applied.old_csr1.neighbors(d1).tolist()) == before
+        assert set(index.csr1.neighbors(d1).tolist()) == before | {
+            index.dense1(3)
+        }
 
     def test_new_nodes_appended_not_reinterned(self):
         g1, g2 = small_pair()
@@ -108,6 +107,7 @@ class TestDeltaIndex:
     def test_compact_preserves_dense_ids_and_content(self):
         g1, g2 = small_pair()
         index = DeltaIndex(g1, g2)
+        ids_before = [index.node1(d) for d in range(index.n1)]
         index.apply_delta(
             GraphDelta.build(
                 added_edges1=[(1, 3), ("n", 2)],
@@ -115,16 +115,8 @@ class TestDeltaIndex:
                 added_edges2=[(0, 2)],
             )
         )
-        ids_before = [index.node1(d) for d in range(index.n1)]
-        nbrs_before = {
-            d: sorted(index.neighbors1(d).tolist())
-            for d in range(index.n1)
-        }
-        index.compact()
-        assert index.is_compact
-        assert [index.node1(d) for d in range(index.n1)] == ids_before
-        for d, expected in nbrs_before.items():
-            assert sorted(index.neighbors1(d).tolist()) == expected
+        assert [index.node1(d) for d in range(len(ids_before))] == ids_before
+        assert index.node1(len(ids_before)) == "n"
         assert_matches_fresh(index)
 
     def test_add_then_remove_same_edge_cancels(self):
@@ -134,34 +126,6 @@ class TestDeltaIndex:
         index.apply_delta(GraphDelta.build(removed_edges1=[(1, 3)]))
         assert_matches_fresh(index)
 
-    def test_gather_neighbors_matches_loop(self):
-        g = gnp_graph(40, 0.15, seed=3)
-        h = gnp_graph(40, 0.15, seed=4)
-        index = DeltaIndex(g, h)
-        index.apply_delta(
-            GraphDelta.build(
-                added_edges1=[(0, 39), ("x", 5)],
-                removed_edges1=[next(iter(g.edges()))]
-                if g.num_edges
-                else [],
-            )
-        )
-        targets = np.asarray([0, 5, index.dense1("x"), 7, 0], dtype=np.int64)
-        vals, seg = index.gather_neighbors1(targets)
-        for pos in range(len(targets)):
-            got = sorted(vals[seg == pos].tolist())
-            want = sorted(index.neighbors1(int(targets[pos])).tolist())
-            assert got == want
-
-    def test_maybe_compact_threshold(self):
-        g1, g2 = small_pair()
-        index = DeltaIndex(g1, g2, compact_ratio=0.0, compact_min_edges=1)
-        index.apply_delta(
-            GraphDelta.build(added_edges1=[(1, 3)], added_edges2=[(0, 2)])
-        )
-        assert index.maybe_compact()
-        assert index.is_compact
-
     def test_random_delta_sequence_stays_consistent(self):
         import random
 
@@ -169,7 +133,7 @@ class TestDeltaIndex:
         g1 = gnp_graph(30, 0.12, seed=1)
         g2 = gnp_graph(30, 0.12, seed=2)
         index = DeltaIndex(g1, g2)
-        for step in range(6):
+        for _step in range(6):
             candidates = [
                 (u, v)
                 for u in range(30)
@@ -184,6 +148,4 @@ class TestDeltaIndex:
                     added_edges1=add, removed_edges1=rm
                 )
             )
-            if step == 3:
-                index.compact()
         assert_matches_fresh(index)

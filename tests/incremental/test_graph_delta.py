@@ -293,3 +293,25 @@ class TestValidateDelta:
         )
         validate_delta(g1, g2, delta)
         apply_delta_to_graphs(g1, g2, delta)  # must not raise
+
+    def test_seed_checks(self):
+        from repro.incremental.delta import validate_delta
+
+        g1, g2 = square(), square()
+        seeds = {0: 0}
+        # Re-confirming an existing seed is fine.
+        validate_delta(
+            g1, g2, GraphDelta.build(added_seeds=[(0, 0)]), seeds=seeds
+        )
+        with pytest.raises(DeltaError, match="appears twice"):
+            validate_delta(
+                g1, g2, GraphDelta.build(added_seeds=[(1, 1), (1, 1)])
+            )
+        with pytest.raises(DeltaError, match="cannot be remapped"):
+            validate_delta(
+                g1, g2, GraphDelta.build(added_seeds=[(0, 1)]), seeds=seeds
+            )
+        with pytest.raises(DeltaError, match="one-to-one"):
+            validate_delta(
+                g1, g2, GraphDelta.build(added_seeds=[(1, 0)]), seeds=seeds
+            )

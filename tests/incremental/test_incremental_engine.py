@@ -8,6 +8,7 @@ from repro.core.matcher import UserMatching
 from repro.errors import ReproError
 from repro.generators.erdos_renyi import gnp_graph
 from repro.incremental import (
+    DeltaError,
     GraphDelta,
     IncrementalReconciler,
 )
@@ -133,6 +134,52 @@ class TestWarmEquivalence:
         fresh_left = next(v for v in pair.g1.nodes() if v not in seeds)
         with pytest.raises(ReproError):
             engine.apply(GraphDelta.build(added_seeds={fresh_left: taken}))
+
+
+def _engine_state(engine):
+    """Everything a rejected delta must leave untouched."""
+    index = engine.index
+    return (
+        sorted(map(sorted, engine.g1.edges())),
+        sorted(map(sorted, engine.g2.edges())),
+        dict(engine.seeds),
+        engine.result,
+        engine.applied_deltas,
+        None if index is None else (index.csr1, index.csr2, index.n1),
+    )
+
+
+class TestAtomicApply:
+    """A rejected delta leaves graphs, index, seeds and result untouched."""
+
+    @pytest.mark.parametrize(
+        "name", ["user-matching", "common-neighbors"], ids=["warm", "cold"]
+    )
+    @pytest.mark.parametrize("case", ["repeated-g1", "repeated-g2"])
+    def test_rejected_seed_delta_mutates_nothing(self, name, case):
+        pair, seeds, base1, base2, s1, s2 = workload(seed=19)
+        engine = IncrementalReconciler(matcher=get_matcher(name))
+        engine.start(base1, base2, seeds)
+        free1 = sorted(v for v in base1.nodes() if v not in seeds)
+        taken2 = next(iter(seeds.values()))
+        if case == "repeated-g1":
+            bad = [(free1[0], "new-right"), (free1[0], "new-right")]
+        else:
+            bad = [(free1[0], taken2)]
+        before = _engine_state(engine)
+        with pytest.raises(DeltaError):
+            engine.apply(
+                GraphDelta.build(
+                    added_edges1=s1,
+                    added_edges2=s2 + [("new-right", taken2)],
+                    added_seeds=bad,
+                )
+            )
+        assert _engine_state(engine) == before
+        # Still healthy: the same edges then apply cleanly and exactly.
+        engine.apply(GraphDelta.build(added_edges1=s1, added_edges2=s2))
+        cold = get_matcher(name).run(pair.g1, pair.g2, seeds)
+        assert engine.result.links == cold.links
 
 
 class TestColdFallback:

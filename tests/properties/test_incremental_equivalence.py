@@ -134,11 +134,12 @@ def gnp_stream(draw):
 
 
 class TestWarmEngineProperties:
-    @given(gnp_stream())
+    @pytest.mark.parametrize("backend", ["csr", "native"])
+    @given(wl=gnp_stream())
     @settings(max_examples=15, deadline=None)
-    def test_random_streams_bit_identical(self, wl):
+    def test_random_streams_bit_identical(self, backend, wl):
         pair, seeds, base1, base2, start_seeds, deltas = wl
-        cfg = MatcherConfig(threshold=2, iterations=2)
+        cfg = MatcherConfig(threshold=2, iterations=2, backend=backend)
         engine = IncrementalReconciler(cfg)
         engine.start(base1, base2, start_seeds)
         for delta in deltas:
@@ -205,8 +206,6 @@ class TestWarmEngineProperties:
         )
         engine = IncrementalReconciler(MatcherConfig(threshold=2))
         engine.start(base1, base2, seeds)
-        engine.index._compact_min = 1
-        engine.index._compact_ratio = 0.0
         for delta in deltas:
             engine.apply(delta)
         cold = UserMatching(
