@@ -191,6 +191,13 @@ def test_bench_generator_rmat(benchmark):
     assert g.num_nodes > 0
 
 
+def test_bench_independent_copies(benchmark):
+    """The copy-model half of setup, on the graph the R-MAT bench builds."""
+    graph = rmat_graph(11, 16 * (1 << 11), seed=7)
+    pair = benchmark(independent_copies, graph, 0.5, seed=2)
+    assert pair.g1.num_nodes == graph.num_nodes
+
+
 def test_bench_mapreduce_engine(benchmark):
     def map_fn(_k, text):
         for token in text:

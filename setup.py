@@ -24,7 +24,7 @@ setup(
     # floors.
     python_requires=">=3.11",
     install_requires=[
-        "numpy>=1.22",
+        "numpy>=1.23",
         "scipy>=1.8",
     ],
     extras_require={

@@ -49,6 +49,31 @@ def _dense_lookup(
     return lookup
 
 
+def flatten_adjacency(
+    adj: dict[Node, set[Node]], dense_of: dict[Node, int], ranks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's degree and every neighbor's dense id, in live order.
+
+    Walks *adj* in dict order and each neighbor set in its iteration
+    order with C-level iterators (no Python bytecode per entry).
+    *ranks* holds each row's dense id in dict order; *dense_of* maps
+    every node to its dense id.  Returns ``(degrees, neighbors)`` as
+    int64 arrays of length ``n`` and ``2m``.
+    """
+    n = len(adj)
+    degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
+    total = int(degrees.sum())
+    neighbors = chain.from_iterable(adj.values())
+    lookup = _dense_lookup(adj, ranks)
+    if lookup is not None:
+        dst = lookup[np.fromiter(neighbors, dtype=np.int64, count=total)]
+    else:
+        dst = np.fromiter(
+            map(dense_of.__getitem__, neighbors), dtype=np.int64, count=total
+        )
+    return degrees, dst
+
+
 class CSRGraph:
     """Immutable CSR adjacency built from a :class:`Graph`.
 
@@ -88,18 +113,7 @@ class CSRGraph:
         ranks = np.fromiter(
             map(dense_of.__getitem__, adj), dtype=np.int64, count=n
         )
-        degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
-        total = int(degrees.sum())
-        neighbors = chain.from_iterable(adj.values())
-        lookup = _dense_lookup(adj, ranks)
-        if lookup is not None:
-            dst = lookup[np.fromiter(neighbors, dtype=np.int64, count=total)]
-        else:
-            dst = np.fromiter(
-                map(dense_of.__getitem__, neighbors),
-                dtype=np.int64,
-                count=total,
-            )
+        degrees, dst = flatten_adjacency(adj, dense_of, ranks)
         # One integer sort of the packed (row, neighbor) key orders every
         # row and every row's neighbor slice at once.
         key = np.repeat(ranks * n, degrees)

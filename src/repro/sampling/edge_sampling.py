@@ -9,8 +9,12 @@ in ``G`` and independent vertex deletion.
 from __future__ import annotations
 
 import random
+from itertools import repeat, starmap
 from typing import Hashable
 
+import numpy as np
+
+from repro.graphs.csr import flatten_adjacency
 from repro.graphs.graph import Graph
 from repro.sampling.pair import GraphPair
 from repro.utils.rng import ensure_rng, spawn_rngs
@@ -23,18 +27,43 @@ def sample_edges(graph: Graph, s: float, seed: object = None) -> Graph:
     """Keep each edge of *graph* independently with probability *s*.
 
     All nodes are preserved (possibly isolated), matching the paper's
-    model where the vertex set is shared across copies.
+    model where the vertex set is shared across copies.  Draws exactly
+    one ``random()`` per edge in ``graph.edges()`` order and keeps the
+    edge when the draw is below *s*; the copy is built in bulk with
+    :meth:`Graph.from_dense_edges` and shares *graph*'s node objects.
     """
     check_probability("s", s)
     rng = ensure_rng(seed)
-    random_ = rng.random
-    out = Graph()
-    for node in graph.nodes():
-        out.add_node(node)
-    for u, v in graph.edges():
-        if random_() < s:
-            out.add_edge(u, v)
-    return out
+    src, dst = _edge_arrays(graph)
+    draws = np.fromiter(
+        starmap(rng.random, repeat((), len(src))),
+        dtype=np.float64,
+        count=len(src),
+    )
+    keep = draws < s
+    del draws
+    return Graph.from_dense_edges(
+        list(graph.nodes()), src[keep], dst[keep], np.arange(graph.num_nodes)
+    )
+
+
+def _edge_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``graph.edges()`` as dense ``(src, dst)`` arrays, in the same order.
+
+    Dense ids are positions in ``graph.nodes()``.  ``edges()`` reports
+    each adjacency entry whose neighbor entered the graph after its row,
+    so the flattened live adjacency filtered on ``dst > src`` is exactly
+    that sequence.
+    """
+    adj = graph.adjacency()
+    n = len(adj)
+    ranks = np.arange(n, dtype=np.int64)
+    dense_of = dict(zip(adj, range(n)))
+    degrees, neighbors = flatten_adjacency(adj, dense_of, ranks)
+    index = np.int32 if n < 2**31 else np.int64
+    rows = np.repeat(ranks.astype(index), degrees)
+    later = neighbors > rows
+    return rows[later], neighbors[later].astype(index)
 
 
 def add_noise_edges(graph: Graph, count: int, seed: object = None) -> Graph:

@@ -1,7 +1,14 @@
 """Unit tests for the independent edge deletion copy model."""
 
+import hashlib
+import inspect
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+from repro.generators.rmat import rmat_graph
 from repro.sampling.edge_sampling import (
     add_noise_edges,
     delete_vertices,
@@ -108,3 +115,64 @@ class TestIndependentCopies:
         a = independent_copies(small_pa, 0.5, seed=6)
         b = independent_copies(small_pa, 0.5, seed=6)
         assert a.g1 == b.g1 and a.g2 == b.g2
+
+
+def fingerprint(g):
+    """sha256 of the node order, the ``edges()`` order and every
+    neighbor set's iteration order — pins iteration order, not just
+    content."""
+    h = hashlib.sha256()
+    h.update(repr(list(g.nodes())).encode())
+    h.update(repr(list(g.edges())).encode())
+    for v in g.nodes():
+        h.update(repr(list(g.neighbors(v))).encode())
+    return h.hexdigest()
+
+
+#: Digests recorded with the per-edge ``add_edge`` sampler; a faster
+#: builder must reproduce them bit for bit.
+GOLDEN_RMAT12_COPIES = (
+    "4bc78ec40a250a660f8b143dfcec5149eb990e1e31d3d14812d1f1c24f337cad",
+    "57fbff691896aa0e4dbcb5ce5c808e4481a5af5a3d7e389825ef4f790fa1163f",
+)
+#: Recorded under ``PYTHONHASHSEED=0``: str neighbor sets iterate in
+#: hash order, so the input's ``edges()`` order (and with it which
+#: edges survive) is only fixed for a fixed hash seed.
+GOLDEN_STR_SAMPLE = (
+    "f3c9a6798ace4023595d9eb208e4322fdde9bf57d11ddc556ac1ef022b45b050"
+)
+STR_SAMPLE_BODY = (
+    "from repro.generators.preferential_attachment import "
+    "preferential_attachment_graph\n"
+    "from repro.graphs.graph import Graph\n"
+    "from repro.sampling.edge_sampling import sample_edges\n"
+    "pa = preferential_attachment_graph(300, 3, seed=9)\n"
+    "g = Graph.from_edges(((f'u{u}', f'u{v}') for u, v in pa.edges()),"
+    " nodes=['iso-a', 'iso-b'])\n"
+    "out = sample_edges(g, 0.5, seed=11)\n"
+    "print(fingerprint(out), out.num_edges)\n"
+)
+STR_SAMPLE_SCRIPT = (
+    "import hashlib\n" + inspect.getsource(fingerprint) + STR_SAMPLE_BODY
+)
+
+
+class TestGoldenFingerprints:
+    def test_rmat12_independent_copies(self):
+        g = rmat_graph(12, 16 << 12, seed=3)
+        pair = independent_copies(g, 0.5, seed=4)
+        assert (pair.g1.num_edges, pair.g2.num_edges) == (24125, 24422)
+        got = (fingerprint(pair.g1), fingerprint(pair.g2))
+        assert got == GOLDEN_RMAT12_COPIES
+
+    def test_str_ids_sample_edges(self):
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-c", STR_SAMPLE_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={"PYTHONHASHSEED": "0", "PYTHONPATH": "src"},
+            cwd=str(repo),
+            check=True,
+        )
+        assert proc.stdout.split() == [GOLDEN_STR_SAMPLE, "411"]
