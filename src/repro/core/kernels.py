@@ -648,11 +648,10 @@ def merge_score_tables(
     — content *and* row order — does not depend on how the round was
     split.
 
-    Three equivalent engines, chosen in order: the compiled hash merge
-    (*native* given), the dense sort-free scatter-add (*workspace*
-    given and the key space fits), and the ``np.unique`` summation.
-    Integer addition is commutative and every engine exports ascending
-    packed keys, so the merged table is bit-identical regardless.
+    The summation is :func:`_merge_packed`, whichever of its three
+    engines runs: integer addition is commutative and every engine
+    exports ascending packed keys, so the merged table is bit-identical
+    regardless.
 
     Args:
         parts: ``(left, right, score, emitted)`` tuples.
@@ -664,39 +663,52 @@ def merge_score_tables(
         The canonical ``(ArrayScores, total_emitted)`` pair.
     """
     emitted = int(sum(part[3] for part in parts))
-    kept = [part for part in parts if len(part[0])]
-    if not kept:
-        return (
-            ArrayScores(index, _EMPTY, _EMPTY, _EMPTY, native=native),
-            emitted,
-        )
     n2 = np.int64(index.n2)
-    if native is not None or workspace is not None:
-        packed_parts = [
+    keys, merged = _merge_packed(
+        [
             (part[0].astype(np.int64) * n2 + part[1], part[2])
-            for part in kept
-        ]
-        if native is not None:
-            keys, merged = native.merge_packed(packed_parts)
-        else:
-            keys, merged = workspace.merge(packed_parts)
-        return (
-            ArrayScores(
-                index, keys // n2, keys % n2, merged, native=native
-            ),
-            emitted,
-        )
-    left = np.concatenate([part[0] for part in kept])
-    right = np.concatenate([part[1] for part in kept])
-    score = np.concatenate([part[2] for part in kept])
-    packed = left * n2 + right
-    keys, inverse = np.unique(packed, return_inverse=True)
+            for part in parts
+            if len(part[0])
+        ],
+        native,
+        workspace,
+    )
+    return (
+        ArrayScores(index, keys // n2, keys % n2, merged, native=native),
+        emitted,
+    )
+
+
+def _merge_packed(
+    parts: "list[tuple[np.ndarray, np.ndarray]]",
+    native: "NativeKernels | None",
+    workspace: "ScatterWorkspace | None",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``(packed_keys, counts)`` parts into one ascending table.
+
+    The one packed merge behind :func:`merge_score_tables` and the
+    folds of :func:`count_witnesses_blocked`.  Three equivalent engines,
+    chosen in order: the compiled hash merge (*native* given), the
+    dense sort-free scatter-add (*workspace* given; its key space
+    already fits), and the ``np.unique`` summation.  Every part has
+    internally-unique keys (each is a canonical table), so all three
+    are exact, and each exports ascending keys.
+    """
+    if not parts:
+        return _EMPTY, _EMPTY
+    if native is not None:
+        return native.merge_packed(parts)
+    if workspace is not None:
+        return workspace.merge(parts)
+    keys = np.concatenate([part[0] for part in parts])
+    counts = np.concatenate([part[1] for part in parts])
+    uniq, inverse = np.unique(keys, return_inverse=True)
     # bincount's float64 accumulator is exact below 2**53, far above any
     # witness count; cast back to the kernel's integer dtype.
     merged = np.bincount(
-        inverse, weights=score, minlength=len(keys)
+        inverse, weights=counts, minlength=len(uniq)
     ).astype(np.int64)
-    return ArrayScores(index, keys // n2, keys % n2, merged), emitted
+    return uniq, merged
 
 
 def count_witnesses_blocked(
@@ -797,26 +809,7 @@ def count_witnesses_blocked(
     def fold() -> None:
         nonlocal running, pending, pending_rows
         parts = ([running] if running is not None else []) + pending
-        if not parts:  # every block so far emitted nothing
-            running = (_EMPTY, _EMPTY)
-            return
-        # Every part has internally-unique keys (each is a canonical
-        # table), so all three fold engines below are exact; each
-        # exports ascending keys, keeping the running table canonical.
-        if native is not None:
-            running = native.merge_packed(parts)
-        elif workspace is not None:
-            running = workspace.merge(parts)
-        else:
-            keys = np.concatenate([part[0] for part in parts])
-            counts = np.concatenate([part[1] for part in parts])
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            # bincount's float64 accumulator is exact below 2**53, far
-            # above any witness count.
-            merged = np.bincount(
-                inverse, weights=counts, minlength=len(uniq)
-            ).astype(np.int64)
-            running = (uniq, merged)
+        running = _merge_packed(parts, native, workspace)
         pending = []
         pending_rows = 0
 

@@ -15,10 +15,10 @@ Two execution modes satisfy that contract:
   algorithm): the engine replays the bucket sweep on the array
   substrate, but each (iteration, bucket) round's score table is
   *patched*, not recomputed — the previous run's table is corrected by
-  subtracting the old contributions of **dirty links** (links whose
-  witness neighborhoods intersect the delta, found from the CSR join
-  frontier) and adding their new contributions, plus the contributions
-  of links that entered/left the round.  Witness counts are additive
+  one signed difference join, ``A'×B' − A×B``, over the **dirty links**
+  (links whose witness neighborhoods intersect the delta, found from
+  the CSR join frontier) and the links that left the round, plus the
+  full join of the links that entered it.  Witness counts are additive
   over links, so the patched table is exactly the cold table; selection
   then runs the stock array kernels over canonical-rank-mapped ids,
   reproducing cold tie-breaks even though appended nodes break dense-id
@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
@@ -146,58 +146,102 @@ class _ReplayStats:
     full_rounds: int = 0
 
 
-def _row(csr: CSRGraph, dense: int) -> np.ndarray:
-    """*dense*'s neighbours in *csr* as ``int64`` (none past its rows)."""
-    if dense >= csr.num_nodes:
-        return _EMPTY
-    return csr.neighbors(dense).astype(np.int64)
+def _eligible_rows(
+    csr: CSRGraph, targets: np.ndarray, eligible: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each target row's eligible neighbours as ``(values, segments)``.
+
+    Grouped by ascending segment (position in *targets*), each row's
+    values ascending — the CSR's own order, which the filter keeps.
+    """
+    vals, seg = kernels.segmented_gather(csr.indptr, csr.indices, targets)
+    vals = vals.astype(np.int64, copy=False)
+    keep = eligible[vals]
+    return vals[keep], seg[keep]
 
 
-def _count_subset_from_lists(
-    nbrs1_of: "Callable[[int], np.ndarray]",
-    nbrs2_of: "Callable[[int], np.ndarray]",
+def _absent(keys: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
+    """Mask of the *keys* that do not occur in ascending *sorted_ref*."""
+    if len(sorted_ref) == 0:
+        return np.ones(len(keys), dtype=bool)
+    pos = np.searchsorted(sorted_ref, keys)
+    np.minimum(pos, len(sorted_ref) - 1, out=pos)
+    return sorted_ref[pos] != keys
+
+
+def _cross_size(left_seg: np.ndarray, right_seg: np.ndarray, k: int) -> int:
+    """Pairs :func:`_segment_cross_product` emits over *k* segments."""
+    return int(
+        (
+            np.bincount(left_seg, minlength=k)
+            * np.bincount(right_seg, minlength=k)
+        ).sum()
+    )
+
+
+def _difference_join(
+    snapshot: AppliedDelta,
+    index: DeltaIndex,
     link_l: np.ndarray,
     link_r: np.ndarray,
-    eligible1: np.ndarray,
-    eligible2: np.ndarray,
-    n2: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Witness-count a small link subset from per-node neighbor arrays.
+    kept: int,
+    old_eligible: tuple[np.ndarray, np.ndarray],
+    new_eligible: tuple[np.ndarray, np.ndarray],
+    budget: int,
+) -> "tuple[list[tuple[np.ndarray, np.ndarray]], int] | None":
+    """Signed score corrections ``A'×B' − A×B`` for a set of links.
 
-    The frontier twin of :func:`repro.core.kernels.count_witnesses`:
-    instead of gathering neighborhoods from the current CSR, each link
-    endpoint's neighbor array is supplied by a callable — which lets
-    the caller serve the pre-delta adjacency of departed links.  Same
-    integer counts; returns ``(packed_keys_sorted, score, emitted)``.
+    For link ``i``, ``A``/``B`` are its endpoints' eligible neighbours
+    before the delta (the old CSR under the old eligibility bits) and
+    ``A'``/``B'`` after it (the current CSR under the current bits).
+    The first *kept* links are still in the round; the rest departed
+    from it and have empty ``A'``/``B'``.  Since
+
+        A'×B' − A×B = (A'−A)×B' − (A−A')×B' + A×(B'−B) − A×(B−B'),
+
+    every correction is four signed cross products whose difference
+    factors are usually tiny: a hub gaining one edge, or a neighbour
+    crossing the bucket floor, costs ``O(deg)`` instead of ``O(deg²)``,
+    and a departed link pays exactly its old expansion ``A×B``.  The
+    set differences are membership tests on packed ``(segment, node)``
+    keys, which ascend already, so one ``searchsorted`` per side does
+    them — no per-link loop and no sort.
+
+    Returns ``(parts, emitted_change)`` — signed ``(packed_keys,
+    weights)`` parts for :func:`_apply_corrections` and the change in
+    the round's witness-pair expansion — or ``None``, before any pair
+    is materialized, when the cross products would exceed *budget*
+    pairs.
     """
     k = len(link_l)
-    if k == 0:
-        return _EMPTY, _EMPTY, 0
-    arrs1 = [nbrs1_of(int(u)) for u in link_l]
-    arrs2 = [nbrs2_of(int(u)) for u in link_r]
-    counts1 = np.asarray([len(a) for a in arrs1], dtype=np.int64)
-    counts2 = np.asarray([len(a) for a in arrs2], dtype=np.int64)
-    vals1 = (
-        np.concatenate(arrs1) if counts1.sum() else _EMPTY
-    ).astype(np.int64, copy=False)
-    vals2 = (
-        np.concatenate(arrs2) if counts2.sum() else _EMPTY
-    ).astype(np.int64, copy=False)
-    seg1 = np.repeat(np.arange(k, dtype=np.int64), counts1)
-    seg2 = np.repeat(np.arange(k, dtype=np.int64), counts2)
-    keep1 = eligible1[vals1]
-    vals1, seg1 = vals1[keep1], seg1[keep1]
-    keep2 = eligible2[vals2]
-    vals2, seg2 = vals2[keep2], seg2[keep2]
-    a = np.bincount(seg1, minlength=k)
-    b = np.bincount(seg2, minlength=k)
-    emitted = int((a * b).sum())
-    if emitted == 0:
-        return _EMPTY, _EMPTY, 0
-    pair_l, pair_r = _segment_cross_product(vals1, seg1, vals2, seg2, k)
-    packed = pair_l * np.int64(n2) + pair_r
-    keys, counts = np.unique(packed, return_counts=True)
-    return keys, counts.astype(np.int64), emitted
+    n1, n2 = index.n1, np.int64(index.n2)
+    a, a_seg = _eligible_rows(snapshot.old_csr1, link_l, old_eligible[0])
+    b, b_seg = _eligible_rows(snapshot.old_csr2, link_r, old_eligible[1])
+    ap, ap_seg = _eligible_rows(index.csr1, link_l[:kept], new_eligible[0])
+    bp, bp_seg = _eligible_rows(index.csr2, link_r[:kept], new_eligible[1])
+    a_key, ap_key = a_seg * n1 + a, ap_seg * n1 + ap
+    b_key, bp_key = b_seg * n2 + b, bp_seg * n2 + bp
+    gain1, lose1 = _absent(ap_key, a_key), _absent(a_key, ap_key)
+    gain2, lose2 = _absent(bp_key, b_key), _absent(b_key, bp_key)
+    terms = (
+        (ap[gain1], ap_seg[gain1], bp, bp_seg, 1),   # (A' - A) x B'
+        (a[lose1], a_seg[lose1], bp, bp_seg, -1),    # (A - A') x B'
+        (a, a_seg, bp[gain2], bp_seg[gain2], 1),     # A x (B' - B)
+        (a, a_seg, b[lose2], b_seg[lose2], -1),      # A x (B - B')
+    )
+    if int(
+        sum(_cross_size(lseg, rseg, k) for _l, lseg, _r, rseg, _s in terms)
+    ) > budget:
+        return None
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    for lvals, lseg, rvals, rseg, sign in terms:
+        pl, pr = _segment_cross_product(lvals, lseg, rvals, rseg, k)
+        if len(pl):
+            parts.append((pl * n2 + pr, np.full(len(pl), sign, np.int64)))
+    emitted_change = _cross_size(ap_seg, bp_seg, k) - _cross_size(
+        a_seg, b_seg, k
+    )
+    return parts, emitted_change
 
 
 def _apply_corrections(
@@ -245,6 +289,40 @@ def _apply_corrections(
         keep = out_score != 0
         out_packed, out_score = out_packed[keep], out_score[keep]
     return out_packed, out_score
+
+
+def _id_pair(
+    arrays: dict[str, np.ndarray],
+    left: str,
+    right: str,
+    n_left: int,
+    n_right: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checkpoint arrays *left*/*right* as dense ids, range-checked.
+
+    Checkpoints cross process (and replica) boundaries, so their ids
+    are untrusted: a negative id would silently index the wrong node.
+
+    Raises:
+        ReproError: if either array is missing, not integer, of unequal
+            length, or holds an id outside ``[0, n_left)`` /
+            ``[0, n_right)``.
+    """
+    out: list[np.ndarray] = []
+    for name, n in ((left, n_left), (right, n_right)):
+        ids = arrays.get(name)
+        if ids is None or ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ReproError(f"checkpoint lacks integer array {name!r}")
+        if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= n):
+            raise ReproError(
+                f"checkpoint array {name!r} holds ids outside [0, {n})"
+            )
+        out.append(ids.astype(np.int64, copy=False))
+    if len(out[0]) != len(out[1]):
+        raise ReproError(
+            f"checkpoint arrays {left!r} and {right!r} differ in length"
+        )
+    return out[0], out[1]
 
 
 class IncrementalReconciler:
@@ -491,13 +569,6 @@ class IncrementalReconciler:
         if snapshot is not None:
             old_deg1 = self._pad(snapshot.old_deg1, n1)
             old_deg2 = self._pad(snapshot.old_deg2, n2)
-
-            def old_nbrs1(dense: int) -> np.ndarray:
-                return _row(snapshot.old_csr1, dense)
-
-            def old_nbrs2(dense: int) -> np.ndarray:
-                return _row(snapshot.old_csr2, dense)
-
         for iteration in range(1, cfg.iterations + 1):
             added_this_iteration = 0
             for j in exponents:
@@ -516,8 +587,6 @@ class IncrementalReconciler:
                         eligible2,
                         old_deg1,
                         old_deg2,
-                        old_nbrs1,
-                        old_nbrs2,
                         min_degree,
                         n2,
                         stats,
@@ -582,38 +651,33 @@ class IncrementalReconciler:
         eligible2: np.ndarray,
         old_deg1: np.ndarray,
         old_deg2: np.ndarray,
-        old_nbrs1: "Callable[[int], np.ndarray]",
-        old_nbrs2: "Callable[[int], np.ndarray]",
         min_degree: int,
         n2: int,
         stats: _ReplayStats,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, int] | None:
         """Patch one cached round's score table to the post-delta truth.
 
         Returns ``(packed_sorted, score, emitted)`` or ``None`` when a
-        full join is the better plan (the dirty region rivals the whole
-        round).  Exactness rests on witness counts being additive over
-        links; the dirty links split into two classes with different
-        correction costs:
+        full join is the better plan.  Exactness rests on witness counts
+        being additive over links.  Three kinds of link need a
+        correction; every other link's contribution is provably
+        unchanged:
 
-        - **adjacency-dirty** (an endpoint gained/lost edges in this
-          delta), plus links that *arrived* in or *departed* from the
-          round: their whole old contribution is subtracted and their
-          whole new contribution re-joined — the classic
-          ``cached - W_old(dirty ∪ departed) + W_new(dirty ∪ arrived)``
-          form, on what is typically a handful of links.
-        - **flip-dirty** (adjacency unchanged, but some neighbor's
-          eligibility bit flipped — degree crossed the bucket floor or
-          match state diverged): re-joining hubs here would dwarf the
-          delta, so only the *difference* is joined.  With ``A/A'`` the
-          old/new eligible g1-neighborhood of the link and ``B/B'`` the
-          g2 side, ``A'×B' - A×B = (A'-A)×B' + A×(B'-B)`` — four
-          signed cross products whose left/right factors are the tiny
-          flip sets, all computed vectorized over the whole dirty
-          subset at once.
+        - **dirty** links, in the round before and after the delta, whose
+          endpoint's adjacency changed or has a neighbour whose
+          eligibility bit flipped (its degree crossed the bucket floor,
+          or its match state diverged);
+        - **departed** links, in the cached round but not this one;
+        - **arrived** links, in this round but not the cached one.
 
-        Every other link's contribution is provably unchanged, and the
-        corrections are applied to the (packed-key-sorted) cached table
+        Dirty and departed links go through one signed difference join,
+        :func:`_difference_join`; arrived links through the sweep's own
+        join.  One guard picks the plan: patch unless the exact
+        correction size — the difference join's cross products plus
+        the arrived links' expansion, both read off per-link eligible
+        neighbor counts — exceeds half the round's cached expansion
+        (or 4096 pairs, whichever is larger).  The
+        corrections are applied to the packed-key-sorted cached table
         in one searchsorted/insert pass — no full-table re-sort.
         """
         index = self.index
@@ -629,257 +693,58 @@ class IncrementalReconciler:
         flip2 = e2_old != eligible2
         nflips = int(flip1.sum()) + int(flip2.sum())
         if nflips > (n1 + n2) // 4:
-            return None  # half the graph flipped: full join is cheaper
+            return None  # a quarter of the graph flipped: join in full
         # Dirty frontier: adjacency-changed nodes, plus anything
         # adjacent (current graph) to an eligibility flip.
-        adjm1 = np.zeros(n1, dtype=bool)
-        adjm2 = np.zeros(n2, dtype=bool)
-        adjm1[snapshot.changed1] = True
-        adjm2[snapshot.changed2] = True
-        csr1, csr2 = index.csr1, index.csr2
-        nbr_flip1 = np.zeros(n1, dtype=bool)
-        nbr_flip2 = np.zeros(n2, dtype=bool)
-        if flip1.any():
-            vals, _seg = kernels.segmented_gather(
-                csr1.indptr, csr1.indices, np.flatnonzero(flip1)
-            )
-            nbr_flip1[vals] = True
-        if flip2.any():
-            vals, _seg = kernels.segmented_gather(
-                csr2.indptr, csr2.indices, np.flatnonzero(flip2)
-            )
-            nbr_flip2[vals] = True
-        packed_new = link_l * np.int64(n2) + link_r
-        packed_old = (cached.start_l * np.int64(n2) + cached.start_r)
-        common_new = np.isin(packed_new, packed_old, assume_unique=True)
-        common_old = np.isin(packed_old, packed_new, assume_unique=True)
-        adj_dirty = common_new & (adjm1[link_l] | adjm2[link_r])
-        flip_dirty = (
-            common_new
-            & ~adj_dirty
-            & (nbr_flip1[link_l] | nbr_flip2[link_r])
-        )
-        arrived = ~common_new
-        departed = ~common_old
-        slow = (
-            int(adj_dirty.sum())
-            + int(arrived.sum())
-            + int(departed.sum())
-        )
-        if slow >= max(16, (len(link_l) + len(cached.start_l)) // 2):
-            return None  # rescoring everything: a full join is cheaper
-        # Cost guard, in consistent degree-product units: arrived and
-        # departed links pay their full expansion; adjacency-dirty and
-        # flip-dirty links pay only neighborhood-gather work (their
-        # corrections are difference joins).  A full join pays the
-        # expansion of every link; patch only when the correction
-        # estimate is a small fraction of that.
-        deg1, deg2 = index.deg1, index.deg2
-        dp_all = np.maximum(deg1[link_l], 1) * np.maximum(deg2[link_r], 1)
-        full_cost = int(dp_all[arrived].sum()) + int(
-            (
-                np.maximum(deg1[cached.start_l[departed]], 1)
-                * np.maximum(deg2[cached.start_r[departed]], 1)
-            ).sum()
-        )
-        diff_dirty = adj_dirty | flip_dirty
-        diff_cost = int(deg1[link_l[diff_dirty]].sum()) + int(
-            deg2[link_r[diff_dirty]].sum()
-        )
-        # The adjacency class runs a per-link Python loop; charge each
-        # link a fixed overhead (in witness-pair units) so rounds with
-        # thousands of adjacency-dirty links fall back to the fully
-        # vectorized join instead.
-        adj_overhead = 1500 * int(adj_dirty.sum())
-        if full_cost + 2 * diff_cost + adj_overhead > max(
-            int(dp_all.sum()) // 4, 4096
+        touched1 = np.zeros(n1, dtype=bool)
+        touched2 = np.zeros(n2, dtype=bool)
+        for touched, csr, flip, changed in (
+            (touched1, index.csr1, flip1, snapshot.changed1),
+            (touched2, index.csr2, flip2, snapshot.changed2),
         ):
-            return None
-        # The flip-class correction size is knowable exactly from the
-        # gathered neighborhood counts before any pair is materialized;
-        # bail to a full join when it rivals the round's own expansion.
-        fu1 = link_l[flip_dirty]
-        fu2 = link_r[flip_dirty]
-        flip_state = None
-        if len(fu1):
-            vals1, seg1 = kernels.segmented_gather(
-                csr1.indptr, csr1.indices, fu1
+            touched[changed] = True
+            nbrs, _seg = kernels.segmented_gather(
+                csr.indptr, csr.indices, np.flatnonzero(flip)
             )
-            vals2, seg2 = kernels.segmented_gather(
-                csr2.indptr, csr2.indices, fu2
-            )
-            vals1 = vals1.astype(np.int64)
-            vals2 = vals2.astype(np.int64)
-            in_a = e1_old[vals1]
-            in_ap = eligible1[vals1]
-            in_b = e2_old[vals2]
-            in_bp = eligible2[vals2]
-            k = len(fu1)
-            a_cnt = np.bincount(seg1[in_a], minlength=k)
-            ap_cnt = np.bincount(seg1[in_ap], minlength=k)
-            b_cnt = np.bincount(seg2[in_b], minlength=k)
-            bp_cnt = np.bincount(seg2[in_bp], minlength=k)
-            d1p_cnt = np.bincount(seg1[in_ap & ~in_a], minlength=k)
-            d1m_cnt = np.bincount(seg1[in_a & ~in_ap], minlength=k)
-            d2p_cnt = np.bincount(seg2[in_bp & ~in_b], minlength=k)
-            d2m_cnt = np.bincount(seg2[in_b & ~in_bp], minlength=k)
-            pairs_est = int(
-                (
-                    (d1p_cnt + d1m_cnt) * bp_cnt
-                    + a_cnt * (d2p_cnt + d2m_cnt)
-                ).sum()
-            )
-            if pairs_est > max(cached.emitted // 2, 4096):
-                return None
-            flip_state = (
-                vals1, seg1, vals2, seg2,
-                in_a, in_ap, in_b, in_bp, k,
-                int((ap_cnt * bp_cnt).sum())
-                - int((a_cnt * b_cnt).sum()),
-            )
-        stats.dirty_links += slow + int(flip_dirty.sum())
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        emitted = cached.emitted
-        # Full out/in corrections for links leaving/entering the round.
-        sub_packed, sub_score, sub_emitted = _count_subset_from_lists(
-            old_nbrs1,
-            old_nbrs2,
-            cached.start_l[departed],
-            cached.start_r[departed],
-            e1_old,
-            e2_old,
-            n2,
+            touched[nbrs] = True
+        packed_new = link_l * np.int64(n2) + link_r
+        packed_old = cached.start_l * np.int64(n2) + cached.start_r
+        common_new = np.isin(packed_new, packed_old, assume_unique=True)
+        departed = ~np.isin(packed_old, packed_new, assume_unique=True)
+        dirty = common_new & (touched1[link_l] | touched2[link_r])
+        arrived_l, arrived_r = link_l[~common_new], link_r[~common_new]
+        # The arrived links' exact expansion: raw degree products
+        # overshoot it by orders of magnitude at high bucket floors.
+        _v, seg1 = _eligible_rows(index.csr1, arrived_l, eligible1)
+        _v, seg2 = _eligible_rows(index.csr2, arrived_r, eligible2)
+        arrived_cost = _cross_size(seg1, seg2, len(arrived_l))
+        diff_l = np.concatenate([link_l[dirty], cached.start_l[departed]])
+        diff_r = np.concatenate([link_r[dirty], cached.start_r[departed]])
+        diff = _difference_join(
+            snapshot,
+            index,
+            diff_l,
+            diff_r,
+            int(dirty.sum()),
+            (e1_old, e2_old),
+            (eligible1, eligible2),
+            max(cached.emitted // 2, 4096) - arrived_cost,
         )
-        if len(sub_packed):
-            parts.append((sub_packed, -sub_score))
-        emitted -= sub_emitted
+        if diff is None:
+            return None
+        parts, emitted_change = diff
         add_packed, add_score, add_emitted = self._join(
-            link_l[arrived],
-            link_r[arrived],
-            eligible1,
-            eligible2,
-            n2,
+            arrived_l, arrived_r, eligible1, eligible2, n2
         )
         if len(add_packed):
             parts.append((add_packed, add_score))
-        emitted += add_emitted
-        # Per-link difference joins for adjacency-dirty links (their
-        # neighbor *sets* changed, so the vectorized same-array flip
-        # path below does not apply; the loop is bounded by the delta's
-        # edge count).
-        emitted += self._adjacency_difference_parts(
-            link_l[adj_dirty],
-            link_r[adj_dirty],
-            old_nbrs1,
-            old_nbrs2,
-            e1_old,
-            e2_old,
-            eligible1,
-            eligible2,
-            n2,
-            parts,
-        )
-        # Vectorized difference joins for the flip class.
-        if flip_state is not None:
-            (
-                vals1, seg1, vals2, seg2,
-                in_a, in_ap, in_b, in_bp, k, emitted_delta,
-            ) = flip_state
-            emitted += emitted_delta
-            for mask_l, mask_r, sign in (
-                (in_ap & ~in_a, in_bp, 1),   # (A' - A)+ x B'
-                (in_a & ~in_ap, in_bp, -1),  # (A' - A)- x B'
-                (in_a, in_bp & ~in_b, 1),    # A x (B' - B)+
-                (in_a, in_b & ~in_bp, -1),   # A x (B' - B)-
-            ):
-                pl, pr = _segment_cross_product(
-                    vals1[mask_l], seg1[mask_l],
-                    vals2[mask_r], seg2[mask_r], k,
-                )
-                if len(pl):
-                    parts.append(
-                        (
-                            pl * np.int64(n2) + pr,
-                            np.full(len(pl), sign, dtype=np.int64),
-                        )
-                    )
+        stats.dirty_links += len(diff_l) + len(arrived_l)
         out_packed, out_score = _apply_corrections(
             cached.packed, cached.score, parts
         )
-        return out_packed, out_score, emitted
-
-    def _adjacency_difference_parts(
-        self,
-        adj_l: np.ndarray,
-        adj_r: np.ndarray,
-        old_nbrs1: "Callable[[int], np.ndarray]",
-        old_nbrs2: "Callable[[int], np.ndarray]",
-        e1_old: np.ndarray,
-        e2_old: np.ndarray,
-        eligible1: np.ndarray,
-        eligible2: np.ndarray,
-        n2: int,
-        parts: "list[tuple[np.ndarray, np.ndarray]]",
-    ) -> int:
-        """Difference-join corrections for adjacency-dirty links.
-
-        For a link whose endpoint gained or lost edges, with ``A``/``A'``
-        its old/new eligible g1-neighborhood and ``B``/``B'`` the g2
-        side, the score change is ``(A'-A) x B' + A x (B'-B)`` — the
-        set differences are at most the delta's edge count plus a few
-        eligibility flips, so a hub gaining one edge costs ``O(deg)``
-        instead of the ``O(deg^2)`` of re-joining it outright.  Signed
-        pair parts are appended to *parts*; returns the round's
-        emitted-count change.
-        """
-        index = self.index
-        emitted_delta = 0
-        n2_ = np.int64(n2)
-        # Scratch membership masks make each set difference two fancy
-        # writes and one read — no per-link sort or allocation (the
-        # loop runs once per adjacency-dirty link per round).
-        scratch1 = np.zeros(index.n1, dtype=bool)
-        scratch2 = np.zeros(n2, dtype=bool)
-        for u1, u2 in zip(adj_l.tolist(), adj_r.tolist()):
-            old1 = old_nbrs1(u1)
-            cur1 = _row(index.csr1, u1)
-            old2 = old_nbrs2(u2)
-            cur2 = _row(index.csr2, u2)
-            a = old1[e1_old[old1]]
-            ap = cur1[eligible1[cur1]]
-            b = old2[e2_old[old2]]
-            bp = cur2[eligible2[cur2]]
-            emitted_delta += len(ap) * len(bp) - len(a) * len(b)
-            scratch1[a] = True
-            d1p = ap[~scratch1[ap]]
-            scratch1[a] = False
-            scratch1[ap] = True
-            d1m = a[~scratch1[a]]
-            scratch1[ap] = False
-            scratch2[b] = True
-            d2p = bp[~scratch2[bp]]
-            scratch2[b] = False
-            scratch2[bp] = True
-            d2m = b[~scratch2[b]]
-            scratch2[bp] = False
-            for lvals, rvals, sign in (
-                (d1p, bp, 1),
-                (d1m, bp, -1),
-                (a, d2p, 1),
-                (a, d2m, -1),
-            ):
-                if len(lvals) and len(rvals):
-                    packed = (
-                        np.repeat(lvals, len(rvals)) * n2_
-                        + np.tile(rvals, len(lvals))
-                    )
-                    parts.append(
-                        (
-                            packed,
-                            np.full(len(packed), sign, dtype=np.int64),
-                        )
-                    )
-        return emitted_delta
+        return out_packed, out_score, (
+            cached.emitted + emitted_change + add_emitted
+        )
 
     def _select(
         self,
@@ -1057,8 +922,8 @@ class IncrementalReconciler:
         Raises
         ------
         ReproError
-            If the checkpoint is missing, truncated, or from an
-            incompatible version.
+            If the checkpoint is missing, truncated, from an
+            incompatible version, or holds a dense id out of range.
         """
         from repro.core.links_io import load_checkpoint
 
@@ -1082,41 +947,42 @@ class IncrementalReconciler:
         )
         nodes1 = list(arrays["nodes1"])
         nodes2 = list(arrays["nodes2"])
-        g1, g2 = Graph(), Graph()
-        for node in nodes1:
-            g1.add_node(node)
-        for node in nodes2:
-            g2.add_node(node)
-        for u, v in zip(
-            arrays["edges1_u"].tolist(), arrays["edges1_v"].tolist()
-        ):
-            g1.add_edge(nodes1[u], nodes1[v])
-        for u, v in zip(
-            arrays["edges2_u"].tolist(), arrays["edges2_v"].tolist()
-        ):
-            g2.add_edge(nodes2[u], nodes2[v])
+        n1, n2 = len(nodes1), len(nodes2)
+        g1 = Graph.from_dense_edges(
+            nodes1,
+            *_id_pair(arrays, "edges1_u", "edges1_v", n1, n1),
+            first=np.arange(n1),
+        )
+        g2 = Graph.from_dense_edges(
+            nodes2,
+            *_id_pair(arrays, "edges2_u", "edges2_v", n2, n2),
+            first=np.arange(n2),
+        )
         engine = cls(config)
         engine.g1, engine.g2 = g1, g2
         engine.index = DeltaIndex(g1, g2, order1=nodes1, order2=nodes2)
+        seeds_l, seeds_r = _id_pair(arrays, "seeds_l", "seeds_r", n1, n2)
         engine.seeds = {
             nodes1[l]: nodes2[r]
-            for l, r in zip(
-                arrays["seeds_l"].tolist(), arrays["seeds_r"].tolist()
-            )
+            for l, r in zip(seeds_l.tolist(), seeds_r.tolist())
         }
-        engine._link_l = arrays["links_l"]
-        engine._link_r = arrays["links_r"]
-        engine.rounds = [
-            _RoundCache(
-                key=(rm["iteration"], rm["bucket_exponent"]),
-                start_l=arrays[f"round{i}_start_l"],
-                start_r=arrays[f"round{i}_start_r"],
-                packed=arrays[f"round{i}_packed"],
-                score=arrays[f"round{i}_score"],
-                emitted=rm["emitted"],
+        engine._link_l, engine._link_r = _id_pair(
+            arrays, "links_l", "links_r", n1, n2
+        )
+        for i, rm in enumerate(meta["rounds"]):
+            start_l, start_r = _id_pair(
+                arrays, f"round{i}_start_l", f"round{i}_start_r", n1, n2
             )
-            for i, rm in enumerate(meta["rounds"])
-        ]
+            engine.rounds.append(
+                _RoundCache(
+                    key=(rm["iteration"], rm["bucket_exponent"]),
+                    start_l=start_l,
+                    start_r=start_r,
+                    packed=arrays[f"round{i}_packed"],
+                    score=arrays[f"round{i}_score"],
+                    emitted=rm["emitted"],
+                )
+            )
         engine._packed_n2 = meta.get("packed_n2", engine.index.n2)
         engine.applied_deltas = meta.get("applied_deltas", 0)
         engine.checkpoint_extra = meta.get("extra") or {}

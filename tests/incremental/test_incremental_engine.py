@@ -232,6 +232,95 @@ class TestCheckpointing:
         ).run(pair.g1, pair.g2, seeds)
         assert resumed.result.links == cold.links
 
+    @staticmethod
+    def _saved(tmp_path, seed=17):
+        pair, seeds, base1, base2, s1, s2 = workload(seed=seed)
+        engine = IncrementalReconciler(MatcherConfig(threshold=2))
+        engine.start(base1, base2, seeds)
+        engine.apply(
+            GraphDelta.build(
+                added_edges1=s1[:4] + [("fresh", 0)],
+                added_edges2=s2[:4],
+                removed_edges1=sorted(base1.edges())[:2],
+            )
+        )
+        path = tmp_path / "state.npz"
+        engine.save_checkpoint(path)
+        return engine, path
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("edges1_u", -1),
+            ("edges2_v", "n2"),
+            ("seeds_l", -2),
+            ("seeds_r", "n2"),
+            ("links_l", "n1"),
+            ("links_r", -1),
+            ("round0_start_l", -1),
+            ("round1_start_r", "n2"),
+        ],
+    )
+    def test_out_of_range_ids_refused(self, tmp_path, name, bad):
+        from repro.core.links_io import load_checkpoint, save_checkpoint
+
+        engine, path = self._saved(tmp_path)
+        arrays, meta = load_checkpoint(path)
+        sizes = {"n1": engine.index.n1, "n2": engine.index.n2}
+        arrays[name] = arrays[name].copy()
+        arrays[name][0] = sizes.get(bad, bad)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(ReproError, match=name):
+            IncrementalReconciler.resume(path)
+
+    def test_unequal_id_arrays_refused(self, tmp_path):
+        from repro.core.links_io import load_checkpoint, save_checkpoint
+
+        _engine, path = self._saved(tmp_path)
+        arrays, meta = load_checkpoint(path)
+        arrays["seeds_r"] = arrays["seeds_r"][:-1]
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(ReproError, match="differ in length"):
+            IncrementalReconciler.resume(path)
+
+    def test_resumed_graphs_keep_iteration_order(self, tmp_path):
+        """Resumed graphs iterate like the add_node/add_edge rebuild.
+
+        Nodes come back in the saved dense order, and ``edges()`` and
+        every neighbor set iterate exactly as the sequential rebuild of
+        the saved arrays does.
+        """
+        from repro.core.links_io import load_checkpoint
+        from repro.graphs.graph import Graph
+
+        engine, path = self._saved(tmp_path)
+        arrays, _meta = load_checkpoint(path)
+        resumed = IncrementalReconciler.resume(path)
+        for side, saved, got in (
+            ("1", engine.g1, resumed.g1),
+            ("2", engine.g2, resumed.g2),
+        ):
+            nodes = list(arrays[f"nodes{side}"])
+            rebuilt = Graph()
+            for node in nodes:
+                rebuilt.add_node(node)
+            for u, v in zip(
+                arrays[f"edges{side}_u"].tolist(),
+                arrays[f"edges{side}_v"].tolist(),
+            ):
+                rebuilt.add_edge(nodes[u], nodes[v])
+            index_order = [
+                (engine.index.node1 if side == "1" else engine.index.node2)(d)
+                for d in range(len(nodes))
+            ]
+            assert list(got.nodes()) == list(rebuilt.nodes()) == index_order
+            assert list(got.edges()) == list(rebuilt.edges())
+            for node in nodes:
+                assert list(got.neighbors(node)) == list(
+                    rebuilt.neighbors(node)
+                )
+                assert got.neighbors(node) == saved.neighbors(node)
+
     def test_unstarted_checkpoint_refused(self, tmp_path):
         engine = IncrementalReconciler()
         with pytest.raises(ReproError):

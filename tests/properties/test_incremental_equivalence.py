@@ -12,10 +12,18 @@ workers {1, N}) on a seeded PA workload, and hypothesis drives the warm
 engine through randomized G(n, p) streams — including removals, late
 seed confirmations, and brand-new nodes — under every matcher config
 knob that changes the schedule.
+
+Links and phases alone miss a witness count that drifts while it stays
+below the threshold, so the per-round wall also compares the warm
+engine's whole cached score tables with a freshly started engine's
+after every delta, and one deterministic stream forces every kind of
+correction (adjacency-dirty hub, bucket-floor flip, departed link,
+arrived link) through the patch path.
 """
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +141,35 @@ def gnp_stream(draw):
     return pair, seeds, base1, base2, start_seeds, deltas
 
 
+def round_tables(engine):
+    """Every cached round over node ids: key, start links, table, emitted.
+
+    Also checks the invariants the next delta's patch relies on: table
+    keys strictly ascending and every stored score positive.
+    """
+    index = engine.index
+    rounds = []
+    for rc in engine.rounds:
+        assert (np.diff(rc.packed) > 0).all() and (rc.score > 0).all()
+        v1, v2 = np.divmod(rc.packed, index.n2)
+        table = {
+            (index.node1(a), index.node2(b)): score
+            for a, b, score in zip(
+                v1.tolist(), v2.tolist(), rc.score.tolist()
+            )
+        }
+        start = index.export_links(rc.start_l, rc.start_r)
+        rounds.append((rc.key, start, table, rc.emitted))
+    return rounds
+
+
+def assert_tables_match_fresh_start(engine):
+    """The warm engine's rounds equal an engine started on its graphs."""
+    fresh = IncrementalReconciler(engine.config)
+    fresh.start(engine.g1.copy(), engine.g2.copy(), engine.seeds)
+    assert round_tables(engine) == round_tables(fresh)
+
+
 class TestWarmEngineProperties:
     @pytest.mark.parametrize("backend", ["csr", "native"])
     @given(wl=gnp_stream())
@@ -144,6 +181,7 @@ class TestWarmEngineProperties:
         engine.start(base1, base2, start_seeds)
         for delta in deltas:
             engine.apply(delta)
+            assert_tables_match_fresh_start(engine)
         # csr, not dict: the phase records carry the array backends'
         # per-round witness accounting, which the dict table defers.
         cold = UserMatching(
@@ -211,4 +249,79 @@ class TestWarmEngineProperties:
         cold = UserMatching(
             MatcherConfig(threshold=2, backend="dict")
         ).run(pair.g1, pair.g2, seeds)
+        assert engine.result.links == cold.links
+
+
+class TestRoundTables:
+    """One stream whose deltas force each kind of round correction."""
+
+    def test_every_correction_kind_is_patched_exactly(self):
+        pair, seeds, *_rest = streamed_workload(seed=5)
+        engine = IncrementalReconciler(
+            MatcherConfig(threshold=2, iterations=2)
+        )
+        engine.start(pair.g1.copy(), pair.g2.copy(), seeds)
+        g1 = engine.g1
+        nodes = sorted(g1.nodes())
+        exponents = {rc.key[1] for rc in engine.rounds}
+        below_floor = {(1 << j) - 1 for j in exponents}
+
+        def partner(u):
+            """A non-neighbor of *u* whose degree crosses no floor."""
+            return next(
+                v for v in nodes
+                if v != u and not g1.has_edge(u, v)
+                and g1.degree(v) not in below_floor
+            )
+
+        linked = set(engine.links)
+        hub = max(sorted(seeds), key=g1.degree)
+        flip = next(
+            v for v in nodes
+            if g1.degree(v) in below_floor and v not in linked
+            and any(w in linked for w in g1.neighbors(v))
+        )
+        found = min(
+            (u for u in engine.links if u not in seeds), key=g1.degree
+        )
+        late = next(
+            v for v in nodes
+            if v not in linked and v not in engine.links.values()
+        )
+        steps = {
+            "hub": GraphDelta.build(added_edges1=[(hub, partner(hub))]),
+            "flip": GraphDelta.build(added_edges1=[(flip, partner(flip))]),
+            "departed": GraphDelta.build(
+                removed_edges1=[(found, w) for w in g1.neighbors(found)]
+            ),
+            "arrived": GraphDelta.build(added_seeds={late: late}),
+        }
+        for kind, delta in steps.items():
+            before = {key: start for key, start, *_ in round_tables(engine)}
+            outcome = engine.apply(delta)
+            assert outcome.full_rounds == 0, kind
+            assert outcome.rescored_rounds == len(engine.rounds), kind
+            after = {key: start for key, start, *_ in round_tables(engine)}
+            moved = [
+                (before[key].items() - start.items(),
+                 start.items() - before[key].items())
+                for key, start in after.items()
+            ]
+            if kind == "hub":
+                assert all(start.get(hub) == hub for start in after.values())
+            elif kind == "flip":
+                assert any(
+                    w in start
+                    for (_i, j), start in after.items()
+                    if g1.degree(flip) == 1 << j
+                    for w in g1.neighbors(flip)
+                )
+            elif kind == "departed":
+                assert any(gone for gone, _new in moved)
+            else:
+                assert any(new for _gone, new in moved)
+            assert_tables_match_fresh_start(engine)
+        cold = UserMatching(
+            MatcherConfig(threshold=2, iterations=2, backend="csr")
+        ).run(engine.g1, engine.g2, engine.seeds)
         assert engine.result.links == cold.links
