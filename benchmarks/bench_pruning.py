@@ -10,9 +10,10 @@ JSON committed as ``BENCH_pruning.json`` carries the cost *and* the
 trade next to each other, not a bare speedup headline.
 
 A kernel-level pair isolates the pruning machinery itself: building the
-community assignment (``assign_communities`` over the union graph) and
-applying the packed-key mask to a scored round
-(``kernels.prune_scores``), separate from the matcher around them.
+community assignment (``assign_communities``: wavefront label
+propagation over the union graph) and applying the diagonal-first
+allowance mask to a scored round (``kernels.prune_scores``), separate
+from the matcher around them.
 
 Unlike the blocked/parallel suites, links are *expected* to differ from
 the unpruned baseline — pruning changes results by design.  What must
@@ -127,9 +128,11 @@ def test_bench_assignment(benchmark, workload):
 def test_bench_prune_mask(benchmark, workload):
     """The mask computation alone on a synthetic scored round.
 
-    ``allowed_mask`` (packed-key searchsorted membership) is the per-row
-    cost pruning adds to every scored round; ``prune_scores`` around it
-    is a plain boolean take.
+    ``allowed_mask`` (diagonal-first: ``c1 == c2`` or an unassigned
+    endpoint, with a lookup only for the assigned off-diagonal rest,
+    none at the default frontier 0) is the per-row cost pruning adds to
+    every scored round; ``prune_scores`` around it is a plain boolean
+    take.
     """
     import numpy as np
 

@@ -562,6 +562,37 @@ def check_eligibility_masks(
             )
 
 
+def check_pair_ids(
+    left: np.ndarray,
+    right: np.ndarray,
+    n1: int,
+    n2: int,
+    names: tuple[str, str] = ("left", "right"),
+) -> None:
+    """Refuse parallel pair columns the C kernels would index past.
+
+    The join, mutual-best and greedy kernels index per-node arrays by
+    these ids with no bounds checks: a short column is read past its
+    end, and an id outside ``[0, n1)`` / ``[0, n2)`` reads or writes out
+    of bounds.  O(n) min/max scans, no sort.
+
+    Raises:
+        KernelInputError: on unequal or non-1-d columns, or an id out
+            of range.
+    """
+    if left.ndim != 1 or left.shape != right.shape:
+        raise KernelInputError(
+            f"{names[0]} and {names[1]} must be 1-d arrays of equal "
+            f"length, got shapes {left.shape} and {right.shape}"
+        )
+    for side, ids, n in ((1, left, n1), (2, right, n2)):
+        if len(ids) and (ids.min() < 0 or ids.max() >= n):
+            raise KernelInputError(
+                f"{names[side - 1]} ids on side {side} must lie in "
+                f"[0, {n}), got [{ids.min()}, {ids.max()}]"
+            )
+
+
 #: module-level cache: ``None`` = not attempted, ``(kernels,)`` =
 #: loaded, ``()`` = attempted and failed (don't recompile every round).
 _CACHE: "tuple[NativeKernels] | tuple[()] | None" = None
@@ -743,17 +774,7 @@ class NativeKernels:
                     f"indptr{side} must have length n{side} + 1 = {n + 1}, "
                     f"got shape {indptr.shape}"
                 )
-        if link_l.shape != link_r.shape or link_l.ndim != 1:
-            raise KernelInputError(
-                "link_l and link_r must be 1-d arrays of equal length, "
-                f"got shapes {link_l.shape} and {link_r.shape}"
-            )
-        for side, links, n in ((1, link_l, n1), (2, link_r, n2)):
-            if len(links) and (links.min() < 0 or links.max() >= n):
-                raise KernelInputError(
-                    f"link ids on side {side} must lie in [0, {n}), got "
-                    f"[{links.min()}, {links.max()}]"
-                )
+        check_pair_ids(link_l, link_r, n1, n2, ("link_l", "link_r"))
         if len(link_l) == 0:
             return _EMPTY, _EMPTY, _EMPTY, 0
         if len(link_l) >= 2**31:
@@ -868,13 +889,27 @@ class NativeKernels:
         Exact :func:`repro.core.kernels.select_mutual_best_arrays`
         semantics (the caller applies the threshold mask); one pass,
         no lexsort.
+
+        Raises:
+            KernelInputError: on unequal columns, an id out of range,
+                or a score below 1 (the C pass reads 0 as "unseen").
         """
-        n = len(score)
-        if n == 0:
-            return _EMPTY, _EMPTY
         left = np.ascontiguousarray(left, dtype=np.int64)
         right = np.ascontiguousarray(right, dtype=np.int64)
         score = np.ascontiguousarray(score, dtype=np.int64)
+        check_pair_ids(left, right, n1, n2)
+        if score.shape != left.shape:
+            raise KernelInputError(
+                f"score must match left/right in shape, got {score.shape} "
+                f"and {left.shape}"
+            )
+        n = len(score)
+        if n == 0:
+            return _EMPTY, _EMPTY
+        if score.min() < 1:
+            raise KernelInputError(
+                f"scores must be >= 1, got a minimum of {score.min()}"
+            )
         cap = min(n, min(n1, n2)) if min(n1, n2) > 0 else 0
         out_l = np.empty(max(cap, 1), dtype=np.int64)
         out_r = np.empty(max(cap, 1), dtype=np.int64)
@@ -907,12 +942,16 @@ class NativeKernels:
         Input must already be sorted by ``(-score, left, right)`` (the
         caller's lexsort); this is the sequential accept loop of
         :func:`repro.core.kernels.select_greedy_arrays` at C speed.
+
+        Raises:
+            KernelInputError: on unequal columns or an id out of range.
         """
+        ranked_left = np.ascontiguousarray(ranked_left, dtype=np.int64)
+        ranked_right = np.ascontiguousarray(ranked_right, dtype=np.int64)
+        check_pair_ids(ranked_left, ranked_right, n1, n2)
         n = len(ranked_left)
         if n == 0:
             return _EMPTY, _EMPTY
-        ranked_left = np.ascontiguousarray(ranked_left, dtype=np.int64)
-        ranked_right = np.ascontiguousarray(ranked_right, dtype=np.int64)
         cap = min(n, min(n1, n2)) if min(n1, n2) > 0 else 0
         out_l = np.empty(max(cap, 1), dtype=np.int64)
         out_r = np.empty(max(cap, 1), dtype=np.int64)

@@ -83,10 +83,11 @@ class MmapIndexClosedError(ReproError, ValueError):
 
 
 class KernelInputError(ReproError, ValueError):
-    """Raised when a witness-join kernel receives malformed arrays.
+    """Raised when a compiled kernel receives malformed arrays.
 
-    The compiled join indexes raw buffers through :mod:`ctypes` with no
-    bounds checks, so its inputs — eligibility masks, CSR row pointers,
-    link endpoints — are validated before any C call; the numpy join
-    refuses the same malformed masks.
+    The compiled join and selection kernels index raw buffers through
+    :mod:`ctypes` with no bounds checks, so their inputs — eligibility
+    masks, CSR row pointers, link endpoints, candidate pair ids and
+    scores — are validated before any C call; the numpy join refuses
+    the same malformed masks.
     """

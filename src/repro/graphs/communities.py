@@ -37,7 +37,24 @@ partition, which is what lets all three matcher backends apply an
 
 Everything is vectorized over the existing CSR arrays of a
 :class:`~repro.graphs.pair_index.GraphPairIndex`; no adjacency is ever
-rebuilt in Python dicts.
+rebuilt in Python dicts.  The cost follows what changes, not the edge
+count times the rounds:
+
+- *Wavefront rounds.*  Only the *active* edges — those out of a
+  still-unlabeled slot — are kept.  A round votes over the active edges
+  whose target is labeled: one ``np.sort`` of packed ``src * n_total +
+  label`` keys, run-length counts, and one ``np.maximum.reduceat`` per
+  node for the winner.  Every voter is labeled in that round, so its
+  edges leave the active set: each directed union edge is sorted at
+  most once per run, and a round costs O(active + votes log votes).
+- *Dense remap.*  Labels are slot ids, so compacting them is one
+  ``bincount`` and one lookup array.  At ``frontier=0`` the ring is the
+  diagonal and no quotient graph is built.
+- *Diagonal-first allowance.*  A pair is allowed when ``c1 == c2`` or
+  either endpoint is unassigned.  Only the assigned off-diagonal rest is
+  looked up, against the ring's off-diagonal keys, which are empty at
+  ``frontier=0``.  The scalar :meth:`CommunityAssignment.allowed_communities`
+  applies the same rule.
 """
 
 from __future__ import annotations
@@ -59,45 +76,6 @@ DEFAULT_MAX_ROUNDS = 15
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _mode_per_node(
-    src: np.ndarray, neighbor_labels: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """One synchronous update: modal neighbor label per node.
-
-    *src*/*neighbor_labels* are parallel arrays of (node, label)
-    occurrences; unlabeled occurrences (label ``-1``) are discarded,
-    and nodes with no labeled occurrences keep their current label.
-    Ties break toward the smallest label — the canonical choice that
-    makes the whole propagation deterministic.
-    """
-    new_labels = labels.copy()
-    labeled = neighbor_labels >= 0
-    src = src[labeled]
-    neighbor_labels = neighbor_labels[labeled]
-    if len(src) == 0:
-        return new_labels
-    order = np.lexsort((neighbor_labels, src))
-    s, lbl = src[order], neighbor_labels[order]
-    # Run-length encode the sorted (node, label) occurrence stream.
-    boundary = np.empty(len(s), dtype=bool)
-    boundary[0] = True
-    np.logical_or(s[1:] != s[:-1], lbl[1:] != lbl[:-1], out=boundary[1:])
-    run_start = np.flatnonzero(boundary)
-    run_src = s[run_start]
-    run_lbl = lbl[run_start]
-    run_count = np.diff(np.append(run_start, len(s)))
-    # Winner per node: maximum count, then smallest label.  Runs are
-    # already label-ascending within a node, so a stable sort by
-    # descending count keeps the smallest label first among ties.
-    pick = np.lexsort((run_lbl, -run_count, run_src))
-    first = np.empty(len(pick), dtype=bool)
-    first[0] = True
-    first[1:] = run_src[pick][1:] != run_src[pick][:-1]
-    winners = pick[first]
-    new_labels[run_src[winners]] = run_lbl[winners]
-    return new_labels
-
-
 def union_label_propagation(
     index: GraphPairIndex,
     seed_left: np.ndarray,
@@ -117,10 +95,16 @@ def union_label_propagation(
     Labels start at the seed slots only (label = slot id, everything
     else the ``-1`` sentinel) and spread by synchronous grow-only modal
     updates: each round, every still-unlabeled slot takes the modal
-    label among its labeled neighbors and is frozen from then on (see
-    the module docstring for why freezing matters).  Slots no seed ever
-    reaches finish with ``-1`` — downstream, such nodes are never
-    pruned.
+    label among its labeled neighbors (ties to the smallest label) and
+    is frozen from then on (see the module docstring for why freezing
+    matters).  Slots no seed ever reaches finish with ``-1`` —
+    downstream, such nodes are never pruned.  Propagation stops after
+    *max_rounds* rounds or at the first round with no voter.
+
+    Rounds run over the wavefront only: the edges out of unlabeled
+    slots are kept, each round sorts the packed ``(slot, label)`` keys
+    of those whose target is labeled, and the newly labeled slots' edges
+    are dropped.  Each edge is sorted at most once per run.
 
     Returns ``(labels, union1, union2, edges)`` where *labels* assigns
     a (non-compacted) label or ``-1`` to every slot, *union1*/*union2*
@@ -134,21 +118,13 @@ def union_label_propagation(
     union2 = np.arange(n2, dtype=np.int64) + n1
     if len(seed_right):
         union2[seed_right] = seed_left
-    deg1 = index.deg1
-    deg2 = index.deg2
-    src = np.concatenate(
-        [
-            np.repeat(union1, deg1),
-            np.repeat(union2, deg2),
-        ]
-    )
-    dst = np.concatenate(
-        [
-            index.csr1.indices.astype(np.int64),
-            union2[index.csr2.indices.astype(np.int64)],
-        ]
-    )
-    edges = np.stack([src, dst])
+    m1 = len(index.csr1.indices)
+    edges = np.empty((2, m1 + len(index.csr2.indices)), dtype=np.int64)
+    src, dst = edges
+    src[:m1] = np.repeat(union1, index.deg1)
+    src[m1:] = np.repeat(union2, index.deg2)
+    dst[:m1] = index.csr1.indices
+    dst[m1:] = union2[index.csr2.indices]
     labels = np.full(n_total, -1, dtype=np.int64)
     if len(seed_left) == 0 or len(src) == 0:
         # Nothing to anchor on (or nothing to spread through): every
@@ -156,14 +132,37 @@ def union_label_propagation(
         labels[seed_left] = seed_left
         return labels, union1, union2, edges
     labels[seed_left] = seed_left
+    # Grow-only: a labeled slot (seeds included) is frozen, so its
+    # edges never vote again.  Only edges out of unlabeled slots stay.
+    active = labels[src] < 0
+    act_src, act_dst = src[active], dst[active]
+    nt = np.int64(n_total)
     for _round in range(max_rounds):
-        voted = _mode_per_node(src, labels[dst], labels)
-        # Grow-only: labeled slots (seeds included) are frozen; only
-        # the unlabeled wavefront acquires labels this round.
-        grown = np.where(labels < 0, voted, labels)
-        if np.array_equal(grown, labels):
+        lbl = labels[act_dst]
+        voting = lbl >= 0
+        if not voting.any():
             break
-        labels = grown
+        # One sort of packed (node, label) keys: runs are (node, label)
+        # occurrences, node-major and label-ascending within a node.
+        keys = np.sort(act_src[voting] * nt + lbl[voting])
+        boundary = np.empty(len(keys), dtype=bool)
+        boundary[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+        run_start = np.flatnonzero(boundary)
+        run_key = keys[run_start]
+        run_src = run_key // nt
+        run_count = np.diff(np.append(run_start, len(keys)))
+        # Winner per node: highest count, then smallest label — the
+        # largest ``count * n_total + (n_total - 1 - label)``.  A count
+        # is at most 2 * n_total, so int64 holds it below 2**31 slots.
+        node_start = np.flatnonzero(
+            np.concatenate(([True], run_src[1:] != run_src[:-1]))
+        )
+        rank = run_count * nt + (nt - 1 - run_key % nt)
+        best = np.maximum.reduceat(rank, node_start)
+        labels[run_src[node_start]] = nt - 1 - best % nt
+        still = labels[act_src] < 0
+        act_src, act_dst = act_src[still], act_dst[still]
     return labels, union1, union2, edges
 
 
@@ -216,7 +215,8 @@ class CommunityAssignment:
         num_communities: number of distinct communities ``K``.
         frontier: the ring radius the allowed relation was built with.
         allowed_keys: sorted unique packed ``c1 * K + c2`` keys of every
-            allowed community pair (quotient distance <= *frontier*).
+            allowed community pair (quotient distance <= *frontier*);
+            the diagonal ``c1 == c2`` is always among them.
     """
 
     __slots__ = (
@@ -225,6 +225,7 @@ class CommunityAssignment:
         "num_communities",
         "frontier",
         "allowed_keys",
+        "_off_diagonal",
         "_allowed_set",
     )
 
@@ -241,6 +242,10 @@ class CommunityAssignment:
         self.num_communities = num_communities
         self.frontier = frontier
         self.allowed_keys = allowed_keys
+        k = np.int64(max(num_communities, 1))
+        self._off_diagonal = allowed_keys[
+            allowed_keys // k != allowed_keys % k
+        ]
         self._allowed_set: frozenset[int] | None = None
 
     # ------------------------------------------------------------------
@@ -251,29 +256,32 @@ class CommunityAssignment:
 
         A pair is allowed when its packed community key is in the ring,
         or when either endpoint is unassigned (``-1``): pruning only
-        ever acts on positive community evidence.
+        ever acts on positive community evidence.  The ring always holds
+        the diagonal, so ``c1 == c2`` decides most rows with no lookup;
+        only the assigned off-diagonal rest is searched, and only
+        against the ring's off-diagonal keys (none at frontier 0).
         """
-        if len(left) == 0:
-            return np.zeros(0, dtype=bool)
         c1 = self.comm1[np.asarray(left)]
         c2 = self.comm2[np.asarray(right)]
-        unassigned = (c1 < 0) | (c2 < 0)
-        k = np.int64(self.num_communities)
-        keys = c1 * k + c2
-        table = self.allowed_keys
+        allowed = (c1 == c2) | (c1 < 0) | (c2 < 0)
+        table = self._off_diagonal
         if len(table) == 0:
-            return unassigned
-        pos = np.searchsorted(table, keys)
-        pos_clipped = np.minimum(pos, len(table) - 1)
-        hit = (pos < len(table)) & (table[pos_clipped] == keys)
-        return hit | unassigned
+            return allowed
+        rest = np.flatnonzero(~allowed)
+        keys = c1[rest] * np.int64(self.num_communities) + c2[rest]
+        pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        allowed[rest] = table[pos] == keys
+        return allowed
 
     def allowed_communities(self, c1: int, c2: int) -> bool:
-        """Scalar allowance test on community ids (dict-backend path)."""
-        if c1 < 0 or c2 < 0:
+        """Scalar allowance test on community ids (dict-backend path).
+
+        The same diagonal-first rule as :meth:`allowed_mask`.
+        """
+        if c1 == c2 or c1 < 0 or c2 < 0:
             return True
         if self._allowed_set is None:
-            self._allowed_set = frozenset(self.allowed_keys.tolist())
+            self._allowed_set = frozenset(self._off_diagonal.tolist())
         return c1 * self.num_communities + c2 in self._allowed_set
 
     def community_maps(
@@ -303,35 +311,32 @@ def assign_communities(
     labels, union1, union2, edges = union_label_propagation(
         index, seed_left, seed_right, max_rounds=max_rounds
     )
-    raw1 = labels[union1]
-    raw2 = labels[union2]
-    uniq = np.unique(
-        np.concatenate([raw1[raw1 >= 0], raw2[raw2 >= 0]])
-    )
-    comm1 = np.full(index.n1, -1, dtype=np.int64)
-    comm2 = np.full(index.n2, -1, dtype=np.int64)
-    comm1[raw1 >= 0] = np.searchsorted(uniq, raw1[raw1 >= 0])
-    comm2[raw2 >= 0] = np.searchsorted(uniq, raw2[raw2 >= 0])
+    # Labels are slot ids: one dense remap compacts them in ascending
+    # order, and its extra last entry sends the -1 sentinel to -1.
+    uniq = np.flatnonzero(np.bincount(labels + 1)[1:])
     k = len(uniq)
+    remap = np.full(len(labels) + 1, -1, dtype=np.int64)
+    remap[uniq] = np.arange(k, dtype=np.int64)
+    slot_comm = remap[labels]
+    comm1 = slot_comm[union1]
+    comm2 = slot_comm[union2]
     if k == 0:
         return CommunityAssignment(comm1, comm2, 0, frontier, _EMPTY)
+    kk = np.int64(k)
+    allowed = np.arange(k, dtype=np.int64) * (kk + 1)
+    if frontier <= 0:
+        # Ring 0 is the diagonal: no quotient edge is ever followed.
+        return CommunityAssignment(comm1, comm2, k, frontier, allowed)
     # Quotient graph: communities adjacent iff some union edge crosses
     # them; edges touching an unassigned slot carry no community
     # evidence and are dropped.
-    kk = np.int64(k)
-    lsrc = labels[edges[0]]
-    ldst = labels[edges[1]]
-    assigned = (lsrc >= 0) & (ldst >= 0)
-    qsrc = np.searchsorted(uniq, lsrc[assigned])
-    qdst = np.searchsorted(uniq, ldst[assigned])
-    cross = qsrc != qdst
+    qsrc = slot_comm[edges[0]]
+    qdst = slot_comm[edges[1]]
+    cross = (qsrc != qdst) & (qsrc >= 0) & (qdst >= 0)
     qkeys = np.unique(qsrc[cross] * kk + qdst[cross])
     qa, qb = qkeys // kk, qkeys % kk
     qindptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(qa, minlength=k), out=qindptr[1:])
-    allowed = np.arange(k, dtype=np.int64) * kk + np.arange(
-        k, dtype=np.int64
-    )
     allowed = _expand_frontier(allowed, qindptr, qb, k, frontier)
     return CommunityAssignment(comm1, comm2, k, frontier, allowed)
 

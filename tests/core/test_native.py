@@ -343,6 +343,62 @@ class TestNativeSelection:
             assert g_r.tolist() == greedy_ref[1].tolist(), trial
 
 
+class TestSelectionBoundary:
+    """The selection kernels refuse inputs the C passes would misread.
+
+    ``repro_mutual_best`` and ``repro_greedy_scan`` index per-node
+    arrays by pair id with no bounds checks: ``left=[0, 4]`` with
+    ``n1=4`` wrote past ``best_s1`` and dropped the valid link
+    ``(0, 1)``, ``greedy_scan`` returned the impossible link ``(5, 1)``,
+    and unequal columns were read past the shorter one.  Each is now a
+    :class:`KernelInputError` before any C call.
+    """
+
+    @pytest.mark.parametrize(
+        "left,right,score,match",
+        [
+            ([0, 4], [1, 1], [3, 5], "side 1"),
+            ([0, -1], [1, 1], [3, 5], "side 1"),
+            ([0, 1], [1, 4], [3, 5], "side 2"),
+            ([0, 1], [1], [3, 5], "equal length"),
+            ([0, 1], [1, 2], [3], "score must match"),
+            ([0, 1], [1, 2], [3, 5, 7], "score must match"),
+            ([0, 1], [1, 2], [3, 0], "scores must be >= 1"),
+            ([[0, 1]], [[1, 2]], [[3, 5]], "1-d"),
+        ],
+    )
+    def test_mutual_best_refuses(self, nk, left, right, score, match):
+        with pytest.raises(KernelInputError, match=match):
+            nk.mutual_best(
+                np.array(left), np.array(right), np.array(score), 4, 4, False
+            )
+
+    @pytest.mark.parametrize(
+        "left,right,match",
+        [
+            ([5, 0], [1, 1], "side 1"),
+            ([0, 1], [1, -2], "side 2"),
+            ([0, 1, 2], [1, 2], "equal length"),
+        ],
+    )
+    def test_greedy_scan_refuses(self, nk, left, right, match):
+        with pytest.raises(KernelInputError, match=match):
+            nk.greedy_scan(np.array(left), np.array(right), 4, 4)
+
+    def test_in_range_inputs_still_select(self, nk):
+        out_l, out_r = nk.mutual_best(
+            np.array([0, 3]), np.array([1, 1]), np.array([3, 5]), 4, 4, False
+        )
+        assert (out_l.tolist(), out_r.tolist()) == ([3], [1])
+        out_l, out_r = nk.greedy_scan(np.array([3, 0]), np.array([1, 1]), 4, 4)
+        assert (out_l.tolist(), out_r.tolist()) == ([3], [1])
+
+    def test_empty_columns_select_nothing(self, nk):
+        empty = np.empty(0, dtype=np.int64)
+        assert nk.mutual_best(empty, empty, empty, 4, 4, True)[0].size == 0
+        assert nk.greedy_scan(empty, empty, 4, 4)[0].size == 0
+
+
 class TestLoadAndFallback:
     def test_available_means_loadable(self):
         if NATIVE:

@@ -119,22 +119,54 @@ class TestAssignment:
         cmap1, cmap2 = assignment.community_maps(index)
         assert assignment.allowed_communities(cmap1[1], cmap2[11])
 
-    def test_mask_agrees_with_scalar_path(self, two_cliques):
+    @staticmethod
+    def random_assignment(frontier, trial):
+        """A random pair with an unseeded component on each side."""
+        rng = np.random.default_rng(trial)
+        n = 60
+        edges = {
+            (int(a), int(b))
+            for a, b in rng.integers(0, n, size=(n, 2))
+            if a != b
+        }
+        g1 = Graph.from_edges(sorted(edges) + [(100, 101), (101, 102)])
+        kept = [e for e in sorted(edges) if rng.random() < 0.7]
+        g2 = Graph.from_edges(kept + [(200, 201)])
+        for v in range(n):
+            g1.add_node(v)
+            g2.add_node(v)
+        picks = rng.choice(n, size=10, replace=False).tolist()
+        seeds = {v: v for v in picks}
+        index = GraphPairIndex(g1, g2)
+        seed_l, seed_r = index.intern_links(seeds)
+        return index, assign_communities(
+            index, seed_l, seed_r, frontier=frontier
+        )
+
+    @pytest.mark.parametrize("trial", range(4))
+    @pytest.mark.parametrize("frontier", [0, 1, 2])
+    def test_mask_agrees_with_scalar_path(self, frontier, trial):
         """allowed_mask (csr backends) and allowed_communities (dict
-        backend) must implement the same relation — that agreement is
-        what keeps the backends link-identical under pruning."""
-        _g, index, _seeds, seed_l, seed_r = two_cliques
-        assignment = assign_communities(index, seed_l, seed_r)
+        backend, Reconciler, MapReduce) must implement the same
+        relation — that agreement is what keeps the backends
+        link-identical under pruning."""
+        index, assignment = self.random_assignment(frontier, trial)
+        c1, c2 = assignment.comm1, assignment.comm2
+        assert (c1 < 0).any() and (c2 < 0).any()
         left = np.arange(index.n1, dtype=np.int64).repeat(index.n2)
         right = np.tile(np.arange(index.n2, dtype=np.int64), index.n1)
         mask = assignment.allowed_mask(left, right)
-        c1, c2 = assignment.comm1, assignment.comm2
-        for v1, v2, allowed in zip(
-            left.tolist(), right.tolist(), mask.tolist()
-        ):
-            assert allowed == assignment.allowed_communities(
-                int(c1[v1]), int(c2[v2])
-            )
+        scalar = [
+            assignment.allowed_communities(int(c1[v1]), int(c2[v2]))
+            for v1, v2 in zip(left.tolist(), right.tolist())
+        ]
+        assert mask.tolist() == scalar
+        assert not mask.all()
+        off = (c1[left] != c2[right]) & (c1[left] >= 0) & (c2[right] >= 0)
+        if frontier:
+            assert mask[off].any()
+        else:
+            assert not mask[off].any()
 
     def test_unassigned_nodes_never_pruned(self):
         """Nodes no seed reaches keep -1 and pass every filter."""
