@@ -13,7 +13,10 @@ The ``_native`` variants add the third backend column: the compiled
 join/selection kernels of :mod:`repro.core.native`, benchmarked on
 the same workload (floor: 2x witness join over the csr column).  On a
 machine without a C toolchain they skip — the committed JSON then
-records the honest fallback picture rather than a silent gap.
+records the honest fallback picture rather than a silent gap.  The
+``_native_thresholded`` join is the sweep's recount join: floored at
+``min_count=2``, with its output rows recorded next to the unfloored
+join's (``extra_info["rows"]``).
 """
 
 import numpy as np
@@ -98,6 +101,33 @@ def test_bench_witness_counting_native(benchmark, pair_index, native_kernels):
         )
 
     scores, emitted = benchmark(run)
+    benchmark.extra_info["rows"] = scores.num_pairs
+    assert emitted > 0
+
+
+def test_bench_witness_counting_native_thresholded(
+    benchmark, pair_index, native_kernels
+):
+    """The compiled join floored at the sweep's threshold of 2.
+
+    Same input as the unfloored column; the rows below the floor are
+    never written, so the recorded row count is what selection reads.
+    """
+    index, link_l, link_r, elig1, elig2 = pair_index
+
+    def run():
+        return kernels.count_witnesses(
+            index,
+            link_l,
+            link_r,
+            elig1,
+            elig2,
+            native=native_kernels,
+            min_count=2,
+        )
+
+    scores, emitted = benchmark(run)
+    benchmark.extra_info["rows"] = scores.num_pairs
     assert emitted > 0
 
 

@@ -39,13 +39,13 @@ links and newly eligible degree bands instead of recounting every link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, Protocol
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.config import TiePolicy
-from repro.core.native import check_eligibility_masks
+from repro.core.native import check_eligibility_masks, check_min_count
 from repro.graphs.pair_index import GraphPairIndex
 
 if TYPE_CHECKING:
@@ -54,13 +54,38 @@ if TYPE_CHECKING:
 
 Node = Hashable
 
-#: Signature of one witness-count round: ``(link_l, link_r, eligible1,
-#: eligible2) -> (scores, emitted)``.  The serial kernel, the pool's
-#: sharded counter, and the blocked streamer all satisfy it.
-WitnessCounter = Callable[
+#: Signature of a join over part of a round's links (one worker shard
+#: or one memory block): ``(link_l, link_r, eligible1, eligible2) ->
+#: (scores, emitted)``.  Its table is summed with the other parts', so
+#: it keeps every nonzero count.
+PartialCounter = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     "tuple[ArrayScores, int]",
 ]
+
+
+class WitnessCounter(Protocol):
+    """One witness-count round of the sweep.
+
+    ``(link_l, link_r, eligible1, eligible2) -> (scores, emitted)``, as
+    :func:`count_witnesses`.  *min_count* is a floor the counter *may*
+    apply: rows scoring below it can be left out of *scores* (selection
+    never takes them), but *emitted* is the full expansion either way.
+    Counters that sum partial tables (worker shards, memory blocks)
+    ignore it, since partial counts below the floor can add up to one
+    above it.
+    """
+
+    def __call__(
+        self,
+        link_l: np.ndarray,
+        link_r: np.ndarray,
+        eligible1: np.ndarray,
+        eligible2: np.ndarray,
+        *,
+        min_count: int = 1,
+    ) -> "tuple[ArrayScores, int]": ...
+
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -156,9 +181,11 @@ class CarriedWitnessTable:
     only decrements the histogram rows of the links next to it.
 
     Every join goes through the caller's *count* (so worker pools,
-    memory-budgeted blocks and the compiled join compose unchanged);
-    *keep* (community pruning) filters each join's output before it is
-    folded, which is the same as filtering the extracted table.
+    memory-budgeted blocks and the compiled join compose unchanged),
+    always with every nonzero count: a pair's count adds up across
+    rounds, so no join may drop a row below the threshold.  *keep*
+    (community pruning) filters each join's output before it is folded,
+    which is the same as filtering the extracted table.
     """
 
     __slots__ = (
@@ -441,7 +468,10 @@ class ArrayScores:
 
     The array twin of the dict backend's ``scores[v1][v2]`` table: row
     ``i`` says candidate pair ``(left[i], right[i])`` has ``score[i]``
-    witnesses.  Pairs are unique and scores nonzero.
+    witnesses.  Pairs are unique and every score is at least the
+    producer's floor: ``min_count`` for :func:`count_witnesses` (1,
+    every witnessed pair, by default), the selection threshold for the
+    sweep's carried table and its serial recount.
 
     Attributes:
         index: the interning that defines the dense id spaces.
@@ -494,6 +524,7 @@ def count_witnesses(
     eligible2: np.ndarray,
     *,
     native: "NativeKernels | None" = None,
+    min_count: int = 1,
 ) -> tuple[ArrayScores, int]:
     """Count similarity witnesses for all eligible candidate pairs.
 
@@ -529,17 +560,23 @@ def count_witnesses(
             :func:`repro.core.native.load_native_library` so the
             fallback decision is made — and warned about — exactly
             once.
+        min_count: keep only pairs with at least this many witnesses
+            (default 1: every witnessed pair).  The compiled join never
+            writes the rows below it; the sparse product filters them.
 
     Returns:
-        ``(scores, witnesses_emitted)`` where *witnesses_emitted* is the
+        ``(scores, witnesses_emitted)``: *scores* holds every eligible
+        pair scoring ``>= min_count``, and *witnesses_emitted* is the
         total cross-product work ``Σ a_k · b_k`` (the round's cost in
-        the paper's accounting, identical in all implementations).
+        the paper's accounting, identical in all implementations and
+        for every *min_count*).
 
     Raises:
         KernelInputError: if a mask is not ``bool`` of length
-            ``n1`` / ``n2``.
+            ``n1`` / ``n2``, or *min_count* is below 1.
     """
     check_eligibility_masks(eligible1, eligible2, index.n1, index.n2)
+    check_min_count(min_count)
     csr1, csr2 = index.csr1, index.csr2
     if len(link_left) == 0 or index.n1 == 0 or index.n2 == 0:
         return ArrayScores(index, _EMPTY, _EMPTY, _EMPTY, native=native), 0
@@ -555,6 +592,7 @@ def count_witnesses(
             eligible2,
             index.n1,
             index.n2,
+            min_count,
         )
         return (
             ArrayScores(index, left, right, counts, native=native),
@@ -593,16 +631,20 @@ def count_witnesses(
     # tocoo() round-trip re-validates and costs more than the matmul
     # itself).
     table = incidence1 @ incidence2
+    rows, data = table.indices, table.data
     cols = np.repeat(
         np.arange(index.n2, dtype=np.int64),
         np.diff(table.indptr),
     )
+    if min_count > 1:
+        hot = data >= min_count
+        rows, cols, data = rows[hot], cols[hot], data[hot]
     return (
         ArrayScores(
             index,
-            table.indices.astype(np.int64),
+            rows.astype(np.int64),
             cols,
-            table.data.astype(np.int64),
+            data.astype(np.int64),
         ),
         emitted,
     )
@@ -719,7 +761,7 @@ def count_witnesses_blocked(
     eligible2: np.ndarray,
     memory_budget_mb: int | None,
     *,
-    counter: WitnessCounter | None = None,
+    counter: PartialCounter | None = None,
     native: "NativeKernels | None" = None,
     workspace: "ScatterWorkspace | None" = None,
 ) -> tuple[ArrayScores, int]:
@@ -883,10 +925,13 @@ def select_mutual_best_arrays(
     handle and are selected by the C single-pass argmax instead of the
     lexsort below; the tie semantics are identical, as is the output
     (ascending left id), so the two paths are interchangeable
-    row-for-row.
+    row-for-row.  A table already floored at *threshold* (the sweep's)
+    is read in place, without the masked copy.
     """
-    mask = scores.score >= threshold
-    lt, rt, sc = scores.left[mask], scores.right[mask], scores.score[mask]
+    lt, rt, sc = scores.left, scores.right, scores.score
+    mask = sc >= threshold
+    if not mask.all():
+        lt, rt, sc = lt[mask], rt[mask], sc[mask]
     candidates = len(sc)
     if candidates == 0:
         return _EMPTY, _EMPTY, 0

@@ -572,6 +572,9 @@ class UserMatching:
             if native is None
             else None
         )
+        # Every counter takes the recount's floor (``min_count``); the
+        # pooled and blocked ones sum partial tables, so they keep every
+        # count and selection applies the threshold to the sums.
         if cfg.memory_budget_mb is not None:
             # Memory-budgeted streaming: each round's links are split
             # into degree-product-sized blocks; with a pool, every block
@@ -583,6 +586,8 @@ class UserMatching:
                 lr: "np.ndarray",
                 e1: "np.ndarray",
                 e2: "np.ndarray",
+                *,
+                min_count: int = 1,
             ) -> "tuple[kernels.ArrayScores, int]":
                 return kernels.count_witnesses_blocked(
                     index,
@@ -599,7 +604,17 @@ class UserMatching:
                 )
 
         elif pool is not None:
-            count = pool.count_witnesses
+
+            def count(
+                ll: "np.ndarray",
+                lr: "np.ndarray",
+                e1: "np.ndarray",
+                e2: "np.ndarray",
+                *,
+                min_count: int = 1,
+            ) -> "tuple[kernels.ArrayScores, int]":
+                return pool.count_witnesses(ll, lr, e1, e2)
+
         else:
 
             def count(
@@ -607,9 +622,11 @@ class UserMatching:
                 lr: "np.ndarray",
                 e1: "np.ndarray",
                 e2: "np.ndarray",
+                *,
+                min_count: int = 1,
             ) -> "tuple[kernels.ArrayScores, int]":
                 return kernels.count_witnesses(
-                    index, ll, lr, e1, e2, native=native
+                    index, ll, lr, e1, e2, native=native, min_count=min_count
                 )
         link_l, link_r = index.intern_links(seeds)
         assignment = None
@@ -650,12 +667,15 @@ class UserMatching:
                         link_l, link_r, linked1, linked2, j, cfg.threshold
                     )
                 else:
+                    # Each recount is complete per pair, so a row below
+                    # the threshold can never be selected.
                     floor1, floor2 = index.eligibility(min_degree)
                     scores, emitted = count(
                         link_l,
                         link_r,
                         ~linked1 & floor1,
                         ~linked2 & floor2,
+                        min_count=cfg.threshold,
                     )
                     if assignment is not None:
                         scores = kernels.prune_scores(

@@ -13,7 +13,8 @@ dependency-free C kernel at first use:
   cross-product materialization, no hashing, and *no sort anywhere*:
   set bits scan out of the bitmap lowest-first, so packed
   ``v1 * n2 + v2`` keys are emitted already in canonical ``np.unique``
-  order with the same counts as the csr sparse join;
+  order with the same counts as the csr sparse join, and rows below an
+  optional witness floor (``min_count``) are never written;
 - **table merges** (worker shards, memory blocks) hash-accumulate
   ``(key, count)`` rows the same way;
 - **mutual-best** selection is a single pass over the score triples with
@@ -63,6 +64,7 @@ __all__ = [
     "NativeFallbackWarning",
     "NativeKernels",
     "check_eligibility_masks",
+    "check_min_count",
     "load_native_library",
     "native_available",
 ]
@@ -235,6 +237,16 @@ static int64_t repro_ctz64(uint64_t x) {
  *     ascending packed-key order — no sort ever happens on the join
  *     path, and the caller never unpacks a key.
  *
+ * The fill pass writes only rows whose count is at least min_count
+ * (>= 1; 1 keeps every nonzero count).  A pair's count is at most the
+ * number of links contributing to its candidate, so a candidate with
+ * fewer than min_count of them writes nothing and only adds its row
+ * lengths to the expansion; the two-link merge drops heads below the
+ * floor, and the bitmap flush still clears every touched scratch slot
+ * but writes only those at or above it.  The bound pass ignores the
+ * floor (it stays the output capacity; pages never written cost no
+ * RSS), and *emitted is the full expansion whatever the floor.
+ *
  * Counts use int32 scratch: a pair's witness count is at most n_links
  * (each link contributes at most one witness per pair), and the caller
  * rejects n_links >= 2^31.  Writes the total pair expansion (the
@@ -253,7 +265,7 @@ int64_t NAME(                                                           \
     const uint8_t *elig1, const uint8_t *elig2,                         \
     int64_t n1, int64_t n2,                                             \
     OUT_T *out_l, OUT_T *out_r, OUT_T *out_vals, int64_t cap,           \
-    int64_t *emitted                                                    \
+    int64_t min_count, int64_t *emitted                                 \
 ) {                                                                     \
     int64_t n_words = (n2 >> 6) + 1;                                    \
     int64_t *head = (int64_t *)malloc(                                  \
@@ -330,7 +342,11 @@ int64_t NAME(                                                           \
                 if (foffs[k + 1] > foffs[k]) klist[klen++] = k;         \
             }                                                           \
         }                                                               \
-        if (klen == 0) continue;                                        \
+        if (klen < min_count) {                                         \
+            for (int64_t t = 0; t < klen; t++)                          \
+                total += foffs[klist[t] + 1] - foffs[klist[t]];         \
+            continue;                                                   \
+        }                                                               \
         if (klen == 1) {                                                \
             int64_t js = foffs[klist[0]], je = foffs[klist[0] + 1];     \
             if (rows + (je - js) > cap) { rc = -2; goto NAME##_done; }  \
@@ -354,6 +370,7 @@ int64_t NAME(                                                           \
                 if (va < vb)      { v2 = va; c = 1; ja++; }             \
                 else if (vb < va) { v2 = vb; c = 1; jb++; }             \
                 else              { v2 = va; c = 2; ja++; jb++; }       \
+                if (c < min_count) continue;                            \
                 if (rows == cap) { rc = -2; goto NAME##_done; }         \
                 out_l[rows] = (OUT_T)v1;                                \
                 out_r[rows] = (OUT_T)v2;                                \
@@ -382,13 +399,15 @@ int64_t NAME(                                                           \
             int64_t wb = w << 6;                                        \
             do {                                                        \
                 int64_t v2 = wb + repro_ctz64(word);                    \
+                int32_t c = scratch[v2];                                \
                 word &= word - 1;                                       \
+                scratch[v2] = 0;                                        \
+                if (c < min_count) continue;                            \
                 if (rows == cap) { rc = -2; goto NAME##_done; }         \
                 out_l[rows] = (OUT_T)v1;                                \
                 out_r[rows] = (OUT_T)v2;                                \
-                out_vals[rows] = (OUT_T)scratch[v2];                    \
+                out_vals[rows] = (OUT_T)c;                              \
                 rows++;                                                 \
-                scratch[v2] = 0;                                        \
             } while (word != 0);                                        \
         }                                                               \
     }                                                                   \
@@ -451,57 +470,64 @@ int64_t repro_acc_export(void *h, int64_t *keys_out, int64_t *vals_out) {
  * kernels._best_per_group + the mutual join.  skip_ties != 0 drops a
  * side whose maximum is not unique (TiePolicy.SKIP); otherwise the
  * canonical-minimum partner wins (TiePolicy.LOWEST_ID).  Returns the
- * number of links written (or -1 on allocation failure). */
-int64_t repro_mutual_best(
-    const int64_t *left, const int64_t *right, const int64_t *score,
-    int64_t n, int64_t n1, int64_t n2, int32_t skip_ties,
-    int64_t *out_l, int64_t *out_r
-) {
-    int64_t *best_s1 = (int64_t *)calloc((size_t)(n1 > 0 ? n1 : 1),
-                                         sizeof(int64_t));
-    int64_t *best_p1 = (int64_t *)malloc((size_t)(n1 > 0 ? n1 : 1)
-                                         * sizeof(int64_t));
-    uint8_t *tied1 = (uint8_t *)calloc((size_t)(n1 > 0 ? n1 : 1), 1);
-    int64_t *best_s2 = (int64_t *)calloc((size_t)(n2 > 0 ? n2 : 1),
-                                         sizeof(int64_t));
-    int64_t *best_p2 = (int64_t *)malloc((size_t)(n2 > 0 ? n2 : 1)
-                                         * sizeof(int64_t));
-    uint8_t *tied2 = (uint8_t *)calloc((size_t)(n2 > 0 ? n2 : 1), 1);
-    int64_t written = -1;
-    if (best_s1 == NULL || best_p1 == NULL || tied1 == NULL ||
-        best_s2 == NULL || best_p2 == NULL || tied2 == NULL) goto done;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t v1 = left[i], v2 = right[i], sc = score[i];
-        /* scores are >= 1 after thresholding, so 0 means "unseen" */
-        if (sc > best_s1[v1]) {
-            best_s1[v1] = sc; best_p1[v1] = v2; tied1[v1] = 0;
-        } else if (sc == best_s1[v1]) {
-            tied1[v1] = 1;
-            if (v2 < best_p1[v1]) best_p1[v1] = v2;
-        }
-        if (sc > best_s2[v2]) {
-            best_s2[v2] = sc; best_p2[v2] = v1; tied2[v2] = 0;
-        } else if (sc == best_s2[v2]) {
-            tied2[v2] = 1;
-            if (v1 < best_p2[v2]) best_p2[v2] = v1;
-        }
-    }
-    written = 0;
-    for (int64_t v1 = 0; v1 < n1; v1++) {
-        if (best_s1[v1] == 0) continue;
-        if (skip_ties && tied1[v1]) continue;
-        int64_t v2 = best_p1[v1];
-        if (best_p2[v2] != v1) continue;
-        if (skip_ties && tied2[v2]) continue;
-        out_l[written] = v1;
-        out_r[written] = v2;
-        written++;
-    }
-done:
-    free(best_s1); free(best_p1); free(tied1);
-    free(best_s2); free(best_p2); free(tied2);
-    return written;
+ * number of links written (or -1 on allocation failure).  Generated
+ * for int64 input columns and for the int32 columns the _o32 joins
+ * emit, so a thresholded join table is selected in place. */
+#define REPRO_MUTUAL_BEST(NAME, IN_T)                                   \
+int64_t NAME(                                                           \
+    const IN_T *left, const IN_T *right, const IN_T *score,             \
+    int64_t n, int64_t n1, int64_t n2, int32_t skip_ties,               \
+    int64_t *out_l, int64_t *out_r                                      \
+) {                                                                     \
+    int64_t *best_s1 = (int64_t *)calloc((size_t)(n1 > 0 ? n1 : 1),     \
+                                         sizeof(int64_t));              \
+    int64_t *best_p1 = (int64_t *)malloc((size_t)(n1 > 0 ? n1 : 1)      \
+                                         * sizeof(int64_t));            \
+    uint8_t *tied1 = (uint8_t *)calloc((size_t)(n1 > 0 ? n1 : 1), 1);   \
+    int64_t *best_s2 = (int64_t *)calloc((size_t)(n2 > 0 ? n2 : 1),     \
+                                         sizeof(int64_t));              \
+    int64_t *best_p2 = (int64_t *)malloc((size_t)(n2 > 0 ? n2 : 1)      \
+                                         * sizeof(int64_t));            \
+    uint8_t *tied2 = (uint8_t *)calloc((size_t)(n2 > 0 ? n2 : 1), 1);   \
+    int64_t written = -1;                                               \
+    if (best_s1 == NULL || best_p1 == NULL || tied1 == NULL ||          \
+        best_s2 == NULL || best_p2 == NULL || tied2 == NULL)            \
+        goto NAME##_done;                                               \
+    for (int64_t i = 0; i < n; i++) {                                   \
+        int64_t v1 = left[i], v2 = right[i], sc = score[i];             \
+        /* scores are >= 1 after thresholding: 0 means "unseen" */      \
+        if (sc > best_s1[v1]) {                                         \
+            best_s1[v1] = sc; best_p1[v1] = v2; tied1[v1] = 0;          \
+        } else if (sc == best_s1[v1]) {                                 \
+            tied1[v1] = 1;                                              \
+            if (v2 < best_p1[v1]) best_p1[v1] = v2;                     \
+        }                                                               \
+        if (sc > best_s2[v2]) {                                         \
+            best_s2[v2] = sc; best_p2[v2] = v1; tied2[v2] = 0;          \
+        } else if (sc == best_s2[v2]) {                                 \
+            tied2[v2] = 1;                                              \
+            if (v1 < best_p2[v2]) best_p2[v2] = v1;                     \
+        }                                                               \
+    }                                                                   \
+    written = 0;                                                        \
+    for (int64_t v1 = 0; v1 < n1; v1++) {                               \
+        if (best_s1[v1] == 0) continue;                                 \
+        if (skip_ties && tied1[v1]) continue;                           \
+        int64_t v2 = best_p1[v1];                                       \
+        if (best_p2[v2] != v1) continue;                                \
+        if (skip_ties && tied2[v2]) continue;                           \
+        out_l[written] = v1;                                            \
+        out_r[written] = v2;                                            \
+        written++;                                                      \
+    }                                                                   \
+NAME##_done:                                                            \
+    free(best_s1); free(best_p1); free(tied1);                          \
+    free(best_s2); free(best_p2); free(tied2);                          \
+    return written;                                                     \
 }
+
+REPRO_MUTUAL_BEST(repro_mutual_best, int64_t)
+REPRO_MUTUAL_BEST(repro_mutual_best_i32, int32_t)
 
 /* Greedy accept scan over pairs pre-ranked by (-score, left, right):
  * take each pair while both endpoints are free.  The ranking is done
@@ -591,6 +617,19 @@ def check_pair_ids(
                 f"{names[side - 1]} ids on side {side} must lie in "
                 f"[0, {n}), got [{ids.min()}, {ids.max()}]"
             )
+
+
+def check_min_count(min_count: int) -> None:
+    """Refuse a witness-count floor below 1.
+
+    Every witnessed pair has a count of at least 1, so 1 already keeps
+    the whole table; a smaller floor is a caller error, not a request.
+
+    Raises:
+        KernelInputError: if *min_count* is below 1.
+    """
+    if min_count < 1:
+        raise KernelInputError(f"min_count must be >= 1, got {min_count}")
 
 
 #: module-level cache: ``None`` = not attempted, ``(kernels,)`` =
@@ -694,7 +733,7 @@ class NativeKernels:
                 fn = getattr(lib, f"repro_join_{tags}_{width}")
                 fn.argtypes = [
                     p64, vp, p64, vp, p64, p64, i64, pu8, pu8,
-                    i64, i64, vp, vp, vp, i64, p64,
+                    i64, i64, vp, vp, vp, i64, i64, p64,
                 ]
                 fn.restype = i64
         lib.repro_acc_export.argtypes = [vp, p64, p64]
@@ -703,6 +742,10 @@ class NativeKernels:
             p64, p64, p64, i64, i64, i64, c.c_int32, p64, p64,
         ]
         lib.repro_mutual_best.restype = i64
+        lib.repro_mutual_best_i32.argtypes = [
+            vp, vp, vp, i64, i64, i64, c.c_int32, p64, p64,
+        ]
+        lib.repro_mutual_best_i32.restype = i64
         lib.repro_greedy_scan.argtypes = [p64, p64, i64, i64, i64, p64, p64]
         lib.repro_greedy_scan.restype = i64
 
@@ -747,6 +790,7 @@ class NativeKernels:
         eligible2: np.ndarray,
         n1: int,
         n2: int,
+        min_count: int = 1,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Row-major CSR witness join, already unpacked and canonical.
 
@@ -763,7 +807,16 @@ class NativeKernels:
         the memory the fill pass touches), int64 otherwise; consumers
         pack keys with strong ``np.int64`` scalars, so the narrow
         columns promote before any arithmetic can overflow.
+
+        Only rows with ``counts >= min_count`` are written (the default
+        1 keeps every witnessed pair); *emitted* is the full expansion
+        ``Σ a_k · b_k`` whatever the floor.
+
+        Raises:
+            KernelInputError: on malformed masks, row pointers or link
+                ids, or ``min_count < 1``.
         """
+        check_min_count(min_count)
         # The C join indexes every array below by node id with no
         # bounds checks: refuse anything that would read or write out
         # of bounds, in O(links) — the neighbor ids are not scanned.
@@ -822,6 +875,7 @@ class NativeKernels:
                 out_r,
                 out_vals,
                 cap,
+                min_count,
                 ctypes.byref(emitted),
             )
             if status < 0:
@@ -853,7 +907,24 @@ class NativeKernels:
         into one table and exported in ascending key order.  Integer
         addition is commutative, so the result is independent of part
         order — and bit-identical to the numpy merge.
+
+        Raises:
+            KernelInputError: on a part whose keys and counts are not
+                1-d arrays of equal length, or a negative key (the
+                accumulator marks empty slots with -1).
         """
+        parts = [(np.asarray(keys), np.asarray(counts))
+                 for keys, counts in parts]
+        for keys, counts in parts:
+            if keys.ndim != 1 or keys.shape != counts.shape:
+                raise KernelInputError(
+                    f"keys and counts must be 1-d arrays of equal length, "
+                    f"got shapes {keys.shape} and {counts.shape}"
+                )
+            if len(keys) and keys.min() < 0:
+                raise KernelInputError(
+                    f"packed keys must be >= 0, got a minimum of {keys.min()}"
+                )
         total = sum(len(keys) for keys, _counts in parts)
         acc = self._lib.repro_acc_new(2 * total)
         if not acc:
@@ -888,15 +959,18 @@ class NativeKernels:
 
         Exact :func:`repro.core.kernels.select_mutual_best_arrays`
         semantics (the caller applies the threshold mask); one pass,
-        no lexsort.
+        no lexsort.  Three int32 columns (the ``_o32`` join's output)
+        are read in place; anything else is widened to int64 first.
 
         Raises:
             KernelInputError: on unequal columns, an id out of range,
                 or a score below 1 (the C pass reads 0 as "unseen").
         """
-        left = np.ascontiguousarray(left, dtype=np.int64)
-        right = np.ascontiguousarray(right, dtype=np.int64)
-        score = np.ascontiguousarray(score, dtype=np.int64)
+        narrow = all(a.dtype == np.int32 for a in (left, right, score))
+        dtype = np.int32 if narrow else np.int64
+        left = np.ascontiguousarray(left, dtype=dtype)
+        right = np.ascontiguousarray(right, dtype=dtype)
+        score = np.ascontiguousarray(score, dtype=dtype)
         check_pair_ids(left, right, n1, n2)
         if score.shape != left.shape:
             raise KernelInputError(
@@ -913,11 +987,16 @@ class NativeKernels:
         cap = min(n, min(n1, n2)) if min(n1, n2) > 0 else 0
         out_l = np.empty(max(cap, 1), dtype=np.int64)
         out_r = np.empty(max(cap, 1), dtype=np.int64)
+        if narrow:
+            select, cols = self._lib.repro_mutual_best_i32, ctypes.c_void_p
+        else:
+            select = self._lib.repro_mutual_best
+            cols = ctypes.POINTER(ctypes.c_int64)
         written = int(
-            self._lib.repro_mutual_best(
-                self._p64(left),
-                self._p64(right),
-                self._p64(score),
+            select(
+                left.ctypes.data_as(cols),
+                right.ctypes.data_as(cols),
+                score.ctypes.data_as(cols),
                 n,
                 n1,
                 n2,

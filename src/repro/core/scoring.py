@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Hashable
 from repro.graphs.graph import Graph
 
 if TYPE_CHECKING:
-    from repro.core.kernels import ArrayScores, WitnessCounter
+    from repro.core.kernels import ArrayScores, PartialCounter
     from repro.core.native import NativeKernels
     from repro.graphs.pair_index import GraphPairIndex
 
@@ -94,7 +94,7 @@ def count_similarity_witnesses_arrays(
     links: dict[Node, Node],
     min_degree: int = 1,
     *,
-    counter: "WitnessCounter | None" = None,
+    counter: "PartialCounter | None" = None,
     memory_budget_mb: "int | None" = None,
     native: "NativeKernels | None" = None,
 ) -> tuple["ArrayScores", int]:

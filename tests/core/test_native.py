@@ -11,9 +11,12 @@ marked ``needs_native``.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import native
 from repro.core.config import TiePolicy
@@ -237,6 +240,164 @@ class TestJoinBoundary:
             nk.witness_join(**args)
 
 
+def paths_args():
+    """One link set that drives each fill-pass path of the join.
+
+    Linked nodes 0, 1 and 2 are identity links; candidate 3 is next to
+    one of them, 4 to two and 5 to all three, in both graphs — so the
+    candidates take the one-link copy, the two-link merge and the
+    bitmap scatter respectively, and pair ``(v1, v2)`` scores
+    ``min(v1, v2) - 2``.
+    """
+    g = Graph.from_edges([(0, 3), (0, 4), (1, 4), (0, 5), (1, 5), (2, 5)])
+    index = GraphPairIndex(g, g.copy())
+    links = np.array([0, 1, 2], dtype=np.int64)
+    eligible = np.ones(index.n1, dtype=bool)
+    eligible[links] = False
+    return index, links, links.copy(), eligible, eligible.copy()
+
+
+def random_join_args(seed, n1, n2, density, n_links):
+    """Random graph pair, partial-matching links and eligibility masks."""
+    rng = np.random.default_rng(seed)
+
+    def graph(n):
+        a, b = np.triu_indices(n, k=1)
+        keep = rng.random(len(a)) < density
+        return Graph.from_edges(
+            zip(a[keep].tolist(), b[keep].tolist()), nodes=range(n)
+        )
+
+    index = GraphPairIndex(graph(n1), graph(n2))
+    k = min(n_links, n1, n2)
+    link_l = rng.choice(n1, size=k, replace=False).astype(np.int64)
+    link_r = rng.choice(n2, size=k, replace=False).astype(np.int64)
+    eligible1 = rng.random(n1) < 0.85
+    eligible2 = rng.random(n2) < 0.85
+    eligible1[link_l] = False
+    eligible2[link_r] = False
+    return index, link_l, link_r, eligible1, eligible2
+
+
+def join_handle(backend):
+    """The native handle for ``"native"`` (skipping without one), or
+    ``None`` for the scipy join."""
+    if backend == "csr":
+        return None
+    handle = load_native_library(warn=False)
+    if handle is None:
+        pytest.skip("no C toolchain in this environment")
+    return handle
+
+
+def raw_join(nk, index, link_l, link_r, eligible1, eligible2, min_count):
+    return nk.witness_join(
+        index.csr1.indptr,
+        index.csr1.indices,
+        index.csr2.indptr,
+        index.csr2.indices,
+        link_l,
+        link_r,
+        eligible1,
+        eligible2,
+        index.n1,
+        index.n2,
+        min_count,
+    )
+
+
+class TestJoinFloor:
+    """``min_count``: the join writes only rows selection can use.
+
+    The reference is the scipy sparse product filtered after the fact;
+    the compiled join must give the same rows in the same ascending
+    order and the same ``emitted`` — the full expansion, whatever the
+    floor — for each index dtype and output width.
+    """
+
+    @needs_native
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(2, 24),
+        n2=st.integers(2, 24),
+        density=st.floats(0.05, 0.6),
+        n_links=st.integers(1, 12),
+        wide1=st.booleans(),
+        wide2=st.booleans(),
+        out32=st.booleans(),
+    )
+    def test_matches_filtered_scipy(
+        self, seed, n1, n2, density, n_links, wide1, wide2, out32
+    ):
+        nk = load_native_library(warn=False)
+        index, *args = random_join_args(seed, n1, n2, density, n_links)
+        ref, ref_emitted = count_witnesses(index, *args)
+        packed = ref.left * np.int64(index.n2) + ref.right
+        order = np.argsort(packed)
+        packed, counts = packed[order], ref.score[order]
+        if wide1:
+            index.csr1.indices = index.csr1.indices.astype(np.int64)
+        if wide2:
+            index.csr2.indices = index.csr2.indices.astype(np.int64)
+        cutoff = native._NATIVE_OUT32_MAX if out32 else -1
+        with mock.patch.object(native, "_NATIVE_OUT32_MAX", cutoff):
+            for min_count in (1, 2, 3, 4):
+                hot = counts >= min_count
+                left, right, got, emitted = raw_join(
+                    nk, index, *args, min_count
+                )
+                assert emitted == ref_emitted
+                if emitted:
+                    assert left.dtype == (np.int32 if out32 else np.int64)
+                keys = left * np.int64(index.n2) + right
+                assert keys.tolist() == packed[hot].tolist()
+                assert got.tolist() == counts[hot].tolist()
+                fallback, fb_emitted = count_witnesses(
+                    index, *args, min_count=min_count
+                )
+                assert fb_emitted == ref_emitted
+                assert canon(fallback) == (
+                    packed[hot].tolist(),
+                    counts[hot].tolist(),
+                )
+
+    @pytest.mark.parametrize(
+        "min_count,expected",
+        [
+            (
+                1,
+                {
+                    3: {3: 1, 4: 1, 5: 1},
+                    4: {3: 1, 4: 2, 5: 2},
+                    5: {3: 1, 4: 2, 5: 3},
+                },
+            ),
+            (2, {4: {4: 2, 5: 2}, 5: {4: 2, 5: 3}}),
+            (3, {5: {5: 3}}),
+            (4, {}),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["native", "csr"])
+    def test_each_fill_path(self, backend, min_count, expected):
+        index, *args = paths_args()
+        scores, emitted = count_witnesses(
+            index, *args, native=join_handle(backend), min_count=min_count
+        )
+        assert emitted == 3 * 3 + 2 * 2 + 1 * 1
+        assert scores.to_dict() == expected
+
+    @pytest.mark.parametrize("backend", ["native", "csr"])
+    def test_zero_floor_refused(self, backend):
+        index, *args = paths_args()
+        handle = join_handle(backend)
+        with pytest.raises(KernelInputError, match="min_count"):
+            count_witnesses(index, *args, native=handle, min_count=0)
+        if handle is not None:
+            with pytest.raises(KernelInputError, match="min_count"):
+                raw_join(handle, index, *args, 0)
+
+
 class TestMergePacked:
     def test_matches_numpy_merge(self, pa_pair, pa_seeds, nk):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
@@ -272,6 +433,30 @@ class TestMergePacked:
     def test_empty_parts(self, nk):
         keys, counts = nk.merge_packed([])
         assert keys.size == 0 and counts.size == 0
+
+    @pytest.mark.parametrize(
+        "keys,counts,match",
+        [
+            ([5, -1], [1, 1], ">= 0"),
+            ([5, 3, 7], [1, 1], "equal length"),
+            ([5, 3], [1, 1, 1], "equal length"),
+            ([[5, 3]], [[1, 1]], "1-d"),
+        ],
+    )
+    def test_malformed_part_refused(self, nk, keys, counts, match):
+        """Bad parts are refused before any C call.
+
+        The accumulator marks empty slots with key -1, so a -1 key
+        matched the first empty slot it probed: merging ``[5, -1]``
+        with ``[-1]`` (counts 1, 1 and 7) returned ``[5]`` alone.
+        Keys ``[5, 3, 7]`` with counts ``[1, 1]`` read past the counts
+        (key 7 took whatever followed them in memory), and a ``(1, 2)``
+        part was read as its first key only.
+        """
+        good = (np.array([1, 4]), np.array([2, 2]))
+        part = (np.array(keys), np.array(counts))
+        with pytest.raises(KernelInputError, match=match):
+            nk.merge_packed([good, part])
 
 
 def _random_scores(pa_pair, pa_seeds, nk):
@@ -334,6 +519,10 @@ class TestNativeSelection:
             out_l, out_r = nk.mutual_best(lt, rt, sc, n1, n2, skip)
             assert out_l.tolist() == ref[0].tolist(), trial
             assert out_r.tolist() == ref[1].tolist(), trial
+            narrow = [a.astype(np.int32) for a in (lt, rt, sc)]
+            n_l, n_r = nk.mutual_best(*narrow, n1, n2, skip)
+            assert n_l.tolist() == ref[0].tolist(), trial
+            assert n_r.tolist() == ref[1].tolist(), trial
             greedy_ref = select_greedy_arrays(
                 ArrayScores(index, lt, rt, sc), 1
             )
@@ -341,6 +530,29 @@ class TestNativeSelection:
             g_l, g_r = nk.greedy_scan(lt[order], rt[order], n1, n2)
             assert g_l.tolist() == greedy_ref[0].tolist(), trial
             assert g_r.tolist() == greedy_ref[1].tolist(), trial
+
+    def test_floored_table_selected_in_place(self, pa_pair, pa_seeds, nk):
+        """A table floored at the threshold reaches C without a copy."""
+        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
+        scores, _ = count_witnesses(
+            index, *linked_masks(index, pa_seeds), native=nk, min_count=2
+        )
+        assert scores.left.dtype == np.int32 and scores.num_pairs
+        with mock.patch.object(nk, "mutual_best", wraps=nk.mutual_best) as spy:
+            out = select_mutual_best_arrays(scores, 2)
+        left, right, score = spy.call_args.args[:3]
+        assert left is scores.left and right is scores.right
+        assert score is scores.score
+        plain = ArrayScores(
+            index,
+            scores.left.astype(np.int64),
+            scores.right.astype(np.int64),
+            scores.score.astype(np.int64),
+        )
+        ref = select_mutual_best_arrays(plain, 2)
+        assert out[0].tolist() == ref[0].tolist()
+        assert out[1].tolist() == ref[1].tolist()
+        assert out[2] == ref[2] == scores.num_pairs
 
 
 class TestSelectionBoundary:
@@ -368,10 +580,16 @@ class TestSelectionBoundary:
         ],
     )
     def test_mutual_best_refuses(self, nk, left, right, score, match):
-        with pytest.raises(KernelInputError, match=match):
-            nk.mutual_best(
-                np.array(left), np.array(right), np.array(score), 4, 4, False
-            )
+        for dtype in (np.int64, np.int32):
+            with pytest.raises(KernelInputError, match=match):
+                nk.mutual_best(
+                    np.array(left, dtype=dtype),
+                    np.array(right, dtype=dtype),
+                    np.array(score, dtype=dtype),
+                    4,
+                    4,
+                    False,
+                )
 
     @pytest.mark.parametrize(
         "left,right,match",

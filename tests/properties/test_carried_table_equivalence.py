@@ -45,6 +45,10 @@ CASES = {
     "one-iteration": {"iterations": 1},
     "three-iterations": {"iterations": 3},
     "threshold-1-floor-0": {"threshold": 1, "min_bucket_exponent": 0},
+    # The recount floors its join at the threshold: from 3 up, the
+    # join's one- and two-link paths write nothing.
+    "threshold-3": {"threshold": 3},
+    "threshold-4": {"threshold": 4},
 }
 
 
@@ -56,6 +60,8 @@ SERIAL_CASES = [
     "no-buckets",
     "max-degree-below-observed",
     "three-iterations",
+    "threshold-3",
+    "threshold-4",
 ]
 
 
