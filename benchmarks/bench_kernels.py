@@ -36,6 +36,7 @@ from repro.generators.preferential_attachment import (
 )
 from repro.generators.rmat import rmat_graph
 from repro.graphs.csr import CSRGraph
+from repro.graphs.graph import Graph
 from repro.graphs.pair_index import GraphPairIndex
 from repro.mapreduce.engine import LocalMapReduce, MapReduceJob, sum_combiner
 from repro.sampling.edge_sampling import independent_copies
@@ -193,16 +194,36 @@ def test_bench_full_matcher_native(benchmark, workload, native_kernels):
 
 
 def test_bench_csr_construction(benchmark, workload):
-    """CSRGraph build (C-level adjacency walk + one packed-key int sort)."""
+    """CSRGraph build from the copy's recorded edge arrays (both
+    directions + one packed-key int sort; no walk over the sets)."""
     pair, _seeds = workload
+    assert pair.g1.recorded_edges() is not None
     csr = benchmark(CSRGraph, pair.g1)
     assert csr.num_nodes == pair.g1.num_nodes
 
 
 def test_bench_pair_index_build(benchmark, workload):
-    """Full interning cost — what every array backend pays once per run."""
+    """Full interning cost — what every array backend pays once per run.
+
+    The sampled copies are bulk-built, so this takes the recorded-array
+    source; :func:`test_bench_pair_index_build_set_walk` is the same
+    pair without the arrays.
+    """
     pair, _seeds = workload
     index = benchmark(GraphPairIndex, pair.g1, pair.g2)
+    assert index.n1 == pair.g1.num_nodes
+
+
+def test_bench_pair_index_build_set_walk(benchmark, workload):
+    """Interning the same pair rebuilt in Python: no recorded arrays, so
+    the CSR comes from the walk over the adjacency sets."""
+    pair, _seeds = workload
+    g1, g2 = (
+        Graph.from_edges(g.edges(), nodes=g.nodes())
+        for g in (pair.g1, pair.g2)
+    )
+    assert g1.recorded_edges() is None and g2.recorded_edges() is None
+    index = benchmark(GraphPairIndex, g1, g2)
     assert index.n1 == pair.g1.num_nodes
 
 

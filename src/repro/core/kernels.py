@@ -309,11 +309,14 @@ class CarriedWitnessTable:
         hot = np.flatnonzero(block >= threshold)
         row, right = np.divmod(hot, np.int64(index.n2))
         keep = free2[right] & floor2[right]
+        # Ids as narrow as the int32 scores (the keyspace cap keeps n1
+        # and n2 far below 2**31), so native selection reads all three
+        # columns in place.
         return (
             ArrayScores(
                 index,
-                rows[row[keep]],
-                right[keep],
+                rows[row[keep]].astype(np.int32),
+                right[keep].astype(np.int32),
                 block[hot[keep]],
                 native=self._native,
             ),
@@ -476,9 +479,9 @@ class ArrayScores:
     Attributes:
         index: the interning that defines the dense id spaces.
         left: ``int64[k]`` dense g1 ids (``int32[k]`` from the compiled
-            join when every node id fits — consumers pack keys against
-            strong ``np.int64`` scalars, so values, not dtypes, define
-            the table).
+            join when every node id fits, and from the carried table —
+            consumers pack keys against strong ``np.int64`` scalars, so
+            values, not dtypes, define the table).
         right: dense g2 ids, same dtype story as ``left``.
         score: witness counts, same dtype story as ``left``.
         native: compiled-kernel handle when the table was produced by

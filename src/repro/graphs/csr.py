@@ -7,16 +7,23 @@ reconciliation interns both graphs into CSR through
 :class:`~repro.graphs.pair_index.GraphPairIndex` — while the mutable
 :class:`Graph` remains the canonical, editable representation.
 
-Construction iterates the adjacency with C-level iterators (``map``,
-``itertools.chain``, ``np.fromiter``) and orders every row with one sort of
-a packed ``row * n + neighbor`` int64 key, so interning costs no Python
-bytecode per adjacency entry.
+One routine, :func:`assemble_csr`, turns ``(row, neighbor)`` dense-id
+arrays into ``indptr``/``indices`` with one sort of a packed
+``row * n + neighbor`` integer key.  The arrays come from one of two
+sources:
+
+- the arrays a bulk-built graph recorded
+  (:meth:`Graph.recorded_edges`), each edge taken in both directions —
+  no walk over the adjacency sets at all;
+- otherwise a walk over the adjacency with C-level iterators (``map``,
+  ``itertools.chain``, ``np.fromiter``), so interning a graph built in
+  Python costs no Python bytecode per adjacency entry either.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Hashable, KeysView, Sequence, cast
+from typing import Hashable, Iterable, KeysView, Sequence, cast
 
 import numpy as np
 
@@ -26,52 +33,104 @@ from repro.graphs.graph import Graph
 Node = Hashable
 
 
-def _dense_lookup(
-    adj: dict[Node, set[Node]], ranks: np.ndarray
-) -> np.ndarray | None:
+def dense_lookup(dense_of: dict[Node, int]) -> np.ndarray | None:
     """Dense-id table indexed by original id, or ``None`` if ids don't fit.
 
-    Used when every node id is a plain non-negative ``int`` (``type(v)
-    is int`` — ``bool`` and numpy integers take the dict path) and the
-    largest id is below ``4n``, so the table stays within a few times
-    the node map's size.  Neighbor ids then densify with one numpy
-    gather instead of one dict lookup per adjacency entry.
+    *dense_of* maps every node to its dense id and lists its nodes in
+    dense order.  A table is built when every node id is a plain
+    non-negative ``int`` (``type(v) is int`` — ``bool`` and numpy
+    integers take the dict path) and the largest id is below ``4n``, so
+    the table stays within a few times the node map's size.  Ids then
+    densify with one numpy gather (:func:`densify`) instead of one dict
+    lookup each, which also spares the cache misses of looking ids up
+    out of the map's insertion order.
     """
-    n = len(adj)
-    if not n or set(map(type, adj)) != {int}:
+    n = len(dense_of)
+    if not n or set(map(type, dense_of)) != {int}:
         return None
-    ids = cast("KeysView[int]", adj.keys())
+    ids = cast("KeysView[int]", dense_of.keys())
     top = max(ids)
     if min(ids) < 0 or top >= 4 * n:
         return None
     lookup = np.empty(top + 1, dtype=np.int64)
-    lookup[np.fromiter(ids, dtype=np.int64, count=n)] = ranks
+    lookup[np.fromiter(ids, dtype=np.int64, count=n)] = np.arange(n)
     return lookup
 
 
+def densify(
+    ids: Iterable[Node],
+    count: int,
+    dense_of: dict[Node, int],
+    lookup: np.ndarray | None,
+) -> np.ndarray:
+    """The dense id of each of *count* node *ids*, as ``int64[count]``.
+
+    *lookup* is :func:`dense_lookup` of *dense_of*.  C-level iteration
+    either way — no Python bytecode per id.
+    """
+    if lookup is not None:
+        return lookup[np.fromiter(ids, dtype=np.int64, count=count)]
+    return np.fromiter(
+        map(dense_of.__getitem__, ids), dtype=np.int64, count=count
+    )
+
+
 def flatten_adjacency(
-    adj: dict[Node, set[Node]], dense_of: dict[Node, int], ranks: np.ndarray
+    adj: dict[Node, set[Node]],
+    dense_of: dict[Node, int],
+    lookup: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's degree and every neighbor's dense id, in live order.
 
     Walks *adj* in dict order and each neighbor set in its iteration
     order with C-level iterators (no Python bytecode per entry).
-    *ranks* holds each row's dense id in dict order; *dense_of* maps
-    every node to its dense id.  Returns ``(degrees, neighbors)`` as
-    int64 arrays of length ``n`` and ``2m``.
+    *dense_of* maps every node to its dense id and *lookup* is its
+    :func:`dense_lookup`.  Returns ``(degrees, neighbors)`` as int64
+    arrays of length ``n`` and ``2m``.
     """
     n = len(adj)
     degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
-    total = int(degrees.sum())
-    neighbors = chain.from_iterable(adj.values())
-    lookup = _dense_lookup(adj, ranks)
-    if lookup is not None:
-        dst = lookup[np.fromiter(neighbors, dtype=np.int64, count=total)]
-    else:
-        dst = np.fromiter(
-            map(dense_of.__getitem__, neighbors), dtype=np.int64, count=total
+    neighbors = densify(
+        chain.from_iterable(adj.values()), int(degrees.sum()), dense_of, lookup
+    )
+    return degrees, neighbors
+
+
+def assemble_csr(
+    row: np.ndarray, neighbor: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the adjacency entries ``row -> neighbor``.
+
+    *row*/*neighbor* are dense ids in ``[0, n)``, in any order and with
+    repeats allowed.  One sort of the packed ``row * n + neighbor`` key
+    orders every row and every row's neighbor slice at once; adjacent
+    equal keys (repeated entries) are dropped.  The key is ``uint32``
+    while ``n * n`` fits it (up to 65,536 nodes) — half the bytes of
+    ``int64``, and more than twice as fast to sort.  Returns
+    ``int64[n + 1]`` offsets and ``int64`` neighbor ids.
+    """
+    if n * n - 1 > np.iinfo(np.int64).max:
+        raise ValueError(  # pragma: no cover - needs a > 3e9-node graph
+            f"{n} nodes overflow the int64 (src * n + dst) sort key"
         )
-    return degrees, dst
+    packed = np.uint32 if n * n <= 2**32 else np.int64
+    width = packed(max(n, 1))
+    key = row.astype(packed)
+    key *= width
+    np.add(key, neighbor, out=key, casting="unsafe")
+    key.sort()
+    if len(key) > 1:
+        fresh = np.empty(len(key), dtype=bool)
+        fresh[0] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        if not fresh.all():
+            key = key[fresh]
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indptr[:n] = np.searchsorted(key, np.arange(n, dtype=packed) * width)
+    indptr[n] = len(key)
+    indices = np.empty(len(key), dtype=np.int64)
+    np.remainder(key, width, out=indices)
+    return indptr, indices
 
 
 class CSRGraph:
@@ -102,30 +161,21 @@ class CSRGraph:
                 )
             if n != len(adj):
                 raise ValueError("order must cover every node exactly once")
-        if n * n - 1 > np.iinfo(np.int64).max:
-            raise ValueError(  # pragma: no cover - needs a > 3e9-node graph
-                f"{n} nodes overflow the int64 (src * n + dst) sort key"
-            )
         self.node_ids: list[Node] = nodes
         self._dense_of: dict[Node, int] = dense_of
-        # Walk the adjacency in insertion order with C-level iterators:
-        # each row's dense rank, its degree, and every neighbor's dense id.
-        ranks = np.fromiter(
-            map(dense_of.__getitem__, adj), dtype=np.int64, count=n
-        )
-        degrees, dst = flatten_adjacency(adj, dense_of, ranks)
-        # One integer sort of the packed (row, neighbor) key orders every
-        # row and every row's neighbor slice at once.
-        key = np.repeat(ranks * n, degrees)
-        key += dst
-        key.sort()
-        dense_degrees = np.zeros(n, dtype=np.int64)
-        dense_degrees[ranks] = degrees
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(dense_degrees, out=indptr[1:])
-        key %= max(n, 1)
-        self.indptr = indptr
-        self.indices = key
+        lookup = dense_lookup(dense_of)
+        # Each row's dense id, in insertion order.
+        ranks = densify(adj, n, dense_of, lookup)
+        recorded = graph.recorded_edges()
+        if recorded is not None:
+            # Every recorded edge in both directions.
+            src, dst = recorded
+            row = ranks[np.concatenate((src, dst))]
+            neighbor = ranks[np.concatenate((dst, src))]
+        else:
+            degrees, neighbor = flatten_adjacency(adj, dense_of, lookup)
+            row = np.repeat(ranks, degrees)
+        self.indptr, self.indices = assemble_csr(row, neighbor, n)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -13,6 +13,15 @@ and seeded samplers draw one random number per :meth:`Graph.edges` item.
 :meth:`Graph.from_dense_edges` builds a graph from numpy edge arrays in
 bulk while reproducing the sequential ``add_node``/``add_edge`` loop's
 order exactly, so array-speed generators keep every seeded stream.
+
+A bulk-built graph also keeps the edge arrays it was built from
+(:meth:`Graph.recorded_edges`), so interning can assemble the CSR from
+them instead of walking the sets.  Those arrays describe the graph only
+until it first changes: every mutator that changes it (``add_node`` of a
+new node, ``add_edge`` of a new edge, ``remove_edge``, ``remove_node``)
+drops them, and :meth:`Graph.copy` shares them.  Code that edits the
+live :meth:`Graph.adjacency` or a neighbor set directly breaks this rule
+as it breaks every other one.
 """
 
 from __future__ import annotations
@@ -38,11 +47,14 @@ class Graph:
         sorted(g.neighbors(1)) # [0, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges")
+    __slots__ = ("_adj", "_num_edges", "_arrays")
 
     def __init__(self) -> None:
         self._adj: dict[Node, set[Node]] = {}
         self._num_edges: int = 0
+        # (src, dst) from from_dense_edges; None once the graph changes
+        # or when it was built in Python.
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -90,8 +102,12 @@ class Graph:
 
         Duplicate and reversed edges collapse as in :meth:`add_edge`;
         a self-loop raises :class:`GraphError`.  Node objects are shared
-        from *node_ids*, so the graph allocates no id per edge.  Costs one int64 sort of ``2m`` keys
-        plus C-level set construction — no Python bytecode per edge.
+        from *node_ids*, so the graph allocates no id per edge.  Costs
+        one int64 sort of ``2m`` keys plus C-level set construction — no
+        Python bytecode per edge.
+
+        The graph keeps a read-only copy of *src*/*dst*, renumbered to
+        positions in its node order, for :meth:`recorded_edges`.
         """
         n = len(node_ids)
         src = np.asarray(src)
@@ -141,7 +157,8 @@ class Graph:
         uniq, at = np.unique(first, return_index=True)
         rank[uniq] = at
         present = np.flatnonzero(rank >= 0)
-        order = present[np.argsort(rank[present])].tolist()
+        placed = present[np.argsort(rank[present])]
+        order = placed.tolist()
         # One set per dense id, filled from its slice of *neighbors*.
         flat = iter(neighbors)
         sets = list(map(set, map(islice, repeat(flat), degrees.tolist())))
@@ -150,13 +167,42 @@ class Graph:
         keys = objs[order].tolist()
         g._adj = dict(zip(keys, map(sets.__getitem__, order)))
         g._num_edges = sum(map(len, sets)) // 2
+        # Equal ids in the node table collapse into one dict key; the
+        # arrays would then name one node twice, so they are not kept.
+        if len(g._adj) == len(order):
+            dense = np.int32 if len(order) < 2**31 else np.int64
+            position = np.empty(n, dtype=dense)  # dense id -> nodes() slot
+            position[placed] = np.arange(len(order), dtype=dense)
+            ends = (
+                position[src.astype(np.intp, copy=False)],
+                position[dst.astype(np.intp, copy=False)],
+            )
+            for arr in ends:
+                arr.flags.writeable = False
+            g._arrays = ends
         return g
 
+    def recorded_edges(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The edge arrays :meth:`from_dense_edges` built this graph from.
+
+        Returns read-only ``(src, dst)`` arrays of positions in
+        :meth:`nodes` order (``int32`` when the node count fits): every
+        edge ``{nodes[src[e]], nodes[dst[e]]}`` is in the graph and every
+        edge of the graph is listed at least once, possibly reversed or
+        repeated.  ``None`` if the graph was built in Python or has
+        changed since it was built.
+        """
+        return self._arrays
+
     def copy(self) -> "Graph":
-        """Return a deep structural copy (nodes and edges; sets are fresh)."""
+        """Return a deep structural copy (nodes and edges; sets are fresh).
+
+        The copy shares the read-only :meth:`recorded_edges` arrays.
+        """
         g = Graph()
         g._adj = {node: set(nbrs) for node, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
+        g._arrays = self._arrays
         return g
 
     # ------------------------------------------------------------------
@@ -166,6 +212,7 @@ class Graph:
         """Add *node* (no-op if already present)."""
         if node not in self._adj:
             self._adj[node] = set()
+            self._arrays = None
 
     def add_edge(self, u: Node, v: Node) -> bool:
         """Add undirected edge ``{u, v}``, creating endpoints as needed.
@@ -187,6 +234,7 @@ class Graph:
         adj[u].add(v)
         adj[v].add(u)
         self._num_edges += 1
+        self._arrays = None
         return True
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
@@ -205,6 +253,7 @@ class Graph:
         adj[u].discard(v)
         adj[v].discard(u)
         self._num_edges -= 1
+        self._arrays = None
 
     def remove_node(self, node: Node) -> None:
         """Remove *node* and all incident edges."""
@@ -215,6 +264,7 @@ class Graph:
         for other in nbrs:
             adj[other].discard(node)
         self._num_edges -= len(nbrs)
+        self._arrays = None
 
     # ------------------------------------------------------------------
     # Queries

@@ -18,13 +18,15 @@ Interning order is *canonical* (:func:`~repro.core.ordering.node_sort_key`),
 so comparing dense ids is exactly comparing original ids under the
 package-wide canonical order — tie-breaks in array kernels reduce to
 integer ``min``/argsort and stay link-identical to the dict backend.
+:func:`canonical_order` computes that order with a numeric key when every
+id is a plain ``int``, and with ``repr`` strings otherwise.
 """
 
 from __future__ import annotations
 
 import zipfile
 from pathlib import Path
-from typing import Hashable
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -43,6 +45,47 @@ PAIR_INDEX_FORMAT = 1
 _MMAP_MEMBERS = frozenset(
     {"indptr1", "indices1", "indptr2", "indices2"}
 )
+
+
+#: ``10**k`` for ``k = 0..17``.  Ids below ``10**17`` in absolute value
+#: take the numeric canonical key, which then fits int64.
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def canonical_order(nodes: Iterable[Node]) -> "list[Node]":
+    """*nodes* sorted by :func:`~repro.core.ordering.node_sort_key`.
+
+    ``repr`` order on ints is the order of their digit strings: every
+    negative id first (``'-'`` sorts before any digit), then by the
+    digits of the absolute value, a prefix before its extensions
+    (``1, 10, 100, 2``).  When every id is exactly ``int`` with absolute
+    value below ``10**17``, that order comes from one int64 argsort: the
+    absolute value right-padded with zeros to the longest digit count
+    (so digit strings compare as numbers), ties — ``1`` vs ``10`` —
+    broken by digit count.  Any other ids (``bool`` and numpy integers,
+    whose ``repr`` differs from their digits, strings, tuples, larger
+    ints) are sorted by ``repr``.
+    """
+    # Imported here, not at module level: graphs/__init__ loads this
+    # module while repro.core may still be initializing (core modules
+    # import repro.graphs.graph).
+    from repro.core.ordering import node_sort_key
+
+    nodes = list(nodes)
+    if nodes and set(map(type, nodes)) == {int}:
+        top = _POW10[-1]
+        if -top < min(nodes) and max(nodes) < top:
+            values = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+            magnitude = np.abs(values)
+            digits = np.searchsorted(_POW10, magnitude, side="right")
+            np.maximum(digits, 1, out=digits)  # "0" has one digit
+            key = magnitude * _POW10[digits.max() - digits]
+            key[values >= 0] += top
+            key *= 20
+            key += digits
+            rank = np.argsort(key)
+            return list(map(nodes.__getitem__, rank.tolist()))
+    return sorted(nodes, key=node_sort_key)
 
 
 def degree_exponents(degrees: np.ndarray) -> np.ndarray:
@@ -108,16 +151,10 @@ class GraphPairIndex:
         """Intern ``(g1, g2)``; *order1*/*order2* override the canonical
         interning order (a restored :class:`DeltaIndex` passes its
         append-only order)."""
-        # Imported here, not at module level: graphs/__init__ loads this
-        # module while repro.core may still be initializing (core modules
-        # import repro.graphs.graph), and the canonical-order key is only
-        # needed at construction time.
-        from repro.core.ordering import node_sort_key
-
         if order1 is None:
-            order1 = sorted(g1.nodes(), key=node_sort_key)
+            order1 = canonical_order(g1.nodes())
         if order2 is None:
-            order2 = sorted(g2.nodes(), key=node_sort_key)
+            order2 = canonical_order(g2.nodes())
         self.g1 = g1
         self.g2 = g2
         self.csr1 = CSRGraph(g1, order=order1)

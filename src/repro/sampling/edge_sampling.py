@@ -14,7 +14,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.graphs.csr import flatten_adjacency
+from repro.graphs.csr import dense_lookup, flatten_adjacency
 from repro.graphs.graph import Graph
 from repro.sampling.pair import GraphPair
 from repro.utils.rng import ensure_rng, spawn_rngs
@@ -57,11 +57,12 @@ def _edge_arrays(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """
     adj = graph.adjacency()
     n = len(adj)
-    ranks = np.arange(n, dtype=np.int64)
     dense_of = dict(zip(adj, range(n)))
-    degrees, neighbors = flatten_adjacency(adj, dense_of, ranks)
+    degrees, neighbors = flatten_adjacency(
+        adj, dense_of, dense_lookup(dense_of)
+    )
     index = np.int32 if n < 2**31 else np.int64
-    rows = np.repeat(ranks.astype(index), degrees)
+    rows = np.repeat(np.arange(n, dtype=index), degrees)
     later = neighbors > rows
     return rows[later], neighbors[later].astype(index)
 

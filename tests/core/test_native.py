@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import native
-from repro.core.config import TiePolicy
+from repro.core import kernels, native
+from repro.core.config import MatcherConfig, TiePolicy
 from repro.core.kernels import (
     ArrayScores,
     ScatterWorkspace,
@@ -35,10 +35,16 @@ from repro.core.native import (
     load_native_library,
     native_available,
 )
+from repro.core.matcher import UserMatching
 from repro.core.scoring import count_similarity_witnesses
 from repro.errors import KernelInputError
 from repro.graphs.graph import Graph
+from repro.generators.preferential_attachment import (
+    preferential_attachment_graph,
+)
 from repro.graphs.pair_index import GraphPairIndex
+from repro.sampling.edge_sampling import independent_copies
+from repro.seeds.generators import sample_seeds
 
 NATIVE = native_available()
 
@@ -553,6 +559,22 @@ class TestNativeSelection:
         assert out[0].tolist() == ref[0].tolist()
         assert out[1].tolist() == ref[1].tolist()
         assert out[2] == ref[2] == scores.num_pairs
+
+    def test_carried_rounds_select_int32_columns(self, nk):
+        """Every carried-table round reaches C with three int32 columns,
+        so native selection never widens a copy of them."""
+        graph = preferential_attachment_graph(1500, 5, seed=1)
+        pair = independent_copies(graph, 0.6, seed=2)
+        seeds = sample_seeds(pair, 0.1, seed=3)
+        keyspace = pair.g1.num_nodes * pair.g2.num_nodes
+        assert keyspace <= kernels._SCATTER_KEYSPACE_CAP  # carried path
+        config = MatcherConfig(threshold=2, iterations=2, backend="native")
+        with mock.patch.object(nk, "mutual_best", wraps=nk.mutual_best) as spy:
+            UserMatching(config).run(pair.g1, pair.g2, seeds)
+        assert spy.call_count > 1
+        for call in spy.call_args_list:
+            dtypes = [column.dtype for column in call.args[:3]]
+            assert dtypes == [np.int32] * 3
 
 
 class TestSelectionBoundary:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import NodeNotFoundError
-from repro.graphs.csr import CSRGraph, _dense_lookup
+from repro.graphs.csr import CSRGraph, dense_lookup
 from repro.graphs.graph import Graph
 
 
@@ -17,8 +17,8 @@ def _path_graph(path):
     """The path 0-1-2 under *path*'s ids, checked to take that path."""
     node = ID_PATHS[path]
     g = Graph.from_edges([(node(0), node(1)), (node(1), node(2))])
-    ranks = np.arange(g.num_nodes, dtype=np.int64)
-    table = _dense_lookup(g.adjacency(), ranks) is not None
+    dense_of = dict(zip(g.nodes(), range(g.num_nodes)))
+    table = dense_lookup(dense_of) is not None
     assert table == (path == "table")
     return g, node
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ordering import node_sort_key
-from repro.graphs.csr import CSRGraph, _dense_lookup
+from repro.graphs.csr import CSRGraph, dense_lookup
 from repro.graphs.graph import Graph
 from repro.graphs.ops import induced_subgraph, intersection, relabel, union
 
@@ -155,6 +155,6 @@ class TestCSRWall:
             assert np.array_equal(csr.indices, indices)
             assert csr.node_ids == nodes
             assert csr._dense_of == dense_of
-        ranks = np.arange(g.num_nodes, dtype=np.int64)
-        table = _dense_lookup(g.adjacency(), ranks) is not None
+        dense_of = dict(zip(g.nodes(), range(g.num_nodes)))
+        table = dense_lookup(dense_of) is not None
         assert table == (ID_KINDS[kind][1] and g.num_nodes > 0)
