@@ -13,7 +13,11 @@ A kernel-level pair isolates the pruning machinery itself: building the
 community assignment (``assign_communities``: wavefront label
 propagation over the union graph) and applying the diagonal-first
 allowance mask to a scored round (``kernels.prune_scores``), separate
-from the matcher around them.
+from the matcher around them.  ``test_bench_pruned_join`` replays the
+witness joins of one native pruned run two ways — pruned inside the
+compiled join (``count_witnesses(..., communities=)``) and the full join
+followed by ``allowed_mask`` — on identical inputs, so the two columns
+differ only in where pruning happens.
 
 Unlike the blocked/parallel suites, links are *expected* to differ from
 the unpruned baseline — pruning changes results by design.  What must
@@ -153,3 +157,71 @@ def test_bench_prune_mask(benchmark, workload):
     benchmark.extra_info["input_pairs"] = n_pairs
     benchmark.extra_info["kept_pairs"] = kept
     assert 0 < kept < n_pairs
+
+
+@pytest.fixture(scope="module")
+def pruned_joins(workload):
+    """The ``count_witnesses`` calls of one native pruned matcher run."""
+    from unittest import mock
+
+    from repro.core import kernels
+    from repro.core.native import load_native_library
+
+    if load_native_library(warn=False) is None:
+        pytest.skip("no C toolchain in this environment")
+    pair, seeds = workload
+    calls = []
+    join = kernels.count_witnesses
+
+    def record(index, *args, **kwargs):
+        calls.append((index, args, kwargs))
+        return join(index, *args, **kwargs)
+
+    with mock.patch.object(kernels, "count_witnesses", record):
+        run_matcher(pair, seeds, "community", backend="native")
+    return calls
+
+
+def join_then_mask(calls):
+    """Each join in full, then the allowance mask over its rows."""
+    from repro.core import kernels
+
+    tables = []
+    for index, args, kwargs in calls:
+        kwargs = dict(kwargs)
+        assignment = kwargs.pop("communities")
+        scores, emitted = kernels.count_witnesses(index, *args, **kwargs)
+        keep = assignment.allowed_mask(scores.left, scores.right)
+        tables.append((kernels.prune_scores(scores, keep), emitted))
+    return tables
+
+
+def join_pruned(calls):
+    """Each join with the pruning inside the compiled fill pass."""
+    from repro.core import kernels
+
+    return [
+        kernels.count_witnesses(index, *args, **kwargs)
+        for index, args, kwargs in calls
+    ]
+
+
+@pytest.mark.parametrize(
+    "where", ["in_join", "after_join"], ids=lambda w: f"prune={w}"
+)
+def test_bench_pruned_join(benchmark, pruned_joins, where):
+    """The pruned run's joins, pruned in the join vs. after it."""
+    replay = join_pruned if where == "in_join" else join_then_mask
+    tables = benchmark.pedantic(
+        replay, args=(pruned_joins,), rounds=5, iterations=1
+    )
+    reference = join_then_mask(pruned_joins)
+    for (got, emitted), (want, want_emitted) in zip(tables, reference):
+        assert emitted == want_emitted
+        assert got.left.tolist() == want.left.tolist()
+        assert got.right.tolist() == want.right.tolist()
+        assert got.score.tolist() == want.score.tolist()
+    benchmark.extra_info["prune"] = where
+    benchmark.extra_info["joins"] = len(tables)
+    benchmark.extra_info["witness_pairs"] = sum(e for _, e in tables)
+    benchmark.extra_info["kept_rows"] = sum(t.num_pairs for t, _ in tables)

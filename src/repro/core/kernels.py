@@ -50,6 +50,7 @@ from repro.graphs.pair_index import GraphPairIndex
 
 if TYPE_CHECKING:
     from repro.core.native import NativeKernels
+    from repro.graphs.communities import CommunityAssignment
     from repro.graphs.csr import CSRGraph
 
 Node = Hashable
@@ -73,7 +74,8 @@ class WitnessCounter(Protocol):
     never takes them), but *emitted* is the full expansion either way.
     Counters that sum partial tables (worker shards, memory blocks)
     ignore it, since partial counts below the floor can add up to one
-    above it.
+    above it.  Under community pruning the counter also leaves out
+    every pair the assignment does not allow.
     """
 
     def __call__(
@@ -183,15 +185,15 @@ class CarriedWitnessTable:
     Every join goes through the caller's *count* (so worker pools,
     memory-budgeted blocks and the compiled join compose unchanged),
     always with every nonzero count: a pair's count adds up across
-    rounds, so no join may drop a row below the threshold.  *keep*
-    (community pruning) filters each join's output before it is folded,
-    which is the same as filtering the extracted table.
+    rounds, so no join may drop a row below the threshold.  Community
+    pruning is the counter's business too (:func:`count_witnesses`
+    with ``communities=``): a pruned pair's count is 0 in every join,
+    so filtering each join is the same as filtering the extracted table.
     """
 
     __slots__ = (
         "index",
         "_count",
-        "_keep",
         "_native",
         "_buf",
         "_floor",
@@ -211,12 +213,10 @@ class CarriedWitnessTable:
         exponents: "list[int]",
         count: WitnessCounter,
         *,
-        keep: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
         native: "NativeKernels | None" = None,
     ) -> None:
         self.index = index
         self._count = count
-        self._keep = keep
         self._native = native
         # A pair's witness count is at most the number of links, which
         # the keyspace cap bounds far below 2**31.
@@ -246,7 +246,6 @@ class CarriedWitnessTable:
         exponents: "list[int]",
         count: WitnessCounter,
         *,
-        keep: "Callable[[np.ndarray, np.ndarray], np.ndarray] | None" = None,
         native: "NativeKernels | None" = None,
     ) -> "CarriedWitnessTable | None":
         """A carried table for *index*, or ``None`` if the key space is
@@ -255,7 +254,7 @@ class CarriedWitnessTable:
         A ``None`` sweep recounts every link in every round.
         """
         if 0 < index.n1 * index.n2 <= _SCATTER_KEYSPACE_CAP:
-            return cls(index, exponents, count, keep=keep, native=native)
+            return cls(index, exponents, count, native=native)
         return None
 
     def round(
@@ -334,10 +333,6 @@ class CarriedWitnessTable:
         if not (len(link_l) and eligible1.any() and eligible2.any()):
             return
         scores, _ = self._count(link_l, link_r, eligible1, eligible2)
-        if self._keep is not None:
-            scores = prune_scores(
-                scores, self._keep(scores.left, scores.right)
-            )
         if scores.num_pairs:
             keys = scores.left.astype(np.int64) * self.index.n2 + scores.right
             # Join outputs have unique keys, so fancy-index addition is
@@ -528,6 +523,7 @@ def count_witnesses(
     *,
     native: "NativeKernels | None" = None,
     min_count: int = 1,
+    communities: "CommunityAssignment | None" = None,
 ) -> tuple[ArrayScores, int]:
     """Count similarity witnesses for all eligible candidate pairs.
 
@@ -566,13 +562,21 @@ def count_witnesses(
         min_count: keep only pairs with at least this many witnesses
             (default 1: every witnessed pair).  The compiled join never
             writes the rows below it; the sparse product filters them.
+        communities: community pruning — keep only the pairs the
+            assignment's ``allowed_mask`` allows.  The one place the
+            array sweep prunes: with the compiled join and a
+            diagonal-only ring (``frontier=0``) each candidate reads
+            only its own community's slice of a link's row, so pruned
+            pairs cost no witness work; otherwise the mask filters the
+            joined table.  The same table either way.
 
     Returns:
         ``(scores, witnesses_emitted)``: *scores* holds every eligible
-        pair scoring ``>= min_count``, and *witnesses_emitted* is the
-        total cross-product work ``Σ a_k · b_k`` (the round's cost in
-        the paper's accounting, identical in all implementations and
-        for every *min_count*).
+        (and allowed) pair scoring ``>= min_count``, and
+        *witnesses_emitted* is the total cross-product work
+        ``Σ a_k · b_k`` (the round's cost in the paper's accounting,
+        identical in all implementations and for every *min_count* and
+        pruning).
 
     Raises:
         KernelInputError: if a mask is not ``bool`` of length
@@ -584,6 +588,15 @@ def count_witnesses(
     if len(link_left) == 0 or index.n1 == 0 or index.n2 == 0:
         return ArrayScores(index, _EMPTY, _EMPTY, _EMPTY, native=native), 0
     if native is not None:
+        labels: "tuple[np.ndarray, np.ndarray, int] | None" = None
+        if communities is not None and communities.diagonal_only:
+            # The compiled join applies the diagonal rule itself.
+            labels = (
+                communities.comm1.astype(np.int32),
+                communities.comm2.astype(np.int32),
+                communities.num_communities,
+            )
+            communities = None
         left, right, counts, emitted = native.witness_join(
             csr1.indptr,
             csr1.indices,
@@ -596,11 +609,30 @@ def count_witnesses(
             index.n1,
             index.n2,
             min_count,
+            communities=labels,
         )
-        return (
-            ArrayScores(index, left, right, counts, native=native),
-            emitted,
+        scores = ArrayScores(index, left, right, counts, native=native)
+    else:
+        scores, emitted = _sparse_join(
+            index, link_left, link_right, eligible1, eligible2, min_count
         )
+    if communities is not None:
+        scores = prune_scores(
+            scores, communities.allowed_mask(scores.left, scores.right)
+        )
+    return scores, emitted
+
+
+def _sparse_join(
+    index: GraphPairIndex,
+    link_left: np.ndarray,
+    link_right: np.ndarray,
+    eligible1: np.ndarray,
+    eligible2: np.ndarray,
+    min_count: int,
+) -> tuple[ArrayScores, int]:
+    """:func:`count_witnesses` as the scipy product ``B1 @ B2``."""
+    csr1, csr2 = index.csr1, index.csr2
     nbr1, seg1 = segmented_gather(csr1.indptr, csr1.indices, link_left)
     keep1 = eligible1[nbr1]
     nbr1, seg1 = nbr1[keep1], seg1[keep1]

@@ -572,9 +572,33 @@ class UserMatching:
             if native is None
             else None
         )
-        # Every counter takes the recount's floor (``min_count``); the
+        link_l, link_r = index.intern_links(seeds)
+        assignment = None
+        if cfg.candidate_pruning == "community":
+            # Built once from the union graph and the *initial* seed
+            # links — every backend consults the same assignment, so
+            # the filter (and the links) are identical across
+            # dict/csr/native.
+            from repro.graphs.communities import assign_communities
+
+            assignment = assign_communities(
+                index, link_l, link_r, frontier=cfg.pruning_frontier
+            )
+
+        def allowed(
+            scores: "kernels.ArrayScores",
+        ) -> "kernels.ArrayScores":
+            if assignment is None:
+                return scores
+            return kernels.prune_scores(
+                scores, assignment.allowed_mask(scores.left, scores.right)
+            )
+
+        # Every counter takes the recount's floor (``min_count``) and
+        # leaves out the pairs community pruning does not allow.  The
         # pooled and blocked ones sum partial tables, so they keep every
-        # count and selection applies the threshold to the sums.
+        # count, selection applies the threshold to the sums, and they
+        # prune the joined table.
         if cfg.memory_budget_mb is not None:
             # Memory-budgeted streaming: each round's links are split
             # into degree-product-sized blocks; with a pool, every block
@@ -589,7 +613,7 @@ class UserMatching:
                 *,
                 min_count: int = 1,
             ) -> "tuple[kernels.ArrayScores, int]":
-                return kernels.count_witnesses_blocked(
+                scores, emitted = kernels.count_witnesses_blocked(
                     index,
                     ll,
                     lr,
@@ -602,6 +626,7 @@ class UserMatching:
                     native=native,
                     workspace=workspace,
                 )
+                return allowed(scores), emitted
 
         elif pool is not None:
 
@@ -613,7 +638,8 @@ class UserMatching:
                 *,
                 min_count: int = 1,
             ) -> "tuple[kernels.ArrayScores, int]":
-                return pool.count_witnesses(ll, lr, e1, e2)
+                scores, emitted = pool.count_witnesses(ll, lr, e1, e2)
+                return allowed(scores), emitted
 
         else:
 
@@ -626,20 +652,16 @@ class UserMatching:
                 min_count: int = 1,
             ) -> "tuple[kernels.ArrayScores, int]":
                 return kernels.count_witnesses(
-                    index, ll, lr, e1, e2, native=native, min_count=min_count
+                    index,
+                    ll,
+                    lr,
+                    e1,
+                    e2,
+                    native=native,
+                    min_count=min_count,
+                    communities=assignment,
                 )
-        link_l, link_r = index.intern_links(seeds)
-        assignment = None
-        if cfg.candidate_pruning == "community":
-            # Built once from the union graph and the *initial* seed
-            # links — every backend consults the same assignment, so
-            # the filter (and the links) are identical across
-            # dict/csr/native.
-            from repro.graphs.communities import assign_communities
 
-            assignment = assign_communities(
-                index, link_l, link_r, frontier=cfg.pruning_frontier
-            )
         linked1 = np.zeros(index.n1, dtype=bool)
         linked2 = np.zeros(index.n2, dtype=bool)
         linked1[link_l] = True
@@ -651,11 +673,7 @@ class UserMatching:
         # only new links and newly eligible degree bands; larger ones
         # recount every round.
         table = kernels.CarriedWitnessTable.for_index(
-            index,
-            exponents,
-            count,
-            keep=assignment.allowed_mask if assignment is not None else None,
-            native=native,
+            index, exponents, count, native=native
         )
 
         for iteration in range(1, cfg.iterations + 1):
@@ -677,13 +695,6 @@ class UserMatching:
                         ~linked2 & floor2,
                         min_count=cfg.threshold,
                     )
-                    if assignment is not None:
-                        scores = kernels.prune_scores(
-                            scores,
-                            assignment.allowed_mask(
-                                scores.left, scores.right
-                            ),
-                        )
                 new_l, new_r, candidates = (
                     kernels.select_mutual_best_arrays(
                         scores, cfg.threshold, cfg.tie_policy

@@ -13,8 +13,10 @@ dependency-free C kernel at first use:
   cross-product materialization, no hashing, and *no sort anywhere*:
   set bits scan out of the bitmap lowest-first, so packed
   ``v1 * n2 + v2`` keys are emitted already in canonical ``np.unique``
-  order with the same counts as the csr sparse join, and rows below an
-  optional witness floor (``min_count``) are never written;
+  order with the same counts as the csr sparse join, rows below an
+  optional witness floor (``min_count``) are never written, and with
+  community labels a candidate reads only its own community's slice
+  of each link's row, so pruned pairs cost no witness work;
 - **table merges** (worker shards, memory blocks) hash-accumulate
   ``(key, count)`` rows the same way;
 - **mutual-best** selection is a single pass over the score triples with
@@ -63,6 +65,7 @@ from repro.errors import KernelInputError
 __all__ = [
     "NativeFallbackWarning",
     "NativeKernels",
+    "check_communities",
     "check_eligibility_masks",
     "check_min_count",
     "load_native_library",
@@ -208,6 +211,75 @@ static int64_t repro_ctz64(uint64_t x) {
 #endif
 }
 
+/* Group each link's filtered right row into runs by (community, v2).
+ *
+ * rows holds the links' filtered rows back to back (link k's at
+ * [foffs[k], foffs[k + 1]), each ascending).  On return run r spans
+ * [rstart[r], rstart[r + 1]) of rows, link k's runs are
+ * [roffs[k], roffs[k + 1]), and rcomm[r] is the run's community.
+ * With comm2 == NULL every non-empty row is one run of community -1.
+ * Otherwise the rows are reordered in place by (comm2[v2], v2) — a
+ * stable two-pass radix sort over all rows at once, O(entries + K +
+ * links) — so a row's unassigned run (-1) comes first, its
+ * communities follow ascending, and every run stays ascending in v2.
+ * Runs take O(row length) memory: a link gets one only for each
+ * community its row touches.  Returns 0, or -1 on allocation failure. */
+static int repro_group_runs(
+    uint32_t *rows, const int64_t *foffs, int64_t n_links,
+    const int32_t *comm2, int64_t n_comm,
+    int64_t *roffs, int64_t *rstart, int32_t *rcomm
+) {
+    int64_t fn = foffs[n_links], nr = 0;
+    if (comm2 != NULL && fn > 0) {
+        int64_t *pos = (int64_t *)calloc((size_t)n_comm + 2,
+                                         sizeof(int64_t));
+        int64_t *perm = (int64_t *)malloc((size_t)fn * sizeof(int64_t));
+        int32_t *elink = (int32_t *)malloc((size_t)fn * sizeof(int32_t));
+        uint32_t *sorted = (uint32_t *)malloc((size_t)fn * sizeof(uint32_t));
+        int64_t *fill = (int64_t *)malloc(
+            (size_t)(n_links > 0 ? n_links : 1) * sizeof(int64_t));
+        if (pos == NULL || perm == NULL || elink == NULL ||
+            sorted == NULL || fill == NULL) {
+            free(pos); free(perm); free(elink); free(sorted); free(fill);
+            return -1;
+        }
+        /* Pass 1 orders the entries by community, stably: (community,
+         * link, v2).  Pass 2 deals them back into their links' slices,
+         * stably: (link, community, v2). */
+        for (int64_t k = 0; k < n_links; k++) {
+            fill[k] = foffs[k];
+            for (int64_t j = foffs[k]; j < foffs[k + 1]; j++) {
+                elink[j] = (int32_t)k;
+                pos[comm2[rows[j]] + 2]++;
+            }
+        }
+        for (int64_t c = 1; c <= n_comm + 1; c++) pos[c] += pos[c - 1];
+        for (int64_t j = 0; j < fn; j++)
+            perm[pos[comm2[rows[j]] + 1]++] = j;
+        for (int64_t t = 0; t < fn; t++)
+            sorted[fill[elink[perm[t]]]++] = rows[perm[t]];
+        memcpy(rows, sorted, (size_t)fn * sizeof(uint32_t));
+        free(pos); free(perm); free(elink); free(sorted); free(fill);
+    }
+    for (int64_t k = 0; k < n_links; k++) {
+        roffs[k] = nr;
+        int64_t js = foffs[k], je = foffs[k + 1];
+        if (js == je) continue;
+        rstart[nr] = js;
+        rcomm[nr++] = comm2 != NULL ? comm2[rows[js]] : -1;
+        if (comm2 == NULL) continue;
+        for (int64_t j = js + 1; j < je; j++) {
+            int32_t c = comm2[rows[j]];
+            if (c == rcomm[nr - 1]) continue;
+            rstart[nr] = j;
+            rcomm[nr++] = c;
+        }
+    }
+    roffs[n_links] = nr;
+    rstart[nr] = fn;
+    return 0;
+}
+
 /* The witness join, row-major and sort-free.  Two phases behind one
  * entry point:
  *
@@ -218,34 +290,46 @@ static int64_t repro_ctz64(uint64_t x) {
  *     or copies.
  *
  *   out_l != NULL  ->  fill pass.  The per-link right-side rows are
- *     eligibility-filtered once into a flat uint32 buffer, then every
- *     candidate v1 (ascending) gathers its contributing links (those
- *     with a non-empty filtered row) and dispatches on their count.
- *     Neighbor rows are strictly ascending and duplicate-free (the
- *     Graph stores adjacency as sets; interning sorts rows), so one
- *     contributing link means the filtered row IS the output — a
- *     straight copy with count 1 — and two mean a two-pointer sorted
- *     merge (equal heads emit count 2).  Three or more fall back to
- *     the dense scatter: a bitmap marks touched columns and an
- *     n2-sized scratch array accumulates counts — the same dataflow
- *     as the sparse incidence matmul, but without materializing the
- *     incidence matrices and with a branchless 3-op inner loop.  Rows
- *     flush by scanning the bitmap words between precomputed per-link
- *     bounds (rows are ascending, so each link's word range is
- *     first/last entry — O(1)); set bits come out lowest-first, so
- *     every path emits (left, right) rows already in canonical
- *     ascending packed-key order — no sort ever happens on the join
- *     path, and the caller never unpacks a key.
+ *     eligibility-filtered once into a flat uint32 buffer and split
+ *     into runs (repro_group_runs): one run per row, or with
+ *     communities one per (row, community).  Every candidate v1
+ *     (ascending) then gathers the runs it may read from its
+ *     contributing links (those with a non-empty filtered row) and
+ *     dispatches on their count.  Neighbor rows are strictly ascending
+ *     and duplicate-free (the Graph stores adjacency as sets;
+ *     interning sorts rows), and so is every run, so one run IS the
+ *     output — a straight copy with count 1 — and two mean a
+ *     two-pointer sorted merge (equal heads, from two links, emit
+ *     count 2).  Three or more fall back to the dense scatter: a
+ *     bitmap marks touched columns and an n2-sized scratch array
+ *     accumulates counts — the same dataflow as the sparse incidence
+ *     matmul, but without materializing the incidence matrices and
+ *     with a branchless 3-op inner loop.  Rows flush by scanning the
+ *     bitmap words between the runs' first and last entries (O(1) per
+ *     run); set bits come out lowest-first.  When the entries are
+ *     dense over that span (at least one per two columns) no bitmap is
+ *     marked and the flush scans the span's counts in place, also
+ *     lowest-first.  So every path emits (left, right) rows already in
+ *     canonical ascending packed-key order — no sort ever happens on
+ *     the join path, and the caller never unpacks a key.
+ *
+ * Community pruning (comm1/comm2 != NULL; ids in [-1, n_comm), -1 =
+ * unassigned) keeps a pair when comm1[v1] == comm2[v2] or either is
+ * -1: an assigned v1 reads only its own community's run of each link
+ * (found by binary search in the link's sorted run list) plus the
+ * unassigned run, and an unassigned v1 reads every run.  The kept
+ * rows, their counts and their order are exactly the unpruned join's
+ * allowed rows, and the pruned pairs cost no witness work at all.
  *
  * The fill pass writes only rows whose count is at least min_count
  * (>= 1; 1 keeps every nonzero count).  A pair's count is at most the
- * number of links contributing to its candidate, so a candidate with
- * fewer than min_count of them writes nothing and only adds its row
- * lengths to the expansion; the two-link merge drops heads below the
- * floor, and the bitmap flush still clears every touched scratch slot
- * but writes only those at or above it.  The bound pass ignores the
- * floor (it stays the output capacity; pages never written cost no
- * RSS), and *emitted is the full expansion whatever the floor.
+ * number of links with a run its candidate reads, so a candidate with
+ * fewer than min_count of them writes nothing; the two-run merge drops
+ * heads below the floor, and the flushes still clear every touched
+ * scratch slot but write only those at or above it.  The
+ * bound pass ignores the floor and the communities (it stays the
+ * output capacity; pages never written cost no RSS), and *emitted is
+ * the full expansion Σ a_k·b_k whatever the floor or the pruning.
  *
  * Counts use int32 scratch: a pair's witness count is at most n_links
  * (each link contributes at most one witness per pair), and the caller
@@ -263,6 +347,7 @@ int64_t NAME(                                                           \
     const int64_t *indptr2, const T2 *indices2,                         \
     const int64_t *link_l, const int64_t *link_r, int64_t n_links,      \
     const uint8_t *elig1, const uint8_t *elig2,                         \
+    const int32_t *comm1, const int32_t *comm2, int64_t n_comm,         \
     int64_t n1, int64_t n2,                                             \
     OUT_T *out_l, OUT_T *out_r, OUT_T *out_vals, int64_t cap,           \
     int64_t min_count, int64_t *emitted                                 \
@@ -303,21 +388,25 @@ int64_t NAME(                                                           \
         (size_t)(fcap > 0 ? fcap : 1) * sizeof(uint32_t));              \
     int64_t *foffs = (int64_t *)malloc(                                 \
         (size_t)(n_links + 1) * sizeof(int64_t));                       \
-    int64_t *flo = (int64_t *)malloc(                                   \
-        (size_t)(n_links > 0 ? n_links : 1) * sizeof(int64_t));         \
-    int64_t *fhi = (int64_t *)malloc(                                   \
-        (size_t)(n_links > 0 ? n_links : 1) * sizeof(int64_t));         \
-    int64_t *klist = (int64_t *)malloc(                                 \
-        (size_t)(n_links > 0 ? n_links : 1) * sizeof(int64_t));         \
+    int64_t *roffs = (int64_t *)malloc(                                 \
+        (size_t)(n_links + 1) * sizeof(int64_t));                       \
+    /* Runs: one per non-empty row, or at most one per entry. */      \
+    int64_t rmax = comm2 != NULL ? fcap : n_links;                      \
+    int64_t *rstart = (int64_t *)malloc(                                \
+        (size_t)(rmax + 1) * sizeof(int64_t));                          \
+    int32_t *rcomm = (int32_t *)malloc(                                 \
+        (size_t)(rmax > 0 ? rmax : 1) * sizeof(int32_t));               \
+    int64_t *rlist = (int64_t *)malloc(                                 \
+        (size_t)(rmax > 0 ? rmax : 1) * sizeof(int64_t));               \
     int32_t *scratch = (int32_t *)calloc(                               \
         (size_t)(n2 > 0 ? n2 : 1), sizeof(int32_t));                    \
     uint64_t *bits = (uint64_t *)calloc(                                \
         (size_t)n_words, sizeof(uint64_t));                             \
-    if (fbuf == NULL || foffs == NULL || flo == NULL || fhi == NULL ||  \
-        klist == NULL || scratch == NULL || bits == NULL) {             \
-        free(head); free(next); free(fbuf); free(foffs);                \
-        free(flo); free(fhi); free(klist); free(scratch); free(bits);   \
-        return -1;                                                      \
+    int64_t total = 0, rows = 0, rc = 0;                                \
+    if (fbuf == NULL || foffs == NULL || roffs == NULL ||               \
+        rstart == NULL || rcomm == NULL || rlist == NULL ||             \
+        scratch == NULL || bits == NULL) {                              \
+        rc = -1; goto NAME##_done;                                      \
     }                                                                   \
     int64_t fn = 0;                                                     \
     foffs[0] = 0;                                                       \
@@ -327,28 +416,41 @@ int64_t NAME(                                                           \
             int64_t v2 = (int64_t)indices2[j];                          \
             if (elig2[v2]) fbuf[fn++] = (uint32_t)v2;                   \
         }                                                               \
-        flo[k] = foffs[k] < fn ? (int64_t)fbuf[foffs[k]] >> 6           \
-                               : n_words;                               \
-        fhi[k] = foffs[k] < fn ? (int64_t)fbuf[fn - 1] >> 6 : -1;       \
         foffs[k + 1] = fn;                                              \
     }                                                                   \
-    int64_t total = 0, rows = 0, rc = 0;                                \
+    if (repro_group_runs(fbuf, foffs, n_links, comm2, n_comm,           \
+                         roffs, rstart, rcomm) != 0) {                  \
+        rc = -1; goto NAME##_done;                                      \
+    }                                                                   \
     for (int64_t v1 = 0; v1 < n1; v1++) {                               \
         if (!elig1[v1]) continue;                                       \
-        int64_t klen = 0;                                               \
+        int32_t c1 = comm1 != NULL ? comm1[v1] : -1;                    \
+        int64_t nl = 0, nr = 0;                                         \
         for (int64_t i = indptr1[v1]; i < indptr1[v1 + 1]; i++) {       \
             int64_t u1 = (int64_t)indices1[i];                          \
             for (int64_t k = head[u1]; k != -1; k = next[k]) {          \
-                if (foffs[k + 1] > foffs[k]) klist[klen++] = k;         \
+                int64_t r = roffs[k], re = roffs[k + 1];                \
+                if (r == re) continue;                                  \
+                total += rstart[re] - rstart[r];                        \
+                if (c1 < 0) {                                           \
+                    while (r < re) rlist[nr++] = r++;                   \
+                    nl++;                                               \
+                    continue;                                           \
+                }                                                       \
+                int64_t got = nr;                                       \
+                if (rcomm[r] < 0) rlist[nr++] = r++;                    \
+                while (r < re) {                                        \
+                    int64_t mid = r + ((re - r) >> 1);                  \
+                    if (rcomm[mid] < c1) r = mid + 1; else re = mid;    \
+                }                                                       \
+                if (r < roffs[k + 1] && rcomm[r] == c1)                 \
+                    rlist[nr++] = r;                                    \
+                nl += nr > got;                                         \
             }                                                           \
         }                                                               \
-        if (klen < min_count) {                                         \
-            for (int64_t t = 0; t < klen; t++)                          \
-                total += foffs[klist[t] + 1] - foffs[klist[t]];         \
-            continue;                                                   \
-        }                                                               \
-        if (klen == 1) {                                                \
-            int64_t js = foffs[klist[0]], je = foffs[klist[0] + 1];     \
+        if (nl < min_count || nr == 0) continue;                        \
+        if (nr == 1) {                                                  \
+            int64_t js = rstart[rlist[0]], je = rstart[rlist[0] + 1];   \
             if (rows + (je - js) > cap) { rc = -2; goto NAME##_done; }  \
             for (int64_t j = js; j < je; j++) {                         \
                 out_l[rows] = (OUT_T)v1;                                \
@@ -356,13 +458,11 @@ int64_t NAME(                                                           \
                 out_vals[rows] = 1;                                     \
                 rows++;                                                 \
             }                                                           \
-            total += je - js;                                           \
             continue;                                                   \
         }                                                               \
-        if (klen == 2) {                                                \
-            int64_t ja = foffs[klist[0]], jae = foffs[klist[0] + 1];    \
-            int64_t jb = foffs[klist[1]], jbe = foffs[klist[1] + 1];    \
-            total += (jae - ja) + (jbe - jb);                           \
+        if (nr == 2) {                                                  \
+            int64_t ja = rstart[rlist[0]], jae = rstart[rlist[0] + 1];  \
+            int64_t jb = rstart[rlist[1]], jbe = rstart[rlist[1] + 1];  \
             while (ja < jae || jb < jbe) {                              \
                 uint32_t va = ja < jae ? fbuf[ja] : (uint32_t)-1;       \
                 uint32_t vb = jb < jbe ? fbuf[jb] : (uint32_t)-1;       \
@@ -379,18 +479,46 @@ int64_t NAME(                                                           \
             }                                                           \
             continue;                                                   \
         }                                                               \
-        int64_t lo = n_words, hi = -1;                                  \
-        for (int64_t t = 0; t < klen; t++) {                            \
-            int64_t k = klist[t];                                       \
-            lo = flo[k] < lo ? flo[k] : lo;                             \
-            hi = fhi[k] > hi ? fhi[k] : hi;                             \
-            int64_t je = foffs[k + 1];                                  \
-            for (int64_t j = foffs[k]; j < je; j++) {                   \
+        int64_t lo = n_words, hi = -1, ops = 0;                         \
+        for (int64_t t = 0; t < nr; t++) {                              \
+            int64_t js = rstart[rlist[t]], je = rstart[rlist[t] + 1];   \
+            int64_t wlo = (int64_t)(fbuf[js] >> 6);                     \
+            int64_t whi = (int64_t)(fbuf[je - 1] >> 6);                 \
+            lo = wlo < lo ? wlo : lo;                                   \
+            hi = whi > hi ? whi : hi;                                   \
+            ops += je - js;                                             \
+        }                                                               \
+        if (ops * 2 >= (hi - lo + 1) << 6) {                            \
+            /* Dense: at least one entry per two columns of the span.  \
+             * Scanning the span's counts costs less than marking the  \
+             * bitmap entry by entry (a read-modify-write chain when   \
+             * neighbors share a word). */                              \
+            for (int64_t t = 0; t < nr; t++) {                          \
+                int64_t je = rstart[rlist[t] + 1];                      \
+                for (int64_t j = rstart[rlist[t]]; j < je; j++)         \
+                    scratch[fbuf[j]]++;                                 \
+            }                                                           \
+            int64_t end = (hi + 1) << 6 < n2 ? (hi + 1) << 6 : n2;      \
+            for (int64_t v2 = lo << 6; v2 < end; v2++) {                \
+                int32_t c = scratch[v2];                                \
+                if (c == 0) continue;                                   \
+                scratch[v2] = 0;                                        \
+                if (c < min_count) continue;                            \
+                if (rows == cap) { rc = -2; goto NAME##_done; }         \
+                out_l[rows] = (OUT_T)v1;                                \
+                out_r[rows] = (OUT_T)v2;                                \
+                out_vals[rows] = (OUT_T)c;                              \
+                rows++;                                                 \
+            }                                                           \
+            continue;                                                   \
+        }                                                               \
+        for (int64_t t = 0; t < nr; t++) {                              \
+            int64_t je = rstart[rlist[t] + 1];                          \
+            for (int64_t j = rstart[rlist[t]]; j < je; j++) {           \
                 uint32_t v2 = fbuf[j];                                  \
                 bits[v2 >> 6] |= (uint64_t)1 << (v2 & 63);              \
                 scratch[v2]++;                                          \
             }                                                           \
-            total += je - foffs[k];                                     \
         }                                                               \
         for (int64_t w = lo; w <= hi; w++) {                            \
             uint64_t word = bits[w];                                    \
@@ -412,8 +540,8 @@ int64_t NAME(                                                           \
         }                                                               \
     }                                                                   \
 NAME##_done:                                                            \
-    free(head); free(next); free(fbuf); free(foffs);                    \
-    free(flo); free(fhi); free(klist); free(scratch); free(bits);       \
+    free(head); free(next); free(fbuf); free(foffs); free(roffs);       \
+    free(rstart); free(rcomm); free(rlist); free(scratch); free(bits);  \
     *emitted = total;                                                   \
     return rc == 0 ? rows : rc;                                         \
 }
@@ -619,6 +747,42 @@ def check_pair_ids(
             )
 
 
+def check_communities(
+    comm1: np.ndarray,
+    comm2: np.ndarray,
+    num_communities: int,
+    n1: int,
+    n2: int,
+) -> None:
+    """Refuse community labels the pruned C join would index past.
+
+    The join reads ``comm1``/``comm2`` by node id and sizes its run
+    tables by the community count, with no bounds checks: a short or
+    non-``int32`` array is read past its end or misread, and a label
+    outside ``[-1, num_communities)`` indexes past the tables.  O(n)
+    min/max scans, no sort.
+
+    Raises:
+        KernelInputError: on a wrong dtype or length, a label out of
+            range, or a community count outside ``[0, 2**31)``.
+    """
+    if not 0 <= num_communities < 2**31:
+        raise KernelInputError(
+            f"num_communities must lie in [0, 2**31), got {num_communities}"
+        )
+    for side, comm, n in ((1, comm1, n1), (2, comm2, n2)):
+        if comm.dtype != np.int32 or comm.shape != (n,):
+            raise KernelInputError(
+                f"comm{side} must be an int32 array of shape ({n},), "
+                f"got {comm.dtype} of shape {comm.shape}"
+            )
+        if n and (comm.min() < -1 or comm.max() >= num_communities):
+            raise KernelInputError(
+                f"comm{side} labels must lie in [-1, {num_communities}), "
+                f"got [{comm.min()}, {comm.max()}]"
+            )
+
+
 def check_min_count(min_count: int) -> None:
     """Refuse a witness-count floor below 1.
 
@@ -733,7 +897,7 @@ class NativeKernels:
                 fn = getattr(lib, f"repro_join_{tags}_{width}")
                 fn.argtypes = [
                     p64, vp, p64, vp, p64, p64, i64, pu8, pu8,
-                    i64, i64, vp, vp, vp, i64, i64, p64,
+                    vp, vp, i64, i64, i64, vp, vp, vp, i64, i64, p64,
                 ]
                 fn.restype = i64
         lib.repro_acc_export.argtypes = [vp, p64, p64]
@@ -791,6 +955,7 @@ class NativeKernels:
         n1: int,
         n2: int,
         min_count: int = 1,
+        communities: "tuple[np.ndarray, np.ndarray, int] | None" = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Row-major CSR witness join, already unpacked and canonical.
 
@@ -809,12 +974,17 @@ class NativeKernels:
         columns promote before any arithmetic can overflow.
 
         Only rows with ``counts >= min_count`` are written (the default
-        1 keeps every witnessed pair); *emitted* is the full expansion
-        ``Σ a_k · b_k`` whatever the floor.
+        1 keeps every witnessed pair).  *communities* ``(comm1, comm2,
+        K)`` — ``int32`` labels in ``[-1, K)``, ``-1`` unassigned —
+        prunes inside the join: only pairs with ``comm1[v1] ==
+        comm2[v2]`` or an unassigned endpoint are counted, exactly the
+        rows (and counts, and order) the full join followed by the
+        frontier-0 ``allowed_mask`` keeps.  *emitted* is the full
+        expansion ``Σ a_k · b_k`` whatever the floor or the pruning.
 
         Raises:
-            KernelInputError: on malformed masks, row pointers or link
-                ids, or ``min_count < 1``.
+            KernelInputError: on malformed masks, row pointers, link
+                ids or community labels, or ``min_count < 1``.
         """
         check_min_count(min_count)
         # The C join indexes every array below by node id with no
@@ -828,6 +998,16 @@ class NativeKernels:
                     f"got shape {indptr.shape}"
                 )
         check_pair_ids(link_l, link_r, n1, n2, ("link_l", "link_r"))
+        vp = ctypes.c_void_p
+        labels1 = labels2 = vp()
+        num_communities = 0
+        if communities is not None:
+            comm1, comm2, num_communities = communities
+            check_communities(comm1, comm2, num_communities, n1, n2)
+            comm1 = np.ascontiguousarray(comm1)
+            comm2 = np.ascontiguousarray(comm2)
+            labels1 = comm1.ctypes.data_as(vp)
+            labels2 = comm2.ctypes.data_as(vp)
         if len(link_l) == 0:
             return _EMPTY, _EMPTY, _EMPTY, 0
         if len(link_l) >= 2**31:
@@ -855,7 +1035,7 @@ class NativeKernels:
         out32 = max(n1, n2) <= _NATIVE_OUT32_MAX
         out_dtype = np.int32 if out32 else np.int64
         join = self._join_fn(indices1, indices2, out32)
-        null = ctypes.c_void_p()
+        null = vp()
 
         def call(out_l, out_r, out_vals, cap):
             emitted = ctypes.c_int64(0)
@@ -869,6 +1049,9 @@ class NativeKernels:
                 len(link_l),
                 self._pu8(elig1),
                 self._pu8(elig2),
+                labels1,
+                labels2,
+                num_communities,
                 n1,
                 n2,
                 out_l,
@@ -888,7 +1071,6 @@ class NativeKernels:
         left = np.empty(bound, dtype=out_dtype)
         right = np.empty(bound, dtype=out_dtype)
         counts = np.empty(bound, dtype=out_dtype)
-        vp = ctypes.c_void_p
         rows, emitted = call(
             left.ctypes.data_as(vp),
             right.ctypes.data_as(vp),

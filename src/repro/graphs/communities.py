@@ -248,6 +248,16 @@ class CommunityAssignment:
         ]
         self._allowed_set: frozenset[int] | None = None
 
+    @property
+    def diagonal_only(self) -> bool:
+        """Whether the ring is the diagonal alone (as at ``frontier=0``).
+
+        Then a pair is allowed exactly when ``c1 == c2`` or an endpoint
+        is unassigned, a rule the compiled witness join applies inside
+        the join (:func:`repro.core.kernels.count_witnesses`).
+        """
+        return len(self._off_diagonal) == 0
+
     # ------------------------------------------------------------------
     def allowed_mask(
         self, left: np.ndarray, right: np.ndarray

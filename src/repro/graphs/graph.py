@@ -166,20 +166,27 @@ class Graph:
         g = cls()
         keys = objs[order].tolist()
         g._adj = dict(zip(keys, map(sets.__getitem__, order)))
+        if len(g._adj) < len(keys):
+            # Equal but distinct ids in the table (1 and True) are one
+            # dict key, and their sets would overwrite each other: build
+            # the loop's graph through the loop.
+            g = cls()
+            for i in first.tolist():
+                g.add_node(objs[i])
+            for s, d in zip(src.tolist(), dst.tolist()):
+                g.add_edge(objs[s], objs[d])
+            return g
         g._num_edges = sum(map(len, sets)) // 2
-        # Equal ids in the node table collapse into one dict key; the
-        # arrays would then name one node twice, so they are not kept.
-        if len(g._adj) == len(order):
-            dense = np.int32 if len(order) < 2**31 else np.int64
-            position = np.empty(n, dtype=dense)  # dense id -> nodes() slot
-            position[placed] = np.arange(len(order), dtype=dense)
-            ends = (
-                position[src.astype(np.intp, copy=False)],
-                position[dst.astype(np.intp, copy=False)],
-            )
-            for arr in ends:
-                arr.flags.writeable = False
-            g._arrays = ends
+        dense = np.int32 if len(order) < 2**31 else np.int64
+        position = np.empty(n, dtype=dense)  # dense id -> nodes() slot
+        position[placed] = np.arange(len(order), dtype=dense)
+        ends = (
+            position[src.astype(np.intp, copy=False)],
+            position[dst.astype(np.intp, copy=False)],
+        )
+        for arr in ends:
+            arr.flags.writeable = False
+        g._arrays = ends
         return g
 
     def recorded_edges(self) -> tuple[np.ndarray, np.ndarray] | None:

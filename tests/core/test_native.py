@@ -245,6 +245,41 @@ class TestJoinBoundary:
         with pytest.raises(KernelInputError, match=match):
             nk.witness_join(**args)
 
+    @staticmethod
+    def star_labels():
+        """Communities of the star pair: hub unassigned, leaves 0/0/1."""
+        labels = np.array([-1, 0, 0, 1], dtype=np.int32)
+        return [labels, labels.copy(), 2]
+
+    def test_well_formed_pruned_join(self, nk):
+        left, right, _, emitted = nk.witness_join(
+            **self.star_args(), communities=tuple(self.star_labels())
+        )
+        # Leaves 1 and 2 share community 0; leaf 3 pairs only itself.
+        assert emitted == 9
+        assert list(zip(left.tolist(), right.tolist())) == [
+            (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)
+        ]
+
+    @pytest.mark.parametrize(
+        "slot,value,match",
+        [
+            (0, np.array([-1, 0, 0, 1], dtype=np.int64), "comm1 must be"),
+            (1, np.array([-1, 0, 0], dtype=np.int32), "comm2 must be"),
+            (0, np.array([-2, 0, 0, 1], dtype=np.int32), "comm1 labels"),
+            (1, np.array([-1, 0, 0, 2], dtype=np.int32), "comm2 labels"),
+            (2, -1, "num_communities"),
+        ],
+        ids=["dtype", "length", "below-minus-one", "at-count", "count"],
+    )
+    def test_malformed_communities_refused(self, nk, slot, value, match):
+        communities = self.star_labels()
+        communities[slot] = value
+        with pytest.raises(KernelInputError, match=match):
+            nk.witness_join(
+                **self.star_args(), communities=tuple(communities)
+            )
+
 
 def paths_args():
     """One link set that drives each fill-pass path of the join.

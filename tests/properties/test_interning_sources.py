@@ -157,6 +157,19 @@ class TestArraySourceWall:
         assert g.recorded_edges() is None
         assert_sources_agree(g, 0)
 
+    def test_equal_table_ids_build_the_loop_graph(self):
+        # Node 1's set {2, 3} and True's set {3} are one dict entry; the
+        # bulk build used to keep only the later one, {1: {3}, ...}.
+        g = Graph.from_dense_edges([1, True, 2, 3], [0, 1], [2, 3])
+        loop = Graph()
+        loop.add_edge(1, 2)
+        loop.add_edge(True, 3)
+        assert g.adjacency() == loop.adjacency() == {1: {2, 3}, 2: {1}, 3: {1}}
+        assert list(g.nodes()) == list(loop.nodes())
+        assert g.num_edges == loop.num_edges == 2
+        assert g.recorded_edges() is None
+        assert_sources_agree(g, 0)
+
     def test_recorded_arrays_are_read_only(self):
         g = bulk_build(list("abcd"), [(0, 1), (2, 3)], [])
         for arr in g.recorded_edges():
