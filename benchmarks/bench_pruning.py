@@ -17,7 +17,10 @@ from the matcher around them.  ``test_bench_pruned_join`` replays the
 witness joins of one native pruned run two ways — pruned inside the
 compiled join (``count_witnesses(..., communities=)``) and the full join
 followed by ``allowed_mask`` — on identical inputs, so the two columns
-differ only in where pruning happens.
+differ only in where pruning happens.  ``test_bench_carried_round``
+replays the carried score table's work in one native pruned run — its
+folds and its 20 round extractions — through the compiled kernels or
+the numpy bodies, with every round's table asserted equal.
 
 Unlike the blocked/parallel suites, links are *expected* to differ from
 the unpruned baseline — pruning changes results by design.  What must
@@ -225,3 +228,85 @@ def test_bench_pruned_join(benchmark, pruned_joins, where):
     benchmark.extra_info["joins"] = len(tables)
     benchmark.extra_info["witness_pairs"] = sum(e for _, e in tables)
     benchmark.extra_info["kept_rows"] = sum(t.num_pairs for t, _ in tables)
+
+
+@pytest.fixture(scope="module")
+def carried_rounds(workload):
+    """The carried table's work in one native pruned matcher run.
+
+    A log of the run's folds (each join's rows) and round extractions
+    (masks and threshold), in call order: replaying it rebuilds every
+    round's table without keeping a copy of the dense buffer per round.
+    """
+    from unittest import mock
+
+    from repro.core import kernels
+    from repro.core.native import load_native_library
+
+    nk = load_native_library(warn=False)
+    if nk is None:
+        pytest.skip("no C toolchain in this environment")
+    pair, seeds = workload
+    log = []
+    fold = nk.carried_fold
+    extract = kernels.extract_carried
+
+    def record_fold(buf, n1, n2, left, right, counts):
+        log.append(("fold", (left.copy(), right.copy(), counts.copy())))
+        fold(buf, n1, n2, left, right, counts)
+
+    def record_extract(buf, n1, n2, eligible1, eligible2, threshold, **kw):
+        log.append(("extract", (eligible1, eligible2, threshold)))
+        return extract(buf, n1, n2, eligible1, eligible2, threshold, **kw)
+
+    with (
+        mock.patch.object(nk, "carried_fold", record_fold),
+        mock.patch.object(kernels, "extract_carried", record_extract),
+    ):
+        result = run_matcher(pair, seeds, "community", backend="native")
+    n1, n2 = pair.g1.num_nodes, pair.g2.num_nodes
+    return nk, n1, n2, log, len(result.phases)
+
+
+def replay_carried(nk, n1, n2, log, native):
+    """Fold and extract the logged rounds, compiled or in numpy."""
+    import numpy as np
+
+    from repro.core import kernels
+
+    buf = np.zeros(n1 * n2, dtype=np.int32)
+    tables = []
+    for kind, args in log:
+        if kind == "extract":
+            tables.append(
+                kernels.extract_carried(buf, n1, n2, *args, native=native)
+            )
+        elif native is not None:
+            native.carried_fold(buf, n1, n2, *args)
+        else:
+            left, right, counts = args
+            buf[left.astype(np.int64) * n2 + right] += counts
+    return tables
+
+
+@pytest.mark.parametrize(
+    "extract", ["numpy", "native"], ids=lambda e: f"extract={e}"
+)
+def test_bench_carried_round(benchmark, carried_rounds, extract):
+    """The pruned run's carried-table rounds: its folds and its round
+    extractions, through the compiled kernels or the numpy bodies."""
+    nk, n1, n2, log, rounds = carried_rounds
+    native = nk if extract == "native" else None
+    tables = benchmark.pedantic(
+        replay_carried, args=(nk, n1, n2, log, native), rounds=5, iterations=1
+    )
+    reference = replay_carried(nk, n1, n2, log, None)
+    assert len(tables) == rounds
+    for got, want in zip(tables, reference):
+        for have, expected in zip(got, want):
+            assert have.dtype == expected.dtype
+            assert have.tolist() == expected.tolist()
+    benchmark.extra_info["extract"] = extract
+    benchmark.extra_info["rounds"] = rounds
+    benchmark.extra_info["folds"] = sum(kind == "fold" for kind, _ in log)
+    benchmark.extra_info["rows"] = sum(len(t[0]) for t in tables)

@@ -153,6 +153,42 @@ class ScatterWorkspace:
         return out_keys, out_counts
 
 
+def extract_carried(
+    buf: np.ndarray,
+    n1: int,
+    n2: int,
+    eligible1: np.ndarray,
+    eligible2: np.ndarray,
+    threshold: int,
+    *,
+    native: "NativeKernels | None" = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a dense ``int32[n1 * n2]`` table scoring at least
+    *threshold* whose row and column are both eligible.
+
+    Returns int32 ``(left, right, score)`` columns in ascending
+    packed-key order — ids as narrow as the scores (the keyspace cap
+    keeps ``n1`` and ``n2`` far below ``2**31``), so native selection
+    reads all three columns in place.  With a *native* handle the
+    compiled scan reads only the eligible rows and columns; the numpy
+    body gathers the eligible rows and filters the columns after.
+    """
+    rows = np.flatnonzero(eligible1)
+    if native is not None:
+        return native.carried_extract(
+            buf, n1, n2, rows, np.flatnonzero(eligible2), threshold
+        )
+    block = buf.reshape(n1, n2)[rows].ravel()
+    hot = np.flatnonzero(block >= threshold)
+    row, right = np.divmod(hot, np.int64(n2))
+    keep = eligible2[right]
+    return (
+        rows[row[keep]].astype(np.int32),
+        right[keep].astype(np.int32),
+        block[hot[keep]],
+    )
+
+
 class CarriedWitnessTable:
     """The array sweep's score table, carried across rounds.
 
@@ -189,6 +225,11 @@ class CarriedWitnessTable:
     pruning is the counter's business too (:func:`count_witnesses`
     with ``communities=``): a pruned pair's count is 0 in every join,
     so filtering each join is the same as filtering the extracted table.
+
+    With a *native* handle the table's upkeep is compiled as well: each
+    fold is :meth:`~repro.core.native.NativeKernels.carried_fold` and
+    each extraction scans only the eligible rows and columns in C
+    (:func:`extract_carried`).  The numpy bodies run otherwise.
     """
 
     __slots__ = (
@@ -303,22 +344,17 @@ class CarriedWitnessTable:
         emitted = int((a * b).sum())
 
         floor1, floor2 = index.eligibility(min_degree)
-        rows = np.flatnonzero(free1 & floor1)
-        block = self._buf.reshape(index.n1, index.n2)[rows].ravel()
-        hot = np.flatnonzero(block >= threshold)
-        row, right = np.divmod(hot, np.int64(index.n2))
-        keep = free2[right] & floor2[right]
-        # Ids as narrow as the int32 scores (the keyspace cap keeps n1
-        # and n2 far below 2**31), so native selection reads all three
-        # columns in place.
+        left, right, score = extract_carried(
+            self._buf,
+            index.n1,
+            index.n2,
+            free1 & floor1,
+            free2 & floor2,
+            threshold,
+            native=self._native,
+        )
         return (
-            ArrayScores(
-                index,
-                rows[row[keep]].astype(np.int32),
-                right[keep].astype(np.int32),
-                block[hot[keep]],
-                native=self._native,
-            ),
+            ArrayScores(index, left, right, score, native=self._native),
             emitted,
         )
 
@@ -333,7 +369,18 @@ class CarriedWitnessTable:
         if not (len(link_l) and eligible1.any() and eligible2.any()):
             return
         scores, _ = self._count(link_l, link_r, eligible1, eligible2)
-        if scores.num_pairs:
+        if not scores.num_pairs:
+            return
+        if self._native is not None:
+            self._native.carried_fold(
+                self._buf,
+                self.index.n1,
+                self.index.n2,
+                scores.left,
+                scores.right,
+                scores.score,
+            )
+        else:
             keys = scores.left.astype(np.int64) * self.index.n2 + scores.right
             # Join outputs have unique keys, so fancy-index addition is
             # exact.

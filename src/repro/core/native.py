@@ -19,6 +19,13 @@ dependency-free C kernel at first use:
   of each link's row, so pruned pairs cost no witness work;
 - **table merges** (worker shards, memory blocks) hash-accumulate
   ``(key, count)`` rows the same way;
+- the **carried score table** of
+  :class:`repro.core.kernels.CarriedWitnessTable` is kept in C: a fold
+  scatter-adds each join's rows into the dense ``int32[n1 * n2]``
+  buffer, and a round's extraction scans only the free, floor-eligible
+  rows against the free, floor-eligible columns, writing the entries
+  at or above the threshold in ascending packed-key order (a count
+  pass, then a fill pass into exactly sized arrays, like the join);
 - **mutual-best** selection is a single pass over the score triples with
   per-side argmax tables (exact :class:`~repro.core.config.TiePolicy`
   semantics), and the **greedy** accept scan — inherently sequential,
@@ -65,6 +72,8 @@ from repro.errors import KernelInputError
 __all__ = [
     "NativeFallbackWarning",
     "NativeKernels",
+    "check_ascending_ids",
+    "check_carried_buffer",
     "check_communities",
     "check_eligibility_masks",
     "check_min_count",
@@ -657,6 +666,82 @@ NAME##_done:                                                            \
 REPRO_MUTUAL_BEST(repro_mutual_best, int64_t)
 REPRO_MUTUAL_BEST(repro_mutual_best_i32, int32_t)
 
+/* ------------------------------------------------------------------ *
+ * Carried score table: the dense int32[n1 * n2] buffer the array sweep
+ * keeps across rounds (kernels.CarriedWitnessTable).
+ * ------------------------------------------------------------------ */
+
+/* Scatter-add a join's (left, right, count) rows into the table.  Join
+ * rows have unique keys, so this is buf[left * n2 + right] += count.
+ * Generated for the int32 columns the _o32 joins emit and for int64. */
+#define REPRO_CARRIED_FOLD(NAME, IN_T)                                  \
+void NAME(                                                              \
+    int32_t *buf, int64_t n2,                                           \
+    const IN_T *left, const IN_T *right, const IN_T *count, int64_t n   \
+) {                                                                     \
+    for (int64_t i = 0; i < n; i++)                                     \
+        buf[(int64_t)left[i] * n2 + (int64_t)right[i]] +=               \
+            (int32_t)count[i];                                          \
+}
+
+REPRO_CARRIED_FOLD(repro_carried_fold_i32, int32_t)
+REPRO_CARRIED_FOLD(repro_carried_fold_i64, int64_t)
+
+/* One round's extraction: the entries of rows x cols (both strictly
+ * ascending id lists) scoring at least threshold, as int32 (left,
+ * right, score) rows in ascending packed-key order.  Two phases behind
+ * one entry point, like the join:
+ *
+ *   out_l == NULL  ->  count pass: return the number of entries.
+ *   out_l != NULL  ->  fill pass into arrays of capacity cap (-2 if
+ *     the entries would not fit).
+ *
+ * The fill pass writes every column of a row and advances past the
+ * entries below the threshold (no branch to mispredict: a third of the
+ * entries qualify in a typical round) whenever the whole row fits in
+ * the remaining capacity, and checks entry by entry otherwise. */
+int64_t repro_carried_extract(
+    const int32_t *buf, int64_t n2,
+    const int64_t *rows, int64_t n_rows,
+    const int64_t *cols, int64_t n_cols,
+    int32_t threshold,
+    int32_t *out_l, int32_t *out_r, int32_t *out_s, int64_t cap
+) {
+    int64_t found = 0;
+    if (out_l == NULL) {
+        for (int64_t i = 0; i < n_rows; i++) {
+            const int32_t *row = buf + rows[i] * n2;
+            for (int64_t j = 0; j < n_cols; j++)
+                found += row[cols[j]] >= threshold;
+        }
+        return found;
+    }
+    for (int64_t i = 0; i < n_rows; i++) {
+        const int32_t *row = buf + rows[i] * n2;
+        int32_t v1 = (int32_t)rows[i];
+        if (cap - found >= n_cols) {
+            for (int64_t j = 0; j < n_cols; j++) {
+                int32_t c = row[cols[j]];
+                out_l[found] = v1;
+                out_r[found] = (int32_t)cols[j];
+                out_s[found] = c;
+                found += c >= threshold;
+            }
+            continue;
+        }
+        for (int64_t j = 0; j < n_cols; j++) {
+            int32_t c = row[cols[j]];
+            if (c < threshold) continue;
+            if (found == cap) return -2;
+            out_l[found] = v1;
+            out_r[found] = (int32_t)cols[j];
+            out_s[found] = c;
+            found++;
+        }
+    }
+    return found;
+}
+
 /* Greedy accept scan over pairs pre-ranked by (-score, left, right):
  * take each pair while both endpoints are free.  The ranking is done
  * by the caller (one lexsort); only this inherently sequential scan
@@ -796,6 +881,47 @@ def check_min_count(min_count: int) -> None:
         raise KernelInputError(f"min_count must be >= 1, got {min_count}")
 
 
+def check_carried_buffer(buf: np.ndarray, n1: int, n2: int) -> None:
+    """Refuse a carried score table that is not C-contiguous ``int32[n1*n2]``.
+
+    The carried-table kernels address the buffer as ``row * n2 + col``
+    with no bounds checks: a short buffer is read or written past its
+    end, and any other dtype or layout is misread.
+
+    Raises:
+        KernelInputError: on a wrong dtype, shape or layout.
+    """
+    if (
+        not isinstance(buf, np.ndarray)
+        or buf.dtype != np.int32
+        or buf.shape != (n1 * n2,)
+        or not buf.flags.c_contiguous
+    ):
+        raise KernelInputError(
+            f"the carried table must be a C-contiguous int32 array of "
+            f"shape ({n1 * n2},), got {getattr(buf, 'dtype', type(buf))} "
+            f"of shape {getattr(buf, 'shape', None)}"
+        )
+
+
+def check_ascending_ids(ids: np.ndarray, n: int, name: str) -> None:
+    """Refuse an id list that is not 1-d, strictly ascending, in ``[0, n)``.
+
+    Raises:
+        KernelInputError: on a wrong shape, an id out of range, or an
+            id not above its predecessor.
+    """
+    if ids.ndim != 1:
+        raise KernelInputError(f"{name} must be 1-d, got shape {ids.shape}")
+    if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+        raise KernelInputError(f"{name} must be strictly ascending")
+    # Ascending, so the ends bound every id.
+    if len(ids) and (ids[0] < 0 or ids[-1] >= n):
+        raise KernelInputError(
+            f"{name} must lie in [0, {n}), got [{ids[0]}, {ids[-1]}]"
+        )
+
+
 #: module-level cache: ``None`` = not attempted, ``(kernels,)`` =
 #: loaded, ``()`` = attempted and failed (don't recompile every round).
 _CACHE: "tuple[NativeKernels] | tuple[()] | None" = None
@@ -912,6 +1038,14 @@ class NativeKernels:
         lib.repro_mutual_best_i32.restype = i64
         lib.repro_greedy_scan.argtypes = [p64, p64, i64, i64, i64, p64, p64]
         lib.repro_greedy_scan.restype = i64
+        for width in ("i32", "i64"):
+            fn = getattr(lib, f"repro_carried_fold_{width}")
+            fn.argtypes = [vp, i64, vp, vp, vp, i64]
+            fn.restype = None
+        lib.repro_carried_extract.argtypes = [
+            vp, i64, vp, i64, vp, i64, c.c_int32, vp, vp, vp, i64,
+        ]
+        lib.repro_carried_extract.restype = i64
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -1035,25 +1169,28 @@ class NativeKernels:
         out32 = max(n1, n2) <= _NATIVE_OUT32_MAX
         out_dtype = np.int32 if out32 else np.int64
         join = self._join_fn(indices1, indices2, out32)
-        null = vp()
+        # Both passes share one set of pointers: ``data_as`` is not free.
+        inputs = (
+            self._p64(indptr1),
+            indices1.ctypes.data_as(vp),
+            self._p64(indptr2),
+            indices2.ctypes.data_as(vp),
+            self._p64(link_l),
+            self._p64(link_r),
+            len(link_l),
+            self._pu8(elig1),
+            self._pu8(elig2),
+            labels1,
+            labels2,
+            num_communities,
+            n1,
+            n2,
+        )
 
         def call(out_l, out_r, out_vals, cap):
             emitted = ctypes.c_int64(0)
             status = join(
-                self._p64(indptr1),
-                indices1.ctypes.data_as(ctypes.c_void_p),
-                self._p64(indptr2),
-                indices2.ctypes.data_as(ctypes.c_void_p),
-                self._p64(link_l),
-                self._p64(link_r),
-                len(link_l),
-                self._pu8(elig1),
-                self._pu8(elig2),
-                labels1,
-                labels2,
-                num_communities,
-                n1,
-                n2,
+                *inputs,
                 out_l,
                 out_r,
                 out_vals,
@@ -1065,6 +1202,7 @@ class NativeKernels:
                 raise MemoryError("native witness join ran out of memory")
             return int(status), int(emitted.value)
 
+        null = vp()
         _, bound = call(null, null, null, 0)
         if bound == 0:
             return _EMPTY, _EMPTY, _EMPTY, 0
@@ -1078,6 +1216,113 @@ class NativeKernels:
             bound,
         )
         return left[:rows], right[:rows], counts[:rows], emitted
+
+    def carried_fold(
+        self,
+        buf: np.ndarray,
+        n1: int,
+        n2: int,
+        left: np.ndarray,
+        right: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        """Add a join's ``(left, right, counts)`` rows to a carried table.
+
+        In place, ``buf[left * n2 + right] += counts`` over the dense
+        ``int32[n1 * n2]`` table of
+        :class:`repro.core.kernels.CarriedWitnessTable`.  The rows must
+        have unique keys, as every join's do.  Three int32 columns (the
+        ``_o32`` join's output) are read in place; anything else is
+        widened to int64 first.
+
+        Raises:
+            KernelInputError: on a malformed buffer, columns of unequal
+                length, or an id outside ``[0, n1)`` / ``[0, n2)``.
+        """
+        check_carried_buffer(buf, n1, n2)
+        if not buf.flags.writeable:
+            raise KernelInputError("the carried table must be writeable")
+        narrow = all(a.dtype == np.int32 for a in (left, right, counts))
+        dtype = np.int32 if narrow else np.int64
+        left = np.ascontiguousarray(left, dtype=dtype)
+        right = np.ascontiguousarray(right, dtype=dtype)
+        counts = np.ascontiguousarray(counts, dtype=dtype)
+        check_pair_ids(left, right, n1, n2)
+        if counts.shape != left.shape:
+            raise KernelInputError(
+                f"counts must match left/right in shape, got {counts.shape} "
+                f"and {left.shape}"
+            )
+        if len(left) == 0:
+            return
+        fold = (
+            self._lib.repro_carried_fold_i32
+            if narrow
+            else self._lib.repro_carried_fold_i64
+        )
+        fold(
+            buf.ctypes.data,
+            n2,
+            left.ctypes.data,
+            right.ctypes.data,
+            counts.ctypes.data,
+            len(left),
+        )
+
+    def carried_extract(
+        self,
+        buf: np.ndarray,
+        n1: int,
+        n2: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        threshold: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One round's rows of a carried table: ``rows x cols`` at or above
+        *threshold*.
+
+        Returns int32 ``(left, right, score)`` columns in ascending
+        packed-key order, scanning only the listed (strictly ascending)
+        row and column ids.  Two C calls, like the join: a count pass
+        sizing the outputs exactly, then a fill pass into them.
+
+        Raises:
+            KernelInputError: on a malformed buffer, row or column ids
+                out of range or not strictly ascending, or
+                ``threshold < 1``.
+        """
+        check_carried_buffer(buf, n1, n2)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        check_ascending_ids(rows, n1, "rows")
+        check_ascending_ids(cols, n2, "cols")
+        if threshold < 1:
+            raise KernelInputError(f"threshold must be >= 1, got {threshold}")
+        if max(n1, n2) > 2**31 - 1:
+            raise ValueError("carried extraction emits int32 node ids")
+        empty = np.empty(0, dtype=np.int32)
+        if threshold > 2**31 - 1:
+            return empty, empty, empty  # no int32 score reaches it
+        inputs = (
+            buf.ctypes.data,
+            n2,
+            rows.ctypes.data,
+            len(rows),
+            cols.ctypes.data,
+            len(cols),
+            threshold,
+        )
+        extract = self._lib.repro_carried_extract
+        found = int(extract(*inputs, None, None, None, 0))
+        if found == 0:
+            return empty, empty, empty
+        out = [np.empty(found, dtype=np.int32) for _ in range(3)]
+        written = int(extract(*inputs, *(a.ctypes.data for a in out), found))
+        if written != found:
+            raise RuntimeError(
+                f"carried extraction wrote {written} of {found} counted rows"
+            )
+        return out[0], out[1], out[2]
 
     def merge_packed(
         self, parts: "list[tuple[np.ndarray, np.ndarray]]"

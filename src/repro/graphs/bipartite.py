@@ -9,8 +9,9 @@ recomputable from a filtered interest set — that is what this class provides.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Hashable, Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import NodeNotFoundError
 from repro.graphs.graph import Graph
@@ -93,23 +94,51 @@ class BipartiteGraph:
         *affiliations* (all affiliations when ``None``).  Every registered
         user appears in the folded graph, possibly isolated — the Table 4
         experiment needs consistent node sets across the two folds.
+
+        The graph equals the one this loop builds, in node order and in
+        every neighbor set's iteration order::
+
+            g = Graph()
+            for user in users:
+                g.add_node(user)
+            for aff in affiliations:
+                for u, v in combinations(sorted(members(aff), key=repr), 2):
+                    g.add_edge(u, v)
+
+        It is built from edge arrays (:meth:`Graph.from_dense_edges`), so
+        it keeps them for :meth:`Graph.recorded_edges` and interning
+        assembles its CSR without walking the neighbor sets.
         """
-        g = Graph()
-        for user in self._user_affs:
-            g.add_node(user)
+        users = list(self._user_affs)
+        position = {user: i for i, user in enumerate(users)}
         if affiliations is None:
             selected: Iterable[Affiliation] = self._aff_users
         else:
             selected = affiliations
+        src: list[np.ndarray] = []
+        dst: list[np.ndarray] = []
         for aff in selected:
             members = self._aff_users.get(aff)
             if members is None:
                 raise NodeNotFoundError(aff)
             if len(members) < 2:
                 continue
-            for u, v in combinations(sorted(members, key=repr), 2):
-                g.add_edge(u, v)
-        return g
+            ids = np.fromiter(
+                map(position.__getitem__, sorted(members, key=repr)),
+                dtype=np.int64,
+                count=len(members),
+            )
+            # Row-major upper triangle == itertools.combinations order.
+            i, j = np.triu_indices(len(ids), k=1)
+            src.append(ids[i])
+            dst.append(ids[j])
+        empty = np.empty(0, dtype=np.int64)
+        return Graph.from_dense_edges(
+            users,
+            np.concatenate(src) if src else empty,
+            np.concatenate(dst) if dst else empty,
+            first=np.arange(len(users)),
+        )
 
     def __repr__(self) -> str:
         return (

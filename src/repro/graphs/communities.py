@@ -133,9 +133,13 @@ def union_label_propagation(
         return labels, union1, union2, edges
     labels[seed_left] = seed_left
     # Grow-only: a labeled slot (seeds included) is frozen, so its
-    # edges never vote again.  Only edges out of unlabeled slots stay.
-    active = labels[src] < 0
-    act_src, act_dst = src[active], dst[active]
+    # edges never vote again.  Only edges out of unlabeled slots stay,
+    # as slot ids as narrow as the slot count allows.
+    slot = np.int32 if n_total < 2**31 else np.int64
+    active = (labels < 0)[src]
+    act_src = src[active].astype(slot)
+    act_dst = dst[active].astype(slot)
+    del active
     nt = np.int64(n_total)
     for _round in range(max_rounds):
         lbl = labels[act_dst]
@@ -144,7 +148,10 @@ def union_label_propagation(
             break
         # One sort of packed (node, label) keys: runs are (node, label)
         # occurrences, node-major and label-ascending within a node.
-        keys = np.sort(act_src[voting] * nt + lbl[voting])
+        keys = act_src[voting] * nt
+        keys += lbl[voting]
+        del lbl
+        keys.sort()
         boundary = np.empty(len(keys), dtype=bool)
         boundary[0] = True
         np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
@@ -161,7 +168,7 @@ def union_label_propagation(
         rank = run_count * nt + (nt - 1 - run_key % nt)
         best = np.maximum.reduceat(rank, node_start)
         labels[run_src[node_start]] = nt - 1 - best % nt
-        still = labels[act_src] < 0
+        still = (labels < 0)[act_src]
         act_src, act_dst = act_src[still], act_dst[still]
     return labels, union1, union2, edges
 

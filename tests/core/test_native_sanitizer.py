@@ -3,13 +3,22 @@
 The C kernels are loaded through ctypes and index their arrays with no
 bounds checks; the wrapper's input checks are the only guard.  This run
 builds the kernels with ``REPRO_NATIVE_CC="cc -fsanitize=address,undefined"``
-into a fresh ``REPRO_NATIVE_DIR`` and replays the pruned-join wall
-(``tests/properties/test_pruned_join.py``: random graphs plus the
-adversarial CSR shapes) in a subprocess that preloads the ASan runtime,
-so any out-of-bounds access or undefined behaviour inside the join
-aborts the run.  A canary first proves the sanitizer is live: with the
-wrapper's mask check patched out, a short eligibility mask must be
-reported as a heap overflow.
+into a fresh ``REPRO_NATIVE_DIR`` and replays the native walls in a
+subprocess that preloads the ASan runtime, so any out-of-bounds access
+or undefined behaviour inside a kernel aborts the run:
+
+- the pruned-join wall (``tests/properties/test_pruned_join.py``:
+  random graphs plus the adversarial CSR shapes);
+- the carried-table kernel wall
+  (``tests/properties/test_carried_kernels.py``: fold and extraction
+  against their numpy bodies, whole sweeps, the boundary refusals);
+- the carried-table sweep wall
+  (``tests/properties/test_carried_table_equivalence.py``).
+
+Canaries first prove the sanitizer is live: with the wrapper's check
+patched out, a short eligibility mask given to the join and a row id
+past the end of a carried table must each be reported as a heap
+overflow.
 
 Skipped when the C compiler has no ASan runtime.  Run on its own with
 ``python -m pytest -q tests/core/test_native_sanitizer.py``.
@@ -80,8 +89,8 @@ def run_python(code: str, env: dict) -> subprocess.CompletedProcess:
 
 
 #: Loads the sanitized build (refusing a silent csr fallback, which
-#: would skip every native test) and reads past a one-byte mask.
-CANARY = """
+#: would skip every native test), then makes one out-of-bounds read.
+CANARY_HEAD = """
 from unittest import mock
 import numpy as np
 from repro.core import native
@@ -90,6 +99,11 @@ from repro.graphs.pair_index import GraphPairIndex
 
 nk = native.load_native_library(warn=False)
 assert nk is not None, "the sanitized kernels did not load"
+"""
+
+CANARIES = {
+    # The join reads past a one-byte eligibility mask.
+    "join": """
 g = Graph.from_edges([(0, i) for i in range(1, 200)])
 index = GraphPairIndex(g, g.copy())
 link = np.zeros(1, dtype=np.int64)
@@ -101,8 +115,16 @@ with mock.patch.object(native, "check_eligibility_masks", lambda *a: None):
         np.ones(index.n1, dtype=bool), np.ones(1, dtype=bool),
         index.n1, index.n2,
     )
-print("no overflow reported")
-"""
+""",
+    # The extraction reads a row past the end of the carried table.
+    "carried": """
+buf = np.zeros(64 * 64, dtype=np.int32)
+with mock.patch.object(native, "check_ascending_ids", lambda *a: None):
+    nk.carried_extract(
+        buf, 64, 64, np.array([64]), np.arange(64), 1
+    )
+""",
+}
 
 WALL = """
 import os
@@ -114,18 +136,25 @@ nk = native.load_native_library(warn=False)
 assert nk is not None, "the sanitized kernels did not load"
 assert nk.lib_path.parent.samefile(os.environ["REPRO_NATIVE_DIR"])
 sys.exit(pytest.main([
-    "-q", "-p", "no:cacheprovider", "tests/properties/test_pruned_join.py",
+    "-q", "-p", "no:cacheprovider",
+    "tests/properties/test_pruned_join.py",
+    "tests/properties/test_carried_kernels.py",
+    "tests/properties/test_carried_table_equivalence.py",
 ]))
 """
 
 
-def test_sanitizer_catches_an_overflow(sanitized_env):
-    proc = run_python(CANARY, sanitized_env)
+@pytest.mark.parametrize("kernel", sorted(CANARIES))
+def test_sanitizer_catches_an_overflow(sanitized_env, kernel):
+    proc = run_python(
+        CANARY_HEAD + CANARIES[kernel] + 'print("no overflow reported")\n',
+        sanitized_env,
+    )
     assert proc.returncode != 0, proc.stdout + proc.stderr
     assert "AddressSanitizer: heap-buffer-overflow" in proc.stderr
 
 
-def test_pruned_join_wall_is_clean(sanitized_env):
+def test_native_walls_are_clean(sanitized_env):
     proc = run_python(WALL, sanitized_env)
     report = proc.stdout[-4000:] + proc.stderr[-4000:]
     assert proc.returncode == 0, report
