@@ -1,146 +1,34 @@
-"""Time-vs-budget and peak-memory curves for blocked execution.
+"""The million-node rung: RMAT20 end to end, peak RSS recorded.
 
-Benchmarks the ``backend="csr"`` matcher end-to-end under a sweep of
-``memory_budget_mb`` values on the Table-2 R-MAT rung past 3000 nodes,
-recording for every budget both the wall-clock mean (the benchmark
-statistic) and the measured peak allocation of one run
-(``extra_info["peak_mb"]``, via :class:`repro.utils.memory.MemoryTracker`)
-— so the JSON committed as ``BENCH_blocked.json`` carries the whole
-time-vs-budget / memory-vs-budget trade-off curve, not just a headline
-number.  A kernel-level pair (monolithic vs forced-multi-block round)
-isolates the streaming merge's overhead from the matcher around it.
-
-The million-node rung (`million_rung`, RMAT20 = 1,048,576 addressable
-nodes under a stated budget, peak RSS recorded) is exposed as
-``test_bench_million_rung`` but only runs when ``REPRO_BENCH_MILLION=1``
-— it needs minutes and gigabytes, which would starve the CI bench-smoke
-job; the nightly workflow runs the same driver at a smoke scale instead,
-and EXPERIMENTS.md records the full rung's measured numbers.
-
-Links are asserted identical across every budget en route: the knob
-must never change the output, only the execution footprint.
+``test_bench_million_rung`` runs :func:`repro.experiments.table2_rmat.
+run_million` on its defaults — RMAT20 (2^20 = 1,048,576 addressable
+nodes) on the default backend's serial sweep — and records the row
+(nodes, edges, quality, wall-clock) plus the process peak RSS in the
+benchmark JSON, committed as ``BENCH_blocked.json``.  It only runs when
+``REPRO_BENCH_MILLION=1``: it needs minutes and gigabytes, which would
+starve the CI bench-smoke job.  The nightly workflow runs the same
+driver at a smoke scale instead, and EXPERIMENTS.md records the full
+rung's measured numbers.
 """
 
 import os
 
 import pytest
 
-from repro.core.config import MatcherConfig
-from repro.core.matcher import UserMatching
-from repro.core.shards import plan_witness_blocks
 from repro.experiments import table2_rmat
-from repro.generators.rmat import rmat_graph
-from repro.graphs.pair_index import GraphPairIndex
-from repro.sampling.edge_sampling import independent_copies
-from repro.seeds.generators import sample_seeds
-from repro.utils.memory import MemoryTracker, peak_rss_mb
-
-#: Same rung as bench_parallel: R-MAT scale 12, Graph500 edge factor.
-SCALE = 12
-EDGE_FACTOR = 16
-#: None = monolithic baseline; the finite budgets descend far enough
-#: that the last one forces multi-block rounds at this rung's size.
-BUDGETS = (None, 8, 2, 1)
+from repro.utils.memory import peak_rss_mb
 
 
-def build_workload(scale=SCALE, edge_factor=EDGE_FACTOR, seed=0):
-    """The bench workload: R-MAT pair + 10% seeds (Table-2 recipe)."""
-    graph = rmat_graph(scale, edge_factor * (1 << scale), seed=seed)
-    pair = independent_copies(graph, 0.5, seed=seed + 100)
-    seeds = sample_seeds(pair, 0.10, seed=seed + 200)
-    return pair, seeds
-
-
-def run_matcher(pair, seeds, memory_budget_mb, workers=1):
-    """One csr-backend User-Matching run under the given budget."""
-    matcher = UserMatching(
-        MatcherConfig(
-            threshold=2,
-            iterations=1,
-            backend="csr",
-            workers=workers,
-            memory_budget_mb=memory_budget_mb,
-        )
-    )
-    return matcher.run(pair.g1, pair.g2, seeds)
-
-
-def budget_curve(budgets=BUDGETS, scale=SCALE, seed=0):
-    """Wall-clock + peak-alloc per budget; asserts link identity en route.
-
-    Importable for micro smoke tests (``tests/benchmarks``) and the
-    nightly job; returns ``{budget: (elapsed_s, peak_mb)}``.
-    """
-    import time
-
-    pair, seeds = build_workload(scale=scale, seed=seed)
-    curve = {}
-    reference = None
-    for budget in budgets:
-        with MemoryTracker() as tracker:
-            start = time.perf_counter()
-            result = run_matcher(pair, seeds, budget)
-            elapsed = time.perf_counter() - start
-        curve[budget] = (elapsed, tracker.peak_mb)
-        if reference is None:
-            reference = result.links
-        elif result.links != reference:
-            raise AssertionError(
-                f"memory_budget_mb={budget} changed the links"
-            )
-    return curve
-
-
-def million_rung(scale=20, edge_factor=8, memory_budget_mb=512, seed=0):
+def million_rung(scale=20, edge_factor=8, seed=0):
     """The million-node rung via the Table-2 driver; returns its row.
 
     RMAT20 addresses 2^20 = 1,048,576 nodes; the row records nodes,
-    edges, quality, wall-clock, and the process peak RSS under the
-    stated budget.
+    edges, quality, wall-clock, and the process peak RSS.
     """
     result = table2_rmat.run_million(
-        scale=scale,
-        edge_factor=edge_factor,
-        memory_budget_mb=memory_budget_mb,
-        seed=seed,
+        scale=scale, edge_factor=edge_factor, seed=seed
     )
     return result.rows[0]
-
-
-@pytest.fixture(scope="module")
-def workload():
-    return build_workload()
-
-
-@pytest.mark.parametrize("budget", BUDGETS, ids=lambda b: f"budget={b}")
-def test_bench_matcher_blocked(benchmark, workload, budget):
-    """End-to-end matcher per budget; peak_mb riding in extra_info."""
-    pair, seeds = workload
-    index = GraphPairIndex(pair.g1, pair.g2)
-    link_l, link_r = index.intern_links(seeds)
-    plan = plan_witness_blocks(index, link_l, link_r, budget)
-    with MemoryTracker() as tracker:
-        result = run_matcher(pair, seeds, budget)
-    benchmark.extra_info["memory_budget_mb"] = budget
-    benchmark.extra_info["peak_mb"] = round(tracker.peak_mb, 2)
-    benchmark.extra_info["first_round_blocks"] = plan.num_blocks
-    benchmark.extra_info["nodes"] = pair.g1.num_nodes
-    timed = benchmark.pedantic(
-        run_matcher, args=(pair, seeds, budget), rounds=3, iterations=1
-    )
-    assert timed.links == result.links
-    assert timed.num_new_links > 0
-
-
-def test_bench_budget_curve_links_identical(benchmark):
-    """The whole curve at micro scale — asserts link identity en route."""
-    curve = benchmark.pedantic(
-        budget_curve,
-        kwargs=dict(budgets=(None, 1), scale=8),
-        rounds=1,
-        iterations=1,
-    )
-    assert set(curve) == {None, 1}
 
 
 @pytest.mark.skipif(
@@ -148,10 +36,10 @@ def test_bench_budget_curve_links_identical(benchmark):
     reason="minutes + GiB: opt in with REPRO_BENCH_MILLION=1",
 )
 def test_bench_million_rung(benchmark):
-    """RMAT20 under a stated budget; peak RSS recorded in the JSON."""
+    """RMAT20 on the driver's defaults; peak RSS recorded in the JSON."""
     row = benchmark.pedantic(
         million_rung,
-        kwargs=dict(scale=20, edge_factor=8, memory_budget_mb=512),
+        kwargs=dict(scale=20, edge_factor=8),
         rounds=1,
         iterations=1,
     )

@@ -5,7 +5,7 @@ Compares a freshly produced ``pytest-benchmark`` JSON against the
 committed baseline of the same suite and **fails (exit 1) when any
 shared benchmark's mean slowed down by more than the threshold**
 (default 1.5x).  The gate is what turns the committed ``BENCH_kernels``
-/ ``BENCH_parallel`` / ``BENCH_blocked`` files from upload-only
+/ ``BENCH_pruning`` / ``BENCH_serving`` files from upload-only
 artifacts into an enforced floor: a PR that accidentally serializes the
 witness join or deoptimizes a kernel turns the bench-smoke job red
 instead of silently rotting the trajectory.
@@ -57,9 +57,9 @@ import sys
 def load_means(path: str) -> dict[str, float]:
     """``{benchmark fullname: mean seconds}`` from a pytest-benchmark JSON.
 
-    ``fullname`` (e.g. ``bench_parallel.py::test_bench_matcher_scaling
-    [4]``) disambiguates parametrized variants; plain ``name`` is used
-    for entries that lack it.
+    ``fullname`` (e.g. ``bench_pruning.py::test_bench_matcher_pruning
+    [pruning=community]``) disambiguates parametrized variants; plain
+    ``name`` is used for entries that lack it.
     """
     with open(path) as handle:
         data = json.load(handle)

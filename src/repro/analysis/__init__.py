@@ -3,9 +3,9 @@
 The runtime equivalence walls prove that what was written is
 deterministic; this package rejects the patterns that would make it
 nondeterministic *before* they run.  Six project-specific rules
-(RPR001–RPR006, see :mod:`repro.analysis.rules` and
-``docs/LINT_RULES.md``) walk the AST of every source file — plus one
-cross-file rule that keeps ``MatcherConfig`` knobs validated, plumbed
+(RPR001–RPR003 and RPR005–RPR007, see :mod:`repro.analysis.rules` and
+``docs/LINT_RULES.md``) walk the AST of every source file, one of them
+a cross-file rule that keeps ``MatcherConfig`` knobs validated, plumbed
 through the CLI, and documented.
 
 Programmatic use::
@@ -18,7 +18,7 @@ Programmatic use::
 Command line::
 
     repro lint src/
-    python -m repro.analysis src/ --select RPR001,RPR004 --format json
+    python -m repro.analysis src/ --select RPR001,RPR005 --format json
 
 New rules subclass :class:`~repro.analysis.framework.FileRule` (or
 :class:`~repro.analysis.framework.ProjectRule` for cross-file checks)

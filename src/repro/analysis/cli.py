@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-lint",
         description=(
             "AST invariant checker: determinism, ordered iteration, "
-            "float accumulation, shm lifecycle, dtype discipline, and "
+            "float accumulation, dtype discipline, native boundary and "
             "config-knob threading (see docs/LINT_RULES.md)"
         ),
     )

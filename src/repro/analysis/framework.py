@@ -1,11 +1,10 @@
 """Plugin framework of the ``repro lint`` static-analysis pass.
 
-The runtime property walls (dict↔csr link identity, workers=N ≡
-workers=1, blocked ≡ monolithic, warm ≡ cold) catch determinism
-violations *after* they are written.  This module is the other half of
-that discipline: a small AST framework whose rules reject the patterns
-that cause such violations — unseeded RNG state, unordered set
-iteration, bare float accumulation, leaked shared-memory segments,
+The runtime property walls (dict↔csr↔native link identity, carried ≡
+recount, warm ≡ cold) catch determinism violations *after* they are
+written.  This module is the other half of that discipline: a small AST
+framework whose rules reject the patterns that cause such violations —
+unseeded RNG state, unordered set iteration, bare float accumulation,
 implicit dtypes, un-threaded config knobs — before they ever run.
 
 A rule is a class with an :attr:`~Rule.id` (``RPR0xx``), a
@@ -50,7 +49,7 @@ __all__ = [
     "module_parts",
 ]
 
-#: ``# repro-lint: ignore`` or ``# repro-lint: ignore[RPR001, RPR004]``
+#: ``# repro-lint: ignore`` or ``# repro-lint: ignore[RPR001, RPR005]``
 #: (an optional trailing free-text reason is encouraged).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*ignore(?:\[(?P<ids>[A-Z0-9, ]+)\])?"

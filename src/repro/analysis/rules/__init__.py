@@ -10,7 +10,6 @@ user code never needs to import these modules directly.
 | RPR001 | determinism           | no ambient entropy in the core          |
 | RPR002 | ordered_iteration     | set iteration must be sorted            |
 | RPR003 | float_accumulation    | fsum/int-wrapped reductions only        |
-| RPR004 | shm_lifecycle         | SharedMemory dominated by cleanup       |
 | RPR005 | dtype_discipline      | index arrays carry explicit dtypes      |
 | RPR006 | knob_threading        | config knobs validated/plumbed/doc'd    |
 | RPR007 | native_boundary       | ctypes loads behind the fallback helper |
@@ -24,7 +23,6 @@ from repro.analysis.rules.float_accumulation import FloatAccumulationRule
 from repro.analysis.rules.knob_threading import KnobThreadingRule
 from repro.analysis.rules.native_boundary import NativeBoundaryRule
 from repro.analysis.rules.ordered_iteration import OrderedIterationRule
-from repro.analysis.rules.shm_lifecycle import ShmLifecycleRule
 
 __all__ = [
     "DeterminismRule",
@@ -33,5 +31,4 @@ __all__ = [
     "KnobThreadingRule",
     "NativeBoundaryRule",
     "OrderedIterationRule",
-    "ShmLifecycleRule",
 ]

@@ -1,9 +1,10 @@
 """RPR001: no ambient-entropy sources in the deterministic core.
 
-Korula & Lattanzi's algorithm is replayed across backends, worker
-counts, memory budgets, and warm starts with the promise that links are
-bit-identical.  Any read of global RNG state or the wall clock inside
-the execution core silently breaks that promise, so this rule rejects:
+Korula & Lattanzi's algorithm is replayed across backends, the carried
+table and the per-round recount, and warm starts with the promise that
+links are bit-identical.  Any read of global RNG state or the wall
+clock inside the execution core silently breaks that promise, so this
+rule rejects:
 
 - calls through the ``random`` module's *global* instance
   (``random.random()``, ``random.shuffle()``, ...) — constructing a

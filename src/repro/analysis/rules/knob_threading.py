@@ -1,12 +1,11 @@
 """RPR006: every MatcherConfig knob must be validated, plumbed, and doc'd.
 
-PRs 2–5 each added a config knob (``backend``, ``workers``,
-``memory_budget_mb``, ``checkpoint_path``/``warm_start``) and each had
-to remember the same four chores: a validator, CLI plumbing, and a
-``docs/API.md`` entry.  Forgetting one produces a knob that silently
-accepts garbage, cannot be reached from the command line, or is
-invisible to users — drift that no single-file rule can see.  This
-cross-file rule makes the checklist mechanical.
+Each config knob (``backend``, ``mmap``, ``candidate_pruning``,
+``checkpoint_path``/``warm_start``, ...) needs the same chores: a
+validator, CLI plumbing, and a ``docs/API.md`` entry.  Forgetting one
+produces a knob that silently accepts garbage, cannot be reached from
+the command line, or is invisible to users — drift that no single-file
+rule can see.  This cross-file rule makes the checklist mechanical.
 
 For every dataclass field of ``MatcherConfig`` (parsed from
 ``src/repro/core/config.py``) it requires:

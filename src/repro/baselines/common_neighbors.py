@@ -40,8 +40,6 @@ class CommonNeighborsMatcher:
         iterations: int = 1,
         tie_policy: TiePolicy = TiePolicy.SKIP,
         backend: str = DEFAULT_BACKEND,
-        workers: int = 1,
-        memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
         mmap: bool = False,
@@ -53,8 +51,6 @@ class CommonNeighborsMatcher:
             min_bucket_exponent=0,
             tie_policy=tie_policy,
             backend=backend,
-            workers=workers,
-            memory_budget_mb=memory_budget_mb,
             candidate_pruning=candidate_pruning,
             pruning_frontier=pruning_frontier,
             mmap=mmap,

@@ -14,10 +14,8 @@ from repro.core.config import (
     DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
-    validate_memory_budget_mb,
     validate_mmap,
     validate_pruning_frontier,
-    validate_workers,
 )
 from repro.core.ordering import node_sort_key
 from repro.core.protocol import ProgressCallback, ProgressReporter
@@ -45,21 +43,17 @@ class DegreeSequenceMatcher:
         self,
         max_matches: int | None = None,
         backend: str = DEFAULT_BACKEND,
-        workers: int = 1,
-        memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
         mmap: bool = False,
     ) -> None:
         self.max_matches = max_matches
         self.backend = validate_backend(backend)
-        # Degree ranking is two lexsorts — nothing to fan out, block,
-        # prune or spill; the execution knobs are accepted (and
-        # validated) for interface uniformity across the registry.
+        # Degree ranking is two lexsorts — nothing to prune or spill;
+        # the execution knobs are accepted (and validated) for
+        # interface uniformity across the registry.
         # candidate_pruning in particular is inert by design: this
         # baseline has no candidate-pair stage to restrict.
-        self.workers = validate_workers(workers)
-        self.memory_budget_mb = validate_memory_budget_mb(memory_budget_mb)
         self.candidate_pruning = validate_candidate_pruning(
             candidate_pruning
         )

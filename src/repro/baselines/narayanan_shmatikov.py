@@ -31,10 +31,8 @@ from repro.core.config import (
     DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
-    validate_memory_budget_mb,
     validate_mmap,
     validate_pruning_frontier,
-    validate_workers,
 )
 from repro.core.protocol import ProgressCallback, ProgressReporter
 from repro.core.result import MatchingResult
@@ -73,8 +71,6 @@ class NarayananShmatikovMatcher:
         max_sweeps: int = 5,
         allow_rematch: bool = True,
         backend: str = DEFAULT_BACKEND,
-        workers: int = 1,
-        memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
         mmap: bool = False,
@@ -93,13 +89,11 @@ class NarayananShmatikovMatcher:
         self.allow_rematch = allow_rematch
         self.backend = validate_backend(backend)
         # The sweep rematches nodes one at a time (order-dependent by
-        # design), so there is no independent work to shard, block,
-        # prune or spill; the execution knobs are accepted (and
-        # validated) for interface uniformity across the registry —
+        # design), so there is no independent work to prune or spill;
+        # the execution knobs are accepted (and validated) for
+        # interface uniformity across the registry —
         # candidate_pruning stays inert because the rematch dynamics
         # would make a pruned run's trajectory incomparable anyway.
-        self.workers = validate_workers(workers)
-        self.memory_budget_mb = validate_memory_budget_mb(memory_budget_mb)
         self.candidate_pruning = validate_candidate_pruning(
             candidate_pruning
         )

@@ -32,10 +32,8 @@ from repro.core.config import (
     DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
-    validate_memory_budget_mb,
     validate_mmap,
     validate_pruning_frontier,
-    validate_workers,
 )
 from repro.core.ordering import node_sort_key
 from repro.core.protocol import ProgressCallback, ProgressReporter
@@ -139,8 +137,6 @@ class StructuralFeatureMatcher:
         quantile: float = 0.5,
         max_candidates: int = 50,
         backend: str = DEFAULT_BACKEND,
-        workers: int = 1,
-        memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
         mmap: bool = False,
@@ -158,13 +154,11 @@ class StructuralFeatureMatcher:
         self.max_candidates = max_candidates
         self.backend = validate_backend(backend)
         # Feature extraction is one vectorized pass per graph with no
-        # per-round join to shard, block, prune or spill; the execution
-        # knobs are accepted (and validated) for interface uniformity
-        # across the registry — candidate selection here is by feature
-        # distance, not link-join candidates, so candidate_pruning has
-        # nothing to restrict and stays inert.
-        self.workers = validate_workers(workers)
-        self.memory_budget_mb = validate_memory_budget_mb(memory_budget_mb)
+        # per-round join to prune or spill; the execution knobs are
+        # accepted (and validated) for interface uniformity across the
+        # registry — candidate selection here is by feature distance,
+        # not link-join candidates, so candidate_pruning has nothing to
+        # restrict and stays inert.
         self.candidate_pruning = validate_candidate_pruning(
             candidate_pruning
         )

@@ -6,8 +6,7 @@ Examples::
     repro matchers
     repro run fig2 --seed 7
     repro run table2 --backend csr
-    repro run table2 --backend csr --workers 4
-    repro run table2-million --memory-budget-mb 512
+    repro run table2-million --mmap
     repro run fig2 --checkpoint state.npz --resume
     repro run table3-facebook
     repro run ablation-wikipedia --matcher common-neighbors
@@ -52,7 +51,7 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
     "table2": (table2_rmat.run, "R-MAT scaling ladder"),
     "table2-million": (
         table2_rmat.run_million,
-        "million-node R-MAT rung (blocked csr under a memory budget)",
+        "million-node R-MAT rung (serial sweep, peak RSS recorded)",
     ),
     "table3-facebook": (
         table3_fb_enron.run_facebook,
@@ -182,8 +181,6 @@ def _cmd_run(
     chart: bool,
     matcher: str | None = None,
     backend: str | None = None,
-    workers: int | None = None,
-    memory_budget_mb: int | None = None,
     candidate_pruning: str | None = None,
     pruning_frontier: int | None = None,
     mmap: bool | None = None,
@@ -213,15 +210,6 @@ def _cmd_run(
                 file=sys.stderr,
             )
             return 2
-    if workers is not None and workers < 1:
-        print(f"--workers must be >= 1, got {workers}", file=sys.stderr)
-        return 2
-    if memory_budget_mb is not None and memory_budget_mb < 1:
-        print(
-            f"--memory-budget-mb must be >= 1, got {memory_budget_mb}",
-            file=sys.stderr,
-        )
-        return 2
     if pruning_frontier is not None and pruning_frontier < 0:
         print(
             f"--pruning-frontier must be >= 0, got {pruning_frontier}",
@@ -234,8 +222,6 @@ def _cmd_run(
     for option, value in (
         ("matcher", matcher),
         ("backend", backend),
-        ("workers", workers),
-        ("memory_budget_mb", memory_budget_mb),
         ("candidate_pruning", candidate_pruning),
         ("pruning_frontier", pruning_frontier),
         ("mmap", mmap),
@@ -265,10 +251,6 @@ def _cmd_run(
             kwargs["matcher"] = matcher
         if backend is not None:
             kwargs["backend"] = backend
-        if workers is not None:
-            kwargs["workers"] = workers
-        if memory_budget_mb is not None:
-            kwargs["memory_budget_mb"] = memory_budget_mb
         if candidate_pruning is not None:
             kwargs["candidate_pruning"] = candidate_pruning
         if pruning_frontier is not None:
@@ -489,28 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
             "matcher execution backend (dense interning + numpy kernels "
             "with 'csr'; compiled C hot kernels with 'native', falling "
             "back to csr when no toolchain is available); only for "
-            "experiments that support it"
-        ),
-    )
-    run_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for the csr witness kernels (default 1 = "
-            "serial; links are identical for any value); only for "
-            "experiments that support it"
-        ),
-    )
-    run_p.add_argument(
-        "--memory-budget-mb",
-        type=int,
-        default=None,
-        dest="memory_budget_mb",
-        help=(
-            "per-round working-set budget (MiB) for the csr witness "
-            "join: rounds stream block-by-block under the budget, with "
-            "links identical to the monolithic run; only for "
             "experiments that support it"
         ),
     )
@@ -768,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p = sub.add_parser(
         "lint",
         help=(
-            "run the repro-lint static checks (determinism, shm "
-            "lifecycle, dtype discipline, ...)"
+            "run the repro-lint static checks (determinism, ordered "
+            "iteration, dtype discipline, ...)"
         ),
     )
     from repro.analysis.cli import add_lint_arguments
@@ -794,8 +754,6 @@ def main(argv: list[str] | None = None) -> int:
             args.chart,
             args.matcher,
             args.backend,
-            args.workers,
-            args.memory_budget_mb,
             args.candidate_pruning,
             args.pruning_frontier,
             args.mmap,

@@ -17,8 +17,6 @@ Public surface:
   ``backend="csr"`` (CSR-join witness counting, vectorized selection).
 - :mod:`~repro.core.native` — compiled C hot kernels behind
   ``backend="native"`` (on-demand build, graceful csr fallback).
-- :mod:`~repro.core.parallel` / :mod:`~repro.core.shards` — the
-  sharded shared-memory execution layer behind ``workers=N``.
 """
 
 from repro.core.config import BACKENDS, MatcherConfig, TiePolicy
@@ -37,11 +35,6 @@ from repro.core.native import (
     native_available,
 )
 from repro.core.ordering import node_sort_key
-from repro.core.parallel import (
-    ParallelFallbackWarning,
-    WitnessPool,
-    open_witness_pool,
-)
 from repro.core.pipeline import reconcile
 from repro.core.policy import select_mutual_best
 from repro.core.protocol import Matcher, ProgressCallback, ProgressEvent
@@ -59,12 +52,6 @@ from repro.core.selectors import (
     get_selector,
     select_gale_shapley,
     select_greedy_top_score,
-)
-from repro.core.shards import (
-    ShardPlan,
-    link_weights,
-    plan_balanced_shards,
-    plan_link_shards,
 )
 
 __all__ = [
@@ -100,14 +87,7 @@ __all__ = [
     "margin",
     "read_links",
     "write_links",
-    "ParallelFallbackWarning",
     "NativeFallbackWarning",
     "load_native_library",
     "native_available",
-    "WitnessPool",
-    "open_witness_pool",
-    "ShardPlan",
-    "link_weights",
-    "plan_balanced_shards",
-    "plan_link_shards",
 ]

@@ -34,7 +34,7 @@ class TiePolicy(enum.Enum):
 #: reference every equivalence test compares against); ``"csr"`` interns
 #: both graphs to dense ids once and runs the array kernels in
 #: :mod:`repro.core.kernels`; ``"native"`` runs the same dataflow with
-#: the hot kernels (witness join, table merge, selection) in a small C
+#: the hot kernels (witness join, carried table, selection) in a small C
 #: library compiled on demand (:mod:`repro.core.native`), degrading to
 #: the ``csr`` kernels with a warning when no toolchain is available.
 #: Output is link-identical across all three.
@@ -51,42 +51,6 @@ def validate_backend(backend: str) -> str:
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
     return backend
-
-
-def validate_workers(workers: int) -> int:
-    """Validate a worker count; shared by matchers without a config."""
-    if (
-        not isinstance(workers, int)
-        or isinstance(workers, bool)
-        or workers < 1
-    ):
-        raise MatcherConfigError(
-            f"workers must be an integer >= 1, got {workers!r}"
-        )
-    return workers
-
-
-def validate_memory_budget_mb(
-    memory_budget_mb: "int | None",
-) -> "int | None":
-    """Validate a memory budget; shared by matchers without a config.
-
-    ``None`` means unbudgeted (monolithic execution); otherwise the
-    budget is a positive integer number of MiB bounding the transient
-    witness-join working set per round.
-    """
-    if memory_budget_mb is None:
-        return None
-    if (
-        not isinstance(memory_budget_mb, int)
-        or isinstance(memory_budget_mb, bool)
-        or memory_budget_mb < 1
-    ):
-        raise MatcherConfigError(
-            "memory_budget_mb must be an integer >= 1 or None, "
-            f"got {memory_budget_mb!r}"
-        )
-    return memory_budget_mb
 
 
 #: Candidate-pruning modes: ``"none"`` scores every candidate pair the
@@ -192,24 +156,6 @@ class MatcherConfig:
         kernels with a :class:`~repro.core.native.NativeFallbackWarning`
         when no C toolchain is available).  Output is link-identical
         across all three.
-    workers : int
-        Worker processes for the ``csr`` witness kernels
-        (:mod:`repro.core.parallel`).  1 (default) is the serial path;
-        any value produces bit-identical links — ``workers`` is purely
-        an execution knob.  The ``dict`` backend's incremental score
-        table is inherently sequential, so it accepts the knob for
-        interface uniformity but always runs on one core.
-    memory_budget_mb : int, optional
-        Soft cap, in MiB, on the transient working set of each ``csr``
-        witness-join round.  ``None`` (default) runs each round
-        monolithically; with a budget the round's link set is split
-        into blocks sized from per-link degree-product estimates
-        (:mod:`repro.core.shards`) and the join streams
-        block-by-block, merging per-block tables by canonical
-        summation — links are bit-identical to the monolithic path for
-        any budget, and the knob composes with ``workers`` (each block
-        is fanned to the pool).  Like ``workers``, the ``dict``
-        backend accepts it for interface uniformity only.
     candidate_pruning : {"none", "community"}
         Candidate-pair pruning mode.  ``"none"`` (default) scores every
         pair the degree-bucket sweep produces.  ``"community"``
@@ -237,8 +183,8 @@ class MatcherConfig:
         the ``csr``/``native`` paths spill the interned
         :class:`~repro.graphs.pair_index.GraphPairIndex` to an
         uncompressed npz and reopen it memory-mapped
-        (:meth:`GraphPairIndex.open_mmap`), so the block planner
-        streams adjacency pages on demand — the out-of-core rung for
+        (:meth:`GraphPairIndex.open_mmap`), so the sweep streams
+        adjacency pages on demand — the out-of-core rung for
         graphs whose CSR arrays exceed RAM.  Links are bit-identical
         to the in-memory path; the knob only changes where the bytes
         live.  The ``dict`` backend accepts it for interface
@@ -267,8 +213,6 @@ class MatcherConfig:
     min_bucket_exponent: int = 1
     tie_policy: TiePolicy = TiePolicy.SKIP
     backend: str = DEFAULT_BACKEND
-    workers: int = 1
-    memory_budget_mb: int | None = None
     candidate_pruning: str = "none"
     pruning_frontier: int = 0
     mmap: bool = False
@@ -306,8 +250,6 @@ class MatcherConfig:
             raise MatcherConfigError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        validate_workers(self.workers)
-        validate_memory_budget_mb(self.memory_budget_mb)
         validate_candidate_pruning(self.candidate_pruning)
         validate_pruning_frontier(self.pruning_frontier)
         validate_mmap(self.mmap)

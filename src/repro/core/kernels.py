@@ -27,11 +27,9 @@ not approximate; the property suite asserts link-for-link equality.
 ``backend="native"`` reuses this module end to end: every kernel accepts
 an optional :class:`~repro.core.native.NativeKernels` handle (threaded
 by the callers, resolved once per run) that swaps the hot inner step —
-join, merge, selection — for its compiled twin while keeping the same
-integer counts, so all three backends select identical links.
-Independently, the merges are *sort-free* whenever the packed key space
-is bounded: a reusable :class:`ScatterWorkspace` buffer replaces the
-merge sorts.  Under the same bound the sweep keeps a
+join, carried-table upkeep, selection — for its compiled twin while
+keeping the same integer counts, so all three backends select identical
+links.  When the packed key space is bounded the sweep keeps a
 :class:`CarriedWitnessTable` across rounds, so each round joins only new
 links and newly eligible degree bands instead of recounting every link.
 """
@@ -39,7 +37,7 @@ links and newly eligible degree bands instead of recounting every link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Protocol
+from typing import TYPE_CHECKING, Hashable, Protocol
 
 import numpy as np
 from scipy import sparse
@@ -55,27 +53,15 @@ if TYPE_CHECKING:
 
 Node = Hashable
 
-#: Signature of a join over part of a round's links (one worker shard
-#: or one memory block): ``(link_l, link_r, eligible1, eligible2) ->
-#: (scores, emitted)``.  Its table is summed with the other parts', so
-#: it keeps every nonzero count.
-PartialCounter = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    "tuple[ArrayScores, int]",
-]
-
-
 class WitnessCounter(Protocol):
     """One witness-count round of the sweep.
 
     ``(link_l, link_r, eligible1, eligible2) -> (scores, emitted)``, as
-    :func:`count_witnesses`.  *min_count* is a floor the counter *may*
-    apply: rows scoring below it can be left out of *scores* (selection
-    never takes them), but *emitted* is the full expansion either way.
-    Counters that sum partial tables (worker shards, memory blocks)
-    ignore it, since partial counts below the floor can add up to one
-    above it.  Under community pruning the counter also leaves out
-    every pair the assignment does not allow.
+    :func:`count_witnesses`.  The counter always applies *min_count*:
+    rows scoring below it are left out of *scores* (selection never
+    takes them), but *emitted* is the full expansion either way.  Under
+    community pruning the counter also leaves out every pair the
+    assignment does not allow.
     """
 
     def __call__(
@@ -92,65 +78,9 @@ class WitnessCounter(Protocol):
 _EMPTY = np.empty(0, dtype=np.int64)
 
 #: Largest dense packed-key space (``n1 * n2``) a
-#: :class:`ScatterWorkspace` will allocate: 2**22 keys = 32 MiB of int64
-#: accumulator, small next to any round that matters.
+#: :class:`CarriedWitnessTable` will allocate: 2**22 keys = 16 MiB of
+#: int32 counts, small next to any round that matters.
 _SCATTER_KEYSPACE_CAP = 1 << 22
-
-
-class ScatterWorkspace:
-    """Reusable dense accumulator for sort-free packed-key merges.
-
-    When the packed key space ``n1 * n2`` is small enough to hold
-    densely, summing partial score tables does not need a sort at all:
-    each part's ``(keys, counts)`` rows scatter-add into one
-    preallocated ``int64[n1 * n2]`` buffer and the merged table falls
-    out of ``np.flatnonzero`` — already in ascending key order, i.e.
-    exactly the ``np.unique``-canonical order of
-    :func:`merge_score_tables`.  The buffer is allocated once and
-    reused across every (iteration, bucket) round of a sweep; after
-    each merge only the touched entries are zeroed, so steady-state
-    cost is proportional to the tables, not the key space.
-
-    Parts must have unique keys internally (every shipped producer
-    emits canonical tables, which do), so plain fancy-index addition —
-    not ``np.add.at`` — is sufficient and fast.
-    """
-
-    __slots__ = ("keyspace", "_buf")
-
-    def __init__(self, keyspace: int) -> None:
-        self.keyspace = int(keyspace)
-        self._buf = np.zeros(self.keyspace, dtype=np.int64)
-
-    @classmethod
-    def for_index(
-        cls,
-        index: GraphPairIndex,
-        cap: int = _SCATTER_KEYSPACE_CAP,
-    ) -> "ScatterWorkspace | None":
-        """A workspace for *index*'s key space, or ``None`` if too big."""
-        keyspace = index.n1 * index.n2
-        if 0 < keyspace <= cap:
-            return cls(keyspace)
-        return None
-
-    def merge(
-        self, parts: "list[tuple[np.ndarray, np.ndarray]]"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sum ``(packed_keys, counts)`` parts into one canonical table.
-
-        Returns ``(keys, counts)`` with *keys* ascending — bit-identical
-        to concatenating the parts and running the ``np.unique``
-        summation of :func:`merge_score_tables`.
-        """
-        buf = self._buf
-        for keys, counts in parts:
-            if len(keys):
-                buf[keys] += counts
-        out_keys = np.flatnonzero(buf)
-        out_counts = buf[out_keys]
-        buf[out_keys] = 0
-        return out_keys, out_counts
 
 
 def extract_carried(
@@ -218,10 +148,10 @@ class CarriedWitnessTable:
     degree exponent gives ``a_k`` as a suffix sum, and linking a node
     only decrements the histogram rows of the links next to it.
 
-    Every join goes through the caller's *count* (so worker pools,
-    memory-budgeted blocks and the compiled join compose unchanged),
-    always with every nonzero count: a pair's count adds up across
-    rounds, so no join may drop a row below the threshold.  Community
+    Every join goes through the caller's *count* (the serial
+    :func:`count_witnesses`, compiled or scipy), always with every
+    nonzero count: a pair's count adds up across rounds, so no join may
+    drop a row below the threshold.  Community
     pruning is the counter's business too (:func:`count_witnesses`
     with ``communities=``): a pruned pair's count is 0 in every join,
     so filtering each join is the same as filtering the extracted table.
@@ -751,209 +681,6 @@ def prune_scores(
         scores.right[keep],
         scores.score[keep],
         native=scores.native,
-    )
-
-
-def merge_score_tables(
-    index: GraphPairIndex,
-    parts: "list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]",
-    *,
-    native: "NativeKernels | None" = None,
-    workspace: "ScatterWorkspace | None" = None,
-) -> tuple[ArrayScores, int]:
-    """Sum partial score tables into one canonical table.
-
-    The shared merge of both execution decompositions — per-worker
-    shards (:mod:`repro.core.parallel`) and per-round memory blocks
-    (:func:`count_witnesses_blocked`).  Parts are concatenated in input
-    order and duplicate ``(v1, v2)`` pairs (the same candidate witnessed
-    from links in different parts) are collapsed by summing their
-    counts; the result is sorted by packed pair key, so the merged table
-    — content *and* row order — does not depend on how the round was
-    split.
-
-    The summation is :func:`_merge_packed`, whichever of its three
-    engines runs: integer addition is commutative and every engine
-    exports ascending packed keys, so the merged table is bit-identical
-    regardless.
-
-    Args:
-        parts: ``(left, right, score, emitted)`` tuples.
-        native: compiled-kernel handle; also stamped onto the result so
-            selection over the merged table runs natively.
-        workspace: preallocated dense accumulator reused across rounds.
-
-    Returns:
-        The canonical ``(ArrayScores, total_emitted)`` pair.
-    """
-    emitted = int(sum(part[3] for part in parts))
-    n2 = np.int64(index.n2)
-    keys, merged = _merge_packed(
-        [
-            (part[0].astype(np.int64) * n2 + part[1], part[2])
-            for part in parts
-            if len(part[0])
-        ],
-        native,
-        workspace,
-    )
-    return (
-        ArrayScores(index, keys // n2, keys % n2, merged, native=native),
-        emitted,
-    )
-
-
-def _merge_packed(
-    parts: "list[tuple[np.ndarray, np.ndarray]]",
-    native: "NativeKernels | None",
-    workspace: "ScatterWorkspace | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``(packed_keys, counts)`` parts into one ascending table.
-
-    The one packed merge behind :func:`merge_score_tables` and the
-    folds of :func:`count_witnesses_blocked`.  Three equivalent engines,
-    chosen in order: the compiled hash merge (*native* given), the
-    dense sort-free scatter-add (*workspace* given; its key space
-    already fits), and the ``np.unique`` summation.  Every part has
-    internally-unique keys (each is a canonical table), so all three
-    are exact, and each exports ascending keys.
-    """
-    if not parts:
-        return _EMPTY, _EMPTY
-    if native is not None:
-        return native.merge_packed(parts)
-    if workspace is not None:
-        return workspace.merge(parts)
-    keys = np.concatenate([part[0] for part in parts])
-    counts = np.concatenate([part[1] for part in parts])
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    # bincount's float64 accumulator is exact below 2**53, far above any
-    # witness count; cast back to the kernel's integer dtype.
-    merged = np.bincount(
-        inverse, weights=counts, minlength=len(uniq)
-    ).astype(np.int64)
-    return uniq, merged
-
-
-def count_witnesses_blocked(
-    index: GraphPairIndex,
-    link_left: np.ndarray,
-    link_right: np.ndarray,
-    eligible1: np.ndarray,
-    eligible2: np.ndarray,
-    memory_budget_mb: int | None,
-    *,
-    counter: PartialCounter | None = None,
-    native: "NativeKernels | None" = None,
-    workspace: "ScatterWorkspace | None" = None,
-) -> tuple[ArrayScores, int]:
-    """Memory-budgeted witness counting: stream the join block-by-block.
-
-    Same contract as :func:`count_witnesses`, but the transient working
-    set of the join is bounded by *memory_budget_mb*: the round's link
-    set is split into column blocks by
-    :func:`repro.core.shards.plan_witness_blocks` (contiguous runs whose
-    estimated witness-pair expansion fits the budget), each block runs
-    through the monolithic kernel, and the running score table absorbs
-    each block via the canonical :func:`merge_score_tables` summation.
-    Witness counts are integers and addition is commutative, so the
-    final table — and everything selected from it — is bit-identical to
-    the monolithic path for any budget, any block count, and any
-    *counter* (serial kernel or a sharded worker pool).
-
-    Peak transient memory is one block's expansion plus the running
-    table, instead of the whole round's expansion at once — the knob
-    that lets million-node rounds run in a fixed footprint.
-
-    Args:
-        memory_budget_mb: per-round transient budget in MiB; ``None``
-            falls through to the monolithic kernel unchanged.
-        counter: drop-in replacement for the serial kernel taking
-            ``(link_l, link_r, eligible1, eligible2)`` — pass a
-            :meth:`repro.core.parallel.WitnessPool.count_witnesses`
-            bound method to fan each block out to a worker pool
-            (``blocked x workers`` composes; output stays identical).
-        native: compiled-kernel handle — per-block joins run in C (when
-            *counter* is not given; a pool counter carries its own
-            handle) and every fold is the compiled hash merge.
-        workspace: preallocated dense accumulator
-            (:class:`ScatterWorkspace`) making the folds sort-free when
-            the key space fits; the sweep reuses it across rounds.
-    """
-    from repro.core.shards import (
-        plan_witness_blocks,
-        witness_block_budget,
-    )
-
-    def run(link_l: np.ndarray, link_r: np.ndarray) -> tuple[ArrayScores, int]:
-        if counter is not None:
-            return counter(link_l, link_r, eligible1, eligible2)
-        return count_witnesses(
-            index,
-            link_l,
-            link_r,
-            eligible1,
-            eligible2,
-            native=native,
-        )
-
-    if memory_budget_mb is None:
-        return run(link_left, link_right)
-    plan = plan_witness_blocks(index, link_left, link_right, memory_budget_mb)
-    if plan.num_blocks <= 1:
-        return run(link_left, link_right)
-    # Stream blocks into one running score table.  Two ingredients keep
-    # the accumulator cheap relative to the monolithic join:
-    #
-    # - the running table and pending block outputs are held as
-    #   *packed* ``(v1 * n2 + v2, count)`` pairs — 16 bytes per row
-    #   instead of the 24-byte (left, right, score) triple — and only
-    #   unpacked once at the end;
-    # - folds are *amortized*: pending rows accumulate until they rival
-    #   the running table (or the per-block budget, whichever is
-    #   larger).  Folding after every block would cost
-    #   O(blocks x table) re-sorts on rounds whose output table is
-    #   huge; the doubling rule bounds total merge work at
-    #   O(table x log blocks).
-    #
-    # Peak transient memory is one block's expansion plus O(output
-    # table) — the table is the round's result, so that floor is
-    # irreducible; what the budget eliminates is the un-deduplicated
-    # expansion, whose degree-product bound can dwarf the table on
-    # skewed graphs.  Grouping does not affect the result: counts are
-    # integers, addition is commutative, and every fold re-sorts
-    # canonically.
-    n2 = np.int64(index.n2)
-    running: tuple[np.ndarray, np.ndarray] | None = None
-    pending: list[tuple[np.ndarray, np.ndarray]] = []
-    pending_rows = 0
-    total_emitted = 0
-    fold_floor = witness_block_budget(memory_budget_mb)
-
-    def fold() -> None:
-        nonlocal running, pending, pending_rows
-        parts = ([running] if running is not None else []) + pending
-        running = _merge_packed(parts, native, workspace)
-        pending = []
-        pending_rows = 0
-
-    for idx in plan.blocks:
-        scores, emitted = run(link_left[idx], link_right[idx])
-        total_emitted += emitted
-        if scores.num_pairs:
-            pending.append((scores.left * n2 + scores.right, scores.score))
-            pending_rows += scores.num_pairs
-        threshold = fold_floor
-        if running is not None:
-            threshold = max(threshold, len(running[0]))
-        if pending_rows >= threshold:
-            fold()
-    if pending or running is None:
-        fold()
-    keys, counts = running
-    return (
-        ArrayScores(index, keys // n2, keys % n2, counts, native=native),
-        total_emitted,
     )
 
 

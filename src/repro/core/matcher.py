@@ -48,23 +48,10 @@ link-identical — the same equality the MapReduce tests already pin
 down.
 ``MatcherConfig(backend="native")`` — the default — is the same sweep
 again with the compiled hot kernels of :mod:`repro.core.native`
-(hash-accumulated witness join, compiled merges and selection) and
+(row-major witness join, carried-table upkeep and selection) and
 degrades to the csr kernels — with a warning, never an error — when no
 C toolchain exists; the three-way property wall pins all backends
 bit-identical.
-
-Parallelism.  ``MatcherConfig(backend="csr", workers=N)`` additionally
-fans each round's joins out to a shared-memory worker pool
-(:mod:`repro.core.parallel`); the merge is deterministic, so any worker
-count produces bit-identical links to ``workers=1``.
-
-Memory budgeting.  ``MatcherConfig(backend="csr", memory_budget_mb=M)``
-bounds each round's transient witness-join working set: the round's
-links are split into column blocks sized from per-link degree-product
-estimates (:mod:`repro.core.shards`) and streamed through
-:func:`repro.core.kernels.count_witnesses_blocked`, whose canonical
-block merge is the same summation as the worker-shard merge — so any
-budget, with or without workers, produces bit-identical links.
 """
 
 from __future__ import annotations
@@ -84,7 +71,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from repro.core.native import NativeKernels
-    from repro.core.parallel import WitnessPool
     from repro.graphs.pair_index import GraphPairIndex
 
 Node = Hashable
@@ -450,16 +436,9 @@ class UserMatching:
         eligible-pair scores of the dict backend's incremental table,
         and the same ``PhaseRecord`` values.
 
-        With ``workers > 1`` every join is fanned out to a
-        :class:`~repro.core.parallel.WitnessPool`: the CSR arrays go
-        into shared memory once, each join's links are LPT-sharded, and
-        the per-shard tables are summed deterministically — selection
-        then sees exactly the serial table, so the links are
-        bit-identical for any worker count.
-
         ``backend="native"`` runs the same sweep with the compiled
         kernels of :mod:`repro.core.native` plugged into every join,
-        merge, and selection; the handle is resolved once here, so a
+        table fold, and selection; the handle is resolved once here, so a
         missing toolchain warns once
         (:class:`~repro.core.native.NativeFallbackWarning`) and the
         sweep proceeds on the csr kernels — links identical either way.
@@ -471,9 +450,8 @@ class UserMatching:
         if cfg.mmap:
             # Out-of-core execution: spill the interning to an
             # uncompressed npz and reopen it memory-mapped, so the
-            # sweep (and the block planner under memory_budget_mb)
-            # streams adjacency pages from disk.  The in-memory arrays
-            # are dropped before the sweep starts; links are
+            # sweep streams adjacency pages from disk.  The in-memory
+            # arrays are dropped before the sweep starts; links are
             # bit-identical either way.
             import tempfile
 
@@ -530,48 +508,19 @@ class UserMatching:
         seeds: dict[Node, Node],
         reporter: ProgressReporter,
     ) -> MatchingResult:
-        """Open the worker pool and sweep over *index*."""
-        from repro.core.parallel import open_witness_pool
+        """The bucket sweep over dense ids."""
+        import functools
 
-        cfg = self.config
-        native = None
-        if cfg.backend == "native":
-            from repro.core.native import load_native_library
-
-            native = load_native_library()
-        pool = open_witness_pool(
-            index, cfg.workers, use_native=native is not None
-        )
-        try:
-            return self._sweep_csr(
-                index, pool, seeds, reporter, native=native
-            )
-        finally:
-            if pool is not None:
-                pool.close()
-
-    def _sweep_csr(
-        self,
-        index: "GraphPairIndex",
-        pool: "WitnessPool | None",
-        seeds: dict[Node, Node],
-        reporter: ProgressReporter,
-        native: "NativeKernels | None" = None,
-    ) -> MatchingResult:
-        """The bucket sweep over dense ids (serial or pooled joins)."""
         import numpy as np
 
         from repro.core import kernels
 
         cfg = self.config
-        # One dense scatter buffer shared by every round's fold/merge
-        # (sort-free when the key space is small); pointless when the
-        # compiled hash merge is available.
-        workspace = (
-            kernels.ScatterWorkspace.for_index(index)
-            if native is None
-            else None
-        )
+        native: "NativeKernels | None" = None
+        if cfg.backend == "native":
+            from repro.core.native import load_native_library
+
+            native = load_native_library()
         link_l, link_r = index.intern_links(seeds)
         assignment = None
         if cfg.candidate_pruning == "community":
@@ -584,84 +533,14 @@ class UserMatching:
             assignment = assign_communities(
                 index, link_l, link_r, frontier=cfg.pruning_frontier
             )
-
-        def allowed(
-            scores: "kernels.ArrayScores",
-        ) -> "kernels.ArrayScores":
-            if assignment is None:
-                return scores
-            return kernels.prune_scores(
-                scores, assignment.allowed_mask(scores.left, scores.right)
-            )
-
-        # Every counter takes the recount's floor (``min_count``) and
-        # leaves out the pairs community pruning does not allow.  The
-        # pooled and blocked ones sum partial tables, so they keep every
-        # count, selection applies the threshold to the sums, and they
-        # prune the joined table.
-        if cfg.memory_budget_mb is not None:
-            # Memory-budgeted streaming: each round's links are split
-            # into degree-product-sized blocks; with a pool, every block
-            # is additionally sharded across the workers.  Both merges
-            # are the same canonical summation, so blocked x workers is
-            # bit-identical to the monolithic serial recount.
-            def count(
-                ll: "np.ndarray",
-                lr: "np.ndarray",
-                e1: "np.ndarray",
-                e2: "np.ndarray",
-                *,
-                min_count: int = 1,
-            ) -> "tuple[kernels.ArrayScores, int]":
-                scores, emitted = kernels.count_witnesses_blocked(
-                    index,
-                    ll,
-                    lr,
-                    e1,
-                    e2,
-                    cfg.memory_budget_mb,
-                    counter=(
-                        pool.count_witnesses if pool is not None else None
-                    ),
-                    native=native,
-                    workspace=workspace,
-                )
-                return allowed(scores), emitted
-
-        elif pool is not None:
-
-            def count(
-                ll: "np.ndarray",
-                lr: "np.ndarray",
-                e1: "np.ndarray",
-                e2: "np.ndarray",
-                *,
-                min_count: int = 1,
-            ) -> "tuple[kernels.ArrayScores, int]":
-                scores, emitted = pool.count_witnesses(ll, lr, e1, e2)
-                return allowed(scores), emitted
-
-        else:
-
-            def count(
-                ll: "np.ndarray",
-                lr: "np.ndarray",
-                e1: "np.ndarray",
-                e2: "np.ndarray",
-                *,
-                min_count: int = 1,
-            ) -> "tuple[kernels.ArrayScores, int]":
-                return kernels.count_witnesses(
-                    index,
-                    ll,
-                    lr,
-                    e1,
-                    e2,
-                    native=native,
-                    min_count=min_count,
-                    communities=assignment,
-                )
-
+        # Every join floors at the caller's ``min_count`` and leaves out
+        # the pairs community pruning does not allow.
+        count = functools.partial(
+            kernels.count_witnesses,
+            index,
+            native=native,
+            communities=assignment,
+        )
         linked1 = np.zeros(index.n1, dtype=bool)
         linked2 = np.zeros(index.n2, dtype=bool)
         linked1[link_l] = True

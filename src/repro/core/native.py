@@ -1,11 +1,9 @@
 """Compiled ``backend="native"`` kernels: the witness join off the interpreter.
 
-Every scale rung bottlenecks on the same two array kernels: the
-witness join of :func:`repro.core.kernels.count_witnesses` and the
-repeated concatenate-and-re-sort of
-:func:`repro.core.kernels.merge_score_tables`.  This module removes
-both from the hot path by compiling a small,
-dependency-free C kernel at first use:
+Every scale rung bottlenecks on the witness join of
+:func:`repro.core.kernels.count_witnesses` and the selection that
+follows it.  This module takes both off the interpreter by compiling a
+small, dependency-free C kernel at first use:
 
 - the **witness join** walks the CSR neighbor lists row-major,
   scattering each candidate's eligibility-filtered link rows into a
@@ -17,8 +15,6 @@ dependency-free C kernel at first use:
   optional witness floor (``min_count``) are never written, and with
   community labels a candidate reads only its own community's slice
   of each link's row, so pruned pairs cost no witness work;
-- **table merges** (worker shards, memory blocks) hash-accumulate
-  ``(key, count)`` rows the same way;
 - the **carried score table** of
   :class:`repro.core.kernels.CarriedWitnessTable` is kept in C: a fold
   scatter-adds each join's rows into the dense ``int32[n1 * n2]``
@@ -36,14 +32,15 @@ Toolchain story.  The kernel is plain C99 compiled on demand with the
 system compiler (``cc``; override with ``REPRO_NATIVE_CC``) into a
 cached shared object loaded through :mod:`ctypes` — **no new package
 dependency**.  The cache is ``REPRO_NATIVE_DIR`` or a private per-user
-directory under the temp dir (see :func:`_build_dir`).  Environments without a toolchain degrade gracefully:
-:func:`load_native_library` emits a :class:`NativeFallbackWarning` and
-returns ``None``, and every caller treats ``None`` as "run the csr
-kernels" — same links, same table, slower join.  ``backend="native"``
-therefore *never fails for environmental reasons*, mirroring the
-``workers`` knob's :class:`~repro.core.parallel.ParallelFallbackWarning`
-contract.  Set ``REPRO_NATIVE_DISABLE=1`` to force the fallback (CI uses
-this to prove the degraded path stays green).
+directory under the temp dir (see :func:`_build_dir`).  Environments
+without a toolchain degrade gracefully: :func:`load_native_library`
+emits a :class:`NativeFallbackWarning` and returns ``None``, and every
+caller treats ``None`` as "run the csr kernels" — same links, same
+table, slower join.  The same holds for a library that fails the
+load-time self-check (one join and one mutual-best selection on
+hand-built arrays).  ``backend="native"`` therefore *never fails for
+environmental reasons*.  Set ``REPRO_NATIVE_DISABLE=1`` to force the
+fallback (CI uses this to prove the degraded path stays green).
 
 Lint contract (RPR007): the :func:`ctypes.CDLL` boundary appears exactly
 once, inside :func:`_load_shared_library`, dominated by the exception
@@ -99,115 +96,6 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* ------------------------------------------------------------------ *
- * Open-addressing (key -> count) accumulator over packed pair keys.
- * Keys are nonnegative int64 (v1 * n2 + v2); empty slots hold -1.
- * ------------------------------------------------------------------ */
-typedef struct {
-    int64_t *keys;
-    int64_t *vals;
-    int64_t  cap;   /* power of two */
-    int64_t  size;
-} repro_acc;
-
-static uint64_t repro_mix(uint64_t k) {  /* splitmix64 finalizer */
-    k ^= k >> 33; k *= 0xff51afd7ed558ccdULL;
-    k ^= k >> 33; k *= 0xc4ceb9fe1a85ec53ULL;
-    k ^= k >> 33; return k;
-}
-
-static int repro_acc_init(repro_acc *a, int64_t cap) {
-    if (cap < 64) cap = 64;
-    /* round up to a power of two */
-    int64_t c = 64;
-    while (c < cap) c <<= 1;
-    a->keys = (int64_t *)malloc((size_t)c * sizeof(int64_t));
-    a->vals = (int64_t *)malloc((size_t)c * sizeof(int64_t));
-    if (a->keys == NULL || a->vals == NULL) {
-        free(a->keys); free(a->vals);
-        a->keys = a->vals = NULL;
-        return -1;
-    }
-    memset(a->keys, 0xff, (size_t)c * sizeof(int64_t));  /* all -1 */
-    a->cap = c;
-    a->size = 0;
-    return 0;
-}
-
-static void repro_acc_dispose(repro_acc *a) {
-    free(a->keys); free(a->vals);
-    a->keys = a->vals = NULL;
-    a->cap = a->size = 0;
-}
-
-static int repro_acc_grow(repro_acc *a);
-
-static int repro_acc_add(repro_acc *a, int64_t key, int64_t count) {
-    uint64_t mask = (uint64_t)a->cap - 1;
-    uint64_t slot = repro_mix((uint64_t)key) & mask;
-    for (;;) {
-        int64_t k = a->keys[slot];
-        if (k == key) { a->vals[slot] += count; return 0; }
-        if (k == -1) {
-            a->keys[slot] = key;
-            a->vals[slot] = count;
-            a->size++;
-            /* grow at 5/8 load so probe chains stay short */
-            if (a->size * 8 > a->cap * 5) return repro_acc_grow(a);
-            return 0;
-        }
-        slot = (slot + 1) & mask;
-    }
-}
-
-static int repro_acc_grow(repro_acc *a) {
-    repro_acc bigger;
-    if (repro_acc_init(&bigger, a->cap * 2) != 0) return -1;
-    for (int64_t i = 0; i < a->cap; i++) {
-        if (a->keys[i] == -1) continue;
-        /* re-insert without the growth check: load halved */
-        uint64_t mask = (uint64_t)bigger.cap - 1;
-        uint64_t slot = repro_mix((uint64_t)a->keys[i]) & mask;
-        while (bigger.keys[slot] != -1) slot = (slot + 1) & mask;
-        bigger.keys[slot] = a->keys[i];
-        bigger.vals[slot] = a->vals[i];
-        bigger.size++;
-    }
-    repro_acc_dispose(a);
-    *a = bigger;
-    return 0;
-}
-
-/* Exported accumulator handle API ---------------------------------- */
-
-void *repro_acc_new(int64_t hint) {
-    repro_acc *a = (repro_acc *)malloc(sizeof(repro_acc));
-    if (a == NULL) return NULL;
-    if (repro_acc_init(a, hint) != 0) { free(a); return NULL; }
-    return (void *)a;
-}
-
-void repro_acc_free(void *h) {
-    if (h == NULL) return;
-    repro_acc_dispose((repro_acc *)h);
-    free(h);
-}
-
-int64_t repro_acc_size(void *h) {
-    return ((repro_acc *)h)->size;
-}
-
-/* Fold (key, count) rows — a partial score table — into the handle. */
-int64_t repro_acc_add_pairs(
-    void *h, const int64_t *keys, const int64_t *counts, int64_t n
-) {
-    repro_acc *a = (repro_acc *)h;
-    for (int64_t i = 0; i < n; i++) {
-        if (repro_acc_add(a, keys[i], counts[i]) != 0) return -1;
-    }
-    return 0;
-}
 
 /* Count trailing zeros of a nonzero word (bitmap scan helper). */
 static int64_t repro_ctz64(uint64_t x) {
@@ -563,39 +451,6 @@ REPRO_JOIN(repro_join_i64_i64_o32, int64_t,  int64_t,  int32_t)
 REPRO_JOIN(repro_join_u32_u32_o32, uint32_t, uint32_t, int32_t)
 REPRO_JOIN(repro_join_u32_i64_o32, uint32_t, int64_t,  int32_t)
 REPRO_JOIN(repro_join_i64_u32_o32, int64_t,  uint32_t, int32_t)
-
-/* Export the table sorted ascending by key — np.unique's canonical
- * order, which is what makes every downstream consumer bit-identical
- * to the numpy kernels.  Only the unique keys are sorted, not the
- * emitted expansion. */
-typedef struct { int64_t key; int64_t val; } repro_row;
-
-static int repro_row_cmp(const void *pa, const void *pb) {
-    int64_t a = ((const repro_row *)pa)->key;
-    int64_t b = ((const repro_row *)pb)->key;
-    return (a > b) - (a < b);
-}
-
-int64_t repro_acc_export(void *h, int64_t *keys_out, int64_t *vals_out) {
-    repro_acc *a = (repro_acc *)h;
-    repro_row *rows = (repro_row *)malloc(
-        (size_t)(a->size > 0 ? a->size : 1) * sizeof(repro_row));
-    if (rows == NULL) return -1;
-    int64_t n = 0;
-    for (int64_t i = 0; i < a->cap; i++) {
-        if (a->keys[i] == -1) continue;
-        rows[n].key = a->keys[i];
-        rows[n].val = a->vals[i];
-        n++;
-    }
-    qsort(rows, (size_t)n, sizeof(repro_row), repro_row_cmp);
-    for (int64_t i = 0; i < n; i++) {
-        keys_out[i] = rows[i].key;
-        vals_out[i] = rows[i].val;
-    }
-    free(rows);
-    return n;
-}
 
 /* ------------------------------------------------------------------ *
  * Selection kernels over (left, right, score) triples (threshold
@@ -998,10 +853,10 @@ class NativeKernels:
     """ctypes facade over the compiled kernel library.
 
     One instance wraps one loaded shared object; the heavy lifting of
-    staying bit-identical to the numpy kernels is in the export step
-    (ascending packed-key order == ``np.unique`` order).  All methods
-    raise :class:`MemoryError` if the C side reports an allocation
-    failure — never silently degrade mid-run.
+    staying bit-identical to the numpy kernels is in the row order every
+    kernel emits (ascending packed-key order == ``np.unique`` order).
+    All methods raise :class:`MemoryError` if the C side reports an
+    allocation failure — never silently degrade mid-run.
     """
 
     def __init__(self, lib: ctypes.CDLL, lib_path: Path) -> None:
@@ -1010,14 +865,6 @@ class NativeKernels:
         c = ctypes
         i64, u8, vp = c.c_int64, c.c_uint8, c.c_void_p
         p64, pu8 = c.POINTER(i64), c.POINTER(u8)
-        lib.repro_acc_new.argtypes = [i64]
-        lib.repro_acc_new.restype = vp
-        lib.repro_acc_free.argtypes = [vp]
-        lib.repro_acc_free.restype = None
-        lib.repro_acc_size.argtypes = [vp]
-        lib.repro_acc_size.restype = i64
-        lib.repro_acc_add_pairs.argtypes = [vp, p64, p64, i64]
-        lib.repro_acc_add_pairs.restype = i64
         for tags in ("i64_i64", "u32_u32", "u32_i64", "i64_u32"):
             for width in ("o64", "o32"):
                 fn = getattr(lib, f"repro_join_{tags}_{width}")
@@ -1026,8 +873,6 @@ class NativeKernels:
                     vp, vp, i64, i64, i64, vp, vp, vp, i64, i64, p64,
                 ]
                 fn.restype = i64
-        lib.repro_acc_export.argtypes = [vp, p64, p64]
-        lib.repro_acc_export.restype = i64
         lib.repro_mutual_best.argtypes = [
             p64, p64, p64, i64, i64, i64, c.c_int32, p64, p64,
         ]
@@ -1063,17 +908,6 @@ class NativeKernels:
         tag2 = "u32" if indices2.dtype == np.uint32 else "i64"
         width = "o32" if out32 else "o64"
         return getattr(self._lib, f"repro_join_{tag1}_{tag2}_{width}")
-
-    def _export(
-        self, acc: int, expected: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.empty(expected, dtype=np.int64)
-        counts = np.empty(expected, dtype=np.int64)
-        n = int(self._lib.repro_acc_export(acc, self._p64(keys),
-                                           self._p64(counts)))
-        if n < 0:
-            raise MemoryError("native accumulator export failed")
-        return keys[:n], counts[:n]
 
     # ------------------------------------------------------------------
     def witness_join(
@@ -1324,55 +1158,6 @@ class NativeKernels:
             )
         return out[0], out[1], out[2]
 
-    def merge_packed(
-        self, parts: "list[tuple[np.ndarray, np.ndarray]]"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Hash-merge ``(packed_key, count)`` partial tables.
-
-        The native twin of the ``np.unique`` summation inside
-        :func:`repro.core.kernels.merge_score_tables`: rows are folded
-        into one table and exported in ascending key order.  Integer
-        addition is commutative, so the result is independent of part
-        order — and bit-identical to the numpy merge.
-
-        Raises:
-            KernelInputError: on a part whose keys and counts are not
-                1-d arrays of equal length, or a negative key (the
-                accumulator marks empty slots with -1).
-        """
-        parts = [(np.asarray(keys), np.asarray(counts))
-                 for keys, counts in parts]
-        for keys, counts in parts:
-            if keys.ndim != 1 or keys.shape != counts.shape:
-                raise KernelInputError(
-                    f"keys and counts must be 1-d arrays of equal length, "
-                    f"got shapes {keys.shape} and {counts.shape}"
-                )
-            if len(keys) and keys.min() < 0:
-                raise KernelInputError(
-                    f"packed keys must be >= 0, got a minimum of {keys.min()}"
-                )
-        total = sum(len(keys) for keys, _counts in parts)
-        acc = self._lib.repro_acc_new(2 * total)
-        if not acc:
-            raise MemoryError("native accumulator allocation failed")
-        try:
-            for keys, counts in parts:
-                if len(keys) == 0:
-                    continue
-                keys = np.ascontiguousarray(keys, dtype=np.int64)
-                counts = np.ascontiguousarray(counts, dtype=np.int64)
-                status = self._lib.repro_acc_add_pairs(
-                    acc, self._p64(keys), self._p64(counts), len(keys)
-                )
-                if status != 0:
-                    raise MemoryError("native merge ran out of memory")
-            size = int(self._lib.repro_acc_size(acc))
-            out = self._export(acc, size)
-        finally:
-            self._lib.repro_acc_free(acc)
-        return out
-
     def mutual_best(
         self,
         left: np.ndarray,
@@ -1507,6 +1292,32 @@ def _build_dir() -> Path:
     return path
 
 
+def _self_check(kernels: NativeKernels) -> None:
+    """One join + mutual-best round trip on a hand-built pair of graphs.
+
+    Both graphs are the same four nodes: 0 and 1 are linked, 2 is next
+    to both, 3 is next to 0 only.  Link 0 witnesses every pair of
+    ``{2, 3}``, link 1 only ``(2, 2)``, so the table is ``(2, 2): 2`` and
+    1 elsewhere, and mutual-best (ties skipped) links just ``2 -> 2``.
+
+    Raises:
+        RuntimeError: if either kernel returns anything else.
+    """
+    indptr = np.array([0, 2, 3, 5, 6], dtype=np.int64)
+    indices = np.array([2, 3, 2, 0, 1, 0], dtype=np.int64)
+    links = np.array([0, 1], dtype=np.int64)
+    free = np.array([False, False, True, True])
+    left, right, counts, emitted = kernels.witness_join(
+        indptr, indices, indptr, indices, links, links, free, free, 4, 4
+    )
+    table = (left.tolist(), right.tolist(), counts.tolist(), emitted)
+    if table != ([2, 2, 3, 3], [2, 3, 2, 3], [2, 1, 1, 1], 5):
+        raise RuntimeError(f"native self-check: wrong join table {table}")
+    picked = kernels.mutual_best(left, right, counts, 4, 4, True)
+    if [a.tolist() for a in picked] != [[2], [2]]:
+        raise RuntimeError(f"native self-check: wrong selection {picked}")
+
+
 def load_native_library(*, warn: bool = True) -> NativeKernels | None:
     """Compile (once) and load the native kernels, or fall back.
 
@@ -1547,16 +1358,8 @@ def load_native_library(*, warn: bool = True) -> NativeKernels | None:
         if lib is None:
             raise RuntimeError(f"could not load {lib_path}")
         kernels = NativeKernels(lib, lib_path)
-        # Smoke-check one round trip before publishing the handle: a
-        # miscompiled object should fall back, not corrupt tables.
-        keys, counts = kernels.merge_packed(
-            [(np.array([3, 1], dtype=np.int64),
-              np.array([1, 2], dtype=np.int64)),
-             (np.array([1], dtype=np.int64),
-              np.array([5], dtype=np.int64))]
-        )
-        if keys.tolist() != [1, 3] or counts.tolist() != [7, 1]:
-            raise RuntimeError("native self-check produced a wrong table")
+        # A miscompiled object should fall back, not corrupt tables.
+        _self_check(kernels)
     except Exception as exc:
         _CACHE = ()
         if warn:

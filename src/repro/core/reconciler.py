@@ -48,10 +48,8 @@ from repro.core.config import (
     TiePolicy,
     validate_backend,
     validate_candidate_pruning,
-    validate_memory_budget_mb,
     validate_mmap,
     validate_pruning_frontier,
-    validate_workers,
 )
 from repro.core.kernels import ArrayScores
 from repro.core.matcher import UserMatching
@@ -147,8 +145,6 @@ def witness_count_kernel(
 def _csr_witness_scorer(
     g1: Graph,
     g2: Graph,
-    workers: int = 1,
-    memory_budget_mb: int | None = None,
     use_native: bool = False,
     mmap: bool = False,
 ) -> ScoringKernel:
@@ -157,16 +153,11 @@ def _csr_witness_scorer(
     Builds the :class:`~repro.graphs.pair_index.GraphPairIndex` lazily on
     the first scoring round and reuses it for every subsequent round —
     interning is paid once per reconciliation, as the complexity argument
-    assumes.  With ``workers > 1`` a
-    :class:`~repro.core.parallel.WitnessPool` is opened alongside the
-    index and every round's join is sharded across it (the caller must
-    invoke the scorer's ``close()`` attribute when the run ends).  With
-    a *memory_budget_mb* every round streams block-by-block through
-    :func:`~repro.core.kernels.count_witnesses_blocked`, composing with
-    the pool and never changing the scores.  With *mmap* the freshly
-    interned index is spilled to an uncompressed npz and reopened
-    memory-mapped, so every round's join streams adjacency pages from
-    disk (``close()`` unmaps and removes the spill).
+    assumes.  With *mmap* the freshly interned index is spilled to an
+    uncompressed npz and reopened memory-mapped, so every round's join
+    streams adjacency pages from disk (the caller must invoke the
+    scorer's ``close()`` attribute when the run ends: it unmaps and
+    removes the spill).
     Without a candidate stage the flat
     :class:`~repro.core.kernels.ArrayScores` table flows straight into
     the selectors; with one, the scores are restricted through the dict
@@ -203,23 +194,8 @@ def _csr_witness_scorer(
                 from repro.core.native import load_native_library
 
                 state["native"] = load_native_library()
-            if workers > 1:
-                from repro.core.parallel import open_witness_pool
-
-                pool = open_witness_pool(
-                    index,
-                    workers,
-                    use_native=state.get("native") is not None,
-                )
-                if pool is not None:
-                    state["pool"] = pool
-        pool = state.get("pool")
         scores, _emitted = count_similarity_witnesses_arrays(
-            index,
-            links,
-            counter=pool.count_witnesses if pool is not None else None,
-            memory_budget_mb=memory_budget_mb,
-            native=state.get("native"),
+            index, links, native=state.get("native")
         )
         if candidates is None:
             return scores
@@ -234,9 +210,6 @@ def _csr_witness_scorer(
         return out
 
     def close() -> None:
-        pool = state.pop("pool", None)
-        if pool is not None:
-            pool.close()
         index = state.pop("index", None)
         if index is not None and hasattr(index, "close"):
             index.close()
@@ -371,25 +344,13 @@ class Reconciler:
         once per run and produces the flat
         :class:`~repro.core.kernels.ArrayScores` table; the named
         selectors dispatch to the vectorized kernels on it.
-        ``"native"`` additionally routes the join/merge/selection hot
+        ``"native"`` additionally routes the join and selection hot
         loops through the compiled kernels of
         :mod:`repro.core.native`, degrading to ``csr`` with a warning
         when no C toolchain is available.  Links are identical to the
         dict backend either way.  A custom ``scorer`` takes precedence
         over the backend choice; a custom ``candidates`` stage keeps
         its dict-level filtering semantics on any backend.
-    workers : int
-        Worker processes for the ``csr`` default scorer's witness join
-        (see :mod:`repro.core.parallel`); 1 (default) runs serially
-        and any value is link-identical.  Ignored by custom scorers
-        and by the ``dict`` backend.
-    memory_budget_mb : int, optional
-        MiB cap on the ``csr`` default scorer's per-round transient
-        working set (see
-        :func:`~repro.core.kernels.count_witnesses_blocked`); ``None``
-        (default) runs monolithically and any budget is
-        link-identical.  Same custom-scorer/dict-backend caveat as
-        *workers*.
     candidate_pruning : {"none", "community"}
         ``"community"`` partitions the union graph once per run
         (:mod:`repro.graphs.communities`, from the *initial* links the
@@ -422,8 +383,6 @@ class Reconciler:
         selector: str | Selector = "mutual-best",
         validators: "tuple[Validator, ...] | list[Validator]" = (),
         backend: str = DEFAULT_BACKEND,
-        workers: int = 1,
-        memory_budget_mb: int | None = None,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
         mmap: bool = False,
@@ -442,8 +401,6 @@ class Reconciler:
         self.rounds = rounds
         self.tie_policy = tie_policy
         self.backend = validate_backend(backend)
-        self.workers = validate_workers(workers)
-        self.memory_budget_mb = validate_memory_budget_mb(memory_budget_mb)
         self.candidate_pruning = validate_candidate_pruning(
             candidate_pruning
         )
@@ -575,8 +532,6 @@ class Reconciler:
             scorer = _csr_witness_scorer(
                 g1,
                 g2,
-                self.workers,
-                self.memory_budget_mb,
                 use_native=self.backend == "native",
                 mmap=self.mmap,
             )
@@ -655,8 +610,8 @@ class Reconciler:
                 if not accepted:
                     break
         finally:
-            # The per-run csr scorer may hold a worker pool + shared
-            # memory; release them as soon as scoring rounds end.  Only
+            # The per-run csr scorer may hold a memory-mapped spill;
+            # release it as soon as scoring rounds end.  Only
             # the scorer created here is closed — a user-supplied one
             # manages its own lifetime across runs.
             if scorer is not self.scorer:

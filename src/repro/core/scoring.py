@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Hashable
 from repro.graphs.graph import Graph
 
 if TYPE_CHECKING:
-    from repro.core.kernels import ArrayScores, PartialCounter
+    from repro.core.kernels import ArrayScores
     from repro.core.native import NativeKernels
     from repro.graphs.pair_index import GraphPairIndex
 
@@ -94,8 +94,6 @@ def count_similarity_witnesses_arrays(
     links: dict[Node, Node],
     min_degree: int = 1,
     *,
-    counter: "PartialCounter | None" = None,
-    memory_budget_mb: "int | None" = None,
     native: "NativeKernels | None" = None,
 ) -> tuple["ArrayScores", int]:
     """Array-backend twin of :func:`count_similarity_witnesses`.
@@ -111,13 +109,6 @@ def count_similarity_witnesses_arrays(
         index: dense interning of the two graphs.
         links: current identification links.
         min_degree: degree floor applied on both sides.
-        counter: drop-in replacement for the serial kernel taking
-            ``(link_l, link_r, eligible1, eligible2)`` — pass a
-            :meth:`repro.core.parallel.WitnessPool.count_witnesses`
-            bound method to fan the join out to a worker pool.
-        memory_budget_mb: stream the join block-by-block under this
-            MiB budget (:func:`repro.core.kernels.count_witnesses_blocked`);
-            composes with *counter* and never changes the counts.
         native: compiled-kernel handle (``backend="native"``), resolved
             once by the caller via
             :func:`repro.core.native.load_native_library`; the counts
@@ -125,10 +116,7 @@ def count_similarity_witnesses_arrays(
     """
     import numpy as np
 
-    from repro.core.kernels import (
-        count_witnesses,
-        count_witnesses_blocked,
-    )
+    from repro.core.kernels import count_witnesses
 
     linked1 = np.zeros(index.n1, dtype=bool)
     linked2 = np.zeros(index.n2, dtype=bool)
@@ -143,19 +131,6 @@ def count_similarity_witnesses_arrays(
     linked1[link_l] = True
     linked2[link_r] = True
     floor1, floor2 = index.eligibility(min_degree)
-    if memory_budget_mb is not None:
-        return count_witnesses_blocked(
-            index,
-            link_l,
-            link_r,
-            ~linked1 & floor1,
-            ~linked2 & floor2,
-            memory_budget_mb,
-            counter=counter,
-            native=native,
-        )
-    if counter is not None:
-        return counter(link_l, link_r, ~linked1 & floor1, ~linked2 & floor2)
     return count_witnesses(
         index,
         link_l,

@@ -19,10 +19,8 @@ from repro.core.config import (
     MatcherConfig,
     validate_backend,
     validate_candidate_pruning,
-    validate_memory_budget_mb,
     validate_mmap,
     validate_pruning_frontier,
-    validate_workers,
 )
 from repro.errors import MatcherConfigError
 from repro.core.matcher import UserMatching
@@ -108,8 +106,6 @@ class TrialResult:
 #: can apply to a default/named matcher without reconstructing it.
 _EXECUTION_KNOBS = (
     ("backend", validate_backend),
-    ("workers", validate_workers),
-    ("memory_budget_mb", validate_memory_budget_mb),
     ("candidate_pruning", validate_candidate_pruning),
     ("pruning_frontier", validate_pruning_frontier),
     ("mmap", validate_mmap),
@@ -123,8 +119,6 @@ def run_trial(
     matcher: "Matcher | str | None" = None,
     params: dict[str, object] | None = None,
     backend: str | None = None,
-    workers: int | None = None,
-    memory_budget_mb: int | None = None,
     candidate_pruning: str | None = None,
     pruning_frontier: int | None = None,
     mmap: bool | None = None,
@@ -157,17 +151,9 @@ def run_trial(
         already-constructed instance.  ``None`` keeps the matcher's
         own, which defaults to ``"native"``
         (:data:`~repro.core.config.DEFAULT_BACKEND`).
-    workers : int, optional
-        Worker processes for the csr kernels, applied exactly like
-        *backend* (links are identical for any value — this knob only
-        changes wall-clock, i.e. the ``elapsed_s`` column, seconds).
-    memory_budget_mb : int, optional
-        Per-round working-set budget for the csr witness join, in MiB,
-        applied exactly like *backend* (links are identical for any
-        budget — this knob only changes the ``peak_mb`` column).
     candidate_pruning : {"none", "community"}, optional
         Candidate-pruning mode applied exactly like *backend*.  Unlike
-        the execution knobs above this one *changes the links* (it
+        *backend* and *mmap* this one *changes the links* (it
         trades recall for candidate-pair volume — compare the
         ``candidate_pairs`` column, and see *measure_pruning_cost*);
         what stays invariant is backend parity under pruning.
@@ -200,7 +186,8 @@ def run_trial(
         and the evaluation runs against the final state.  Links are
         bit-identical to a cold run on that final state.
     **matcher_config
-        Configuration for a *named* matcher.
+        Configuration for a *named* matcher; refused otherwise, so a
+        misspelled or removed option is never silently dropped.
 
     Returns
     -------
@@ -208,10 +195,13 @@ def run_trial(
         Matching result, quality report, wall-clock cost, and (when
         streaming) the per-delta outcomes.
     """
+    if matcher_config and not isinstance(matcher, str):
+        raise MatcherConfigError(
+            f"unexpected options {sorted(matcher_config)}: extra keyword "
+            "arguments configure a named matcher only"
+        )
     knobs = {
         "backend": backend,
-        "workers": workers,
-        "memory_budget_mb": memory_budget_mb,
         "candidate_pruning": candidate_pruning,
         "pruning_frontier": pruning_frontier,
         "mmap": mmap,
@@ -330,8 +320,6 @@ def compare_matchers(
     matchers: Sequence["Matcher | str"],
     params: dict[str, object] | None = None,
     backend: str | None = None,
-    workers: int | None = None,
-    memory_budget_mb: int | None = None,
     candidate_pruning: str | None = None,
     pruning_frontier: int | None = None,
     mmap: bool | None = None,
@@ -363,14 +351,6 @@ def compare_matchers(
         (:data:`~repro.core.config.DEFAULT_BACKEND`).  Pre-constructed
         instances keep whatever backend they were built with and get
         no ``backend`` column (the harness cannot reconfigure them).
-    workers : int, optional
-        Run every *named* matcher with this many csr-kernel worker
-        processes and record it in the ``workers`` column of its row;
-        same instance caveat as *backend*.
-    memory_budget_mb : int, optional
-        Run every *named* matcher under this per-round csr working-set
-        budget (MiB) and record it in the ``memory_budget_mb`` column
-        of its row; same instance caveat as *backend*.
     candidate_pruning : {"none", "community"}, optional
         Run every *named* matcher under this candidate-pruning mode
         and record it in the ``candidate_pruning`` column of its row;
@@ -404,8 +384,6 @@ def compare_matchers(
         if named:
             for option, value in (
                 ("backend", backend),
-                ("workers", workers),
-                ("memory_budget_mb", memory_budget_mb),
                 ("candidate_pruning", candidate_pruning),
                 ("pruning_frontier", pruning_frontier),
                 ("mmap", mmap),
@@ -418,8 +396,6 @@ def compare_matchers(
                 seeds,
                 matcher=entry,
                 backend=backend if named else None,
-                workers=workers if named else None,
-                memory_budget_mb=memory_budget_mb if named else None,
                 candidate_pruning=candidate_pruning if named else None,
                 pruning_frontier=pruning_frontier if named else None,
                 mmap=mmap if named else None,

@@ -34,7 +34,6 @@ def run(
     iterations: int = 2,
     seed=0,
     backend: str = DEFAULT_BACKEND,
-    workers: int = 1,
     candidate_pruning: str = "none",
     pruning_frontier: int = 0,
     mmap: bool = False,
@@ -76,7 +75,6 @@ def run(
                 # T=1 can identify degree-1 nodes; let it try them.
                 min_bucket_exponent=0 if threshold == 1 else 1,
                 backend=backend,
-                workers=workers,
                 candidate_pruning=candidate_pruning,
                 pruning_frontier=pruning_frontier,
                 mmap=mmap,

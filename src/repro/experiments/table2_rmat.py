@@ -11,10 +11,10 @@ report measured relative wall-clock of the matcher per rung.
 
 :func:`run_million` is the rung that actually reaches the paper's scale
 regime on one machine: RMAT20 (2^20 = 1,048,576 addressable nodes) on
-the ``csr`` backend under a stated ``memory_budget_mb``, with the
-process peak RSS recorded next to the quality numbers.  CI runs it in a
-smoke size (``scale ~ 14``) nightly; the full rung is what
-EXPERIMENTS.md and ``BENCH_blocked.json`` report.
+the default backend's serial sweep, with the process peak RSS recorded
+next to the quality numbers.  CI runs it in a smoke size (``scale ~
+14``) nightly; the full rung is what EXPERIMENTS.md and
+``BENCH_blocked.json`` report.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ def run(
     iterations: int = 1,
     seed=0,
     backend: str = DEFAULT_BACKEND,
-    workers: int = 1,
-    memory_budget_mb: int | None = None,
     candidate_pruning: str = "none",
     pruning_frontier: int = 0,
     mmap: bool = False,
@@ -67,8 +65,7 @@ def run(
         ),
         notes=(
             f"scales={scales} edge_factor={edge_factor} "
-            f"backend={backend} workers={workers} "
-            f"memory_budget_mb={memory_budget_mb} "
+            f"backend={backend} "
             "(paper: RMAT24/26/28 on MapReduce)"
         ),
     )
@@ -87,8 +84,6 @@ def run(
                 threshold=threshold,
                 iterations=iterations,
                 backend=backend,
-                workers=workers,
-                memory_budget_mb=memory_budget_mb,
                 candidate_pruning=candidate_pruning,
                 pruning_frontier=pruning_frontier,
                 mmap=mmap,
@@ -134,20 +129,18 @@ def run_million(
     threshold: int = 2,
     iterations: int = 1,
     seed=0,
-    backend: str = "csr",
-    workers: int = 1,
-    memory_budget_mb: int | None = 512,
+    backend: str = DEFAULT_BACKEND,
     candidate_pruning: str = "none",
     pruning_frontier: int = 0,
     mmap: bool = False,
     track_memory: bool = False,
 ) -> ExperimentResult:
-    """The million-node rung: one RMAT *scale* graph under a memory budget.
+    """The million-node rung: one RMAT *scale* graph, peak RSS recorded.
 
     Defaults reach the paper's scale regime on a single machine: RMAT20
     addresses 2^20 = 1,048,576 nodes (the paper's smallest rung, RMAT24,
-    is 16x that on a MapReduce cluster), the ``csr`` backend streams
-    each round's witness join under ``memory_budget_mb``, and the row
+    is 16x that on a MapReduce cluster), the default backend's row-major
+    join never materializes the witness expansion, and the row
     records the process-lifetime peak RSS next to the quality numbers.
     CI's nightly job runs this driver at a smoke ``scale``; the full
     default takes minutes and a few GiB (graph construction dominates).
@@ -155,18 +148,17 @@ def run_million(
     ``candidate_pruning="community"`` — at this rung the row carries
     ``candidate_pairs`` and ``pruning_recall_cost`` so the scale win
     and its quality price are visible side by side.  *mmap* composes:
-    the rung's interned CSR spills to disk and the block planner
-    streams it back page by page.
+    the rung's interned CSR spills to disk and the sweep streams it
+    back page by page.
     """
     result = ExperimentResult(
         name="table2-million",
         description=(
-            "million-node R-MAT rung: blocked csr execution under a "
-            "stated memory budget, peak RSS recorded"
+            "million-node R-MAT rung: serial sweep on the default "
+            "backend, peak RSS recorded"
         ),
         notes=(
-            f"scale={scale} edge_factor={edge_factor} backend={backend} "
-            f"workers={workers} memory_budget_mb={memory_budget_mb}"
+            f"scale={scale} edge_factor={edge_factor} backend={backend}"
         ),
     )
     rngs = spawn_rngs(seed, 3)
@@ -188,8 +180,6 @@ def run_million(
             threshold=threshold,
             iterations=iterations,
             backend=backend,
-            workers=workers,
-            memory_budget_mb=memory_budget_mb,
             candidate_pruning=candidate_pruning,
             pruning_frontier=pruning_frontier,
             mmap=mmap,
@@ -207,7 +197,6 @@ def run_million(
         "wrong_pairs": trial.report.bad,
         "precision": trial.report.precision,
         "elapsed_s": round(trial.elapsed, 3),
-        "memory_budget_mb": memory_budget_mb,
         "candidate_pairs": sum(
             p.candidates for p in trial.result.phases
         ),

@@ -105,8 +105,8 @@ def compact_csr_indices(csr: CSRGraph) -> bool:
     reconciliation's resident memory — while every value is a dense node
     id below ``n``.  Whenever ``n`` fits ``uint32`` (any graph below
     ~4.3 billion nodes, i.e. every practical rung including the paper's
-    RMAT28), storing ids at 4 bytes instead of 8 halves that footprint
-    and the shared-memory segments the worker pool exports.  ``indptr``
+    RMAT28), storing ids at 4 bytes instead of 8 halves that
+    footprint.  ``indptr``
     stays ``int64``: it has only ``n + 1`` entries, and keeping it wide
     makes every downstream offset/cumsum arithmetic promote to ``int64``
     (mixed ``uint32``/``int64`` operations never underflow).
@@ -161,7 +161,7 @@ class GraphPairIndex:
         self.csr2 = CSRGraph(g2, order=order2)
         # Execution substrate: node ids are dense, so neighbor ids fit
         # uint32 for any practical graph — ~50% off resident adjacency
-        # memory (and the pool's shared segments) at zero output cost.
+        # memory at zero output cost.
         compact_csr_indices(self.csr1)
         compact_csr_indices(self.csr2)
         self.deg1 = self.csr1.degree_array()

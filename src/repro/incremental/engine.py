@@ -521,14 +521,13 @@ class IncrementalReconciler:
         """Witness join over the current adjacency (any link subset).
 
         The batch sweep's kernel — compiled when the engine holds a
-        native handle, else the scipy product — streamed in blocks
-        under a memory budget.  Returns ``(packed_sorted, score,
-        emitted)`` with ``int64`` keys ``v1 * n2 + v2``; the compiled
-        join's rows already ascend, the scipy join's are sorted here.
+        native handle, else the scipy product.  Returns
+        ``(packed_sorted, score, emitted)`` with ``int64`` keys
+        ``v1 * n2 + v2``; the compiled join's rows already ascend, the
+        scipy join's are sorted here.
         """
-        scores, emitted = kernels.count_witnesses_blocked(
-            self.index, link_l, link_r, e1, e2,
-            self.config.memory_budget_mb, native=self._native,
+        scores, emitted = kernels.count_witnesses(
+            self.index, link_l, link_r, e1, e2, native=self._native
         )
         packed = (
             scores.left.astype(np.int64, copy=False) * np.int64(n2)
@@ -797,8 +796,8 @@ class IncrementalReconciler:
     def require_config(self, config: MatcherConfig) -> None:
         """Raise unless *config* is algorithmically compatible.
 
-        Execution knobs (backend, workers, memory budget, checkpoint
-        plumbing) are free to differ; the fields that change the output
+        Execution knobs (backend, mmap, checkpoint plumbing) are free
+        to differ; the fields that change the output
         must match the checkpointed run.
         """
         if self.config is None:
@@ -903,8 +902,6 @@ class IncrementalReconciler:
                 "min_bucket_exponent": cfg.min_bucket_exponent,
                 "tie_policy": cfg.tie_policy.value,
                 "backend": cfg.backend,
-                "workers": cfg.workers,
-                "memory_budget_mb": cfg.memory_budget_mb,
             },
             "extra": extra_meta or {},
         }
@@ -942,8 +939,6 @@ class IncrementalReconciler:
             min_bucket_exponent=cfg_meta["min_bucket_exponent"],
             tie_policy=TiePolicy(cfg_meta["tie_policy"]),
             backend=cfg_meta.get("backend", "csr"),
-            workers=cfg_meta.get("workers", 1),
-            memory_budget_mb=cfg_meta.get("memory_budget_mb"),
         )
         nodes1 = list(arrays["nodes1"])
         nodes2 = list(arrays["nodes2"])

@@ -7,20 +7,10 @@ applies the combiner within each partition (as Hadoop/Flume do, to shrink
 shuffle volume), shuffles by key, and runs reducers.  Rounds executed and
 shuffle sizes are recorded so experiments can report the paper's
 "O(k log D) MapReductions" accounting.
-
-With ``workers > 1`` the post-shuffle key space is split into
-round-robin reducer shards — the shuffle is the natural shard boundary,
-exactly where a distributed runtime hands keys to reduce tasks — and the
-shards execute on a thread pool.  Reducer closures stay in-process (no
-pickling constraints, unlike a process pool), and the outputs are
-reassembled in original key order, so the result is byte-identical to
-serial execution for any worker count: a determinism invariant tests pin
-down alongside the existing "partition count never changes results" one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -70,15 +60,10 @@ class LocalMapReduce:
         partitions: number of map partitions (affects only combiner
             granularity, not results — a useful invariant that tests
             check).
-        workers: reducer shard count; > 1 splits the shuffled key space
-            round-robin into shards executed on a thread pool.  Affects
-            only execution, never results (a second invariant tests
-            check).
         history: :class:`RoundStats` for every round executed, in order.
     """
 
     partitions: int = 4
-    workers: int = 1
     history: list[RoundStats] = field(default_factory=list)
 
     def run(self, job: MapReduceJob, records: Iterable[KV]) -> list[KV]:
@@ -87,8 +72,6 @@ class LocalMapReduce:
             raise MapReduceError(
                 f"partitions must be >= 1, got {self.partitions}"
             )
-        if self.workers < 1:
-            raise MapReduceError(f"workers must be >= 1, got {self.workers}")
         records = list(records)
         # --- map phase, partitioned -----------------------------------
         buckets: list[list[KV]] = [[] for _ in range(self.partitions)]
@@ -114,8 +97,10 @@ class LocalMapReduce:
             for key, values in grouped.items():
                 shuffled.setdefault(key, []).extend(values)
                 shuffled_total += len(values)
-        # --- reduce (optionally sharded over the key space) ------------
-        output = self._reduce(job, shuffled)
+        # --- reduce ----------------------------------------------------
+        output: list[KV] = []
+        for key, values in shuffled.items():
+            output.extend(job.reduce_fn(key, values))
         self.history.append(
             RoundStats(
                 name=job.name,
@@ -126,36 +111,6 @@ class LocalMapReduce:
             )
         )
         return output
-
-    def _reduce(
-        self, job: MapReduceJob, shuffled: dict[Any, list[Any]]
-    ) -> list[KV]:
-        """Run reducers, sharding the key space when ``workers > 1``.
-
-        Keys are dealt round-robin to ``min(workers, len(keys))``
-        shards and each shard's reducers run as one thread-pool task;
-        per-key outputs are reassembled in shuffle order, so the result
-        is identical to the serial loop.
-        """
-        items = list(shuffled.items())
-        shard_count = min(self.workers, len(items))
-        if shard_count <= 1:
-            output: list[KV] = []
-            for key, values in items:
-                output.extend(job.reduce_fn(key, values))
-            return output
-        shards = [items[s::shard_count] for s in range(shard_count)]
-
-        def reduce_shard(shard: list[KV]) -> list[list[KV]]:
-            return [list(job.reduce_fn(key, values)) for key, values in shard]
-
-        with ThreadPoolExecutor(max_workers=shard_count) as executor:
-            shard_outputs = list(executor.map(reduce_shard, shards))
-        per_key: list[list[KV] | None] = [None] * len(items)
-        for s, outputs in enumerate(shard_outputs):
-            for j, out in enumerate(outputs):
-                per_key[s + j * shard_count] = out
-        return [kv for outs in per_key for kv in outs]
 
     @property
     def rounds_executed(self) -> int:

@@ -54,23 +54,14 @@ class MapReduceUserMatching:
     """User-Matching on top of :class:`LocalMapReduce`.
 
     Args:
-        config: same knobs as the sequential matcher;
-            ``config.workers`` becomes the default engine's reducer
-            shard count (the shuffle is the shard boundary).
-            ``config.memory_budget_mb`` is accepted (and validated) for
-            registry uniformity: the MR dataflow already streams the
-            witness join one link at a time through the shuffle, so its
-            transient working set is bounded by construction — the
-            combiner collapses counts map-side rather than
-            materializing the cross product.  Likewise ``config.mmap``
-            is accepted for uniformity (the local engine keeps its
-            shuffle in memory).  ``config.candidate_pruning`` is real:
-            round 2's reducer drops community-disallowed pairs, keeping
-            the links identical to the sequential matcher's under
-            pruning.
+        config: same knobs as the sequential matcher.  ``config.mmap``
+            is accepted for registry uniformity (the local engine keeps
+            its shuffle in memory).  ``config.candidate_pruning`` is
+            real: round 2's reducer drops community-disallowed pairs,
+            keeping the links identical to the sequential matcher's
+            under pruning.
         engine: optionally share/inspect an engine (round history is the
             interesting part: 4 rounds per bucket, O(k log D) total).
-            An explicit engine keeps its own ``workers`` setting.
     """
 
     def __init__(
@@ -79,7 +70,7 @@ class MapReduceUserMatching:
         engine: LocalMapReduce | None = None,
     ) -> None:
         self.config = config or MatcherConfig()
-        self.engine = engine or LocalMapReduce(workers=self.config.workers)
+        self.engine = engine or LocalMapReduce()
         # Reuse the sequential matcher for seed validation + bucket plan.
         self._reference = UserMatching(self.config)
 

@@ -29,12 +29,11 @@ BAD_CORE = ("import time\n" "def stamp():\n" "    return time.time()\n")
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_stock_rules_registered(self):
         assert rule_ids() == (
             "RPR001",
             "RPR002",
             "RPR003",
-            "RPR004",
             "RPR005",
             "RPR006",
             "RPR007",

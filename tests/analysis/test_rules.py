@@ -19,7 +19,6 @@ from repro.analysis.rules.dtype_discipline import DtypeDisciplineRule
 from repro.analysis.rules.float_accumulation import FloatAccumulationRule
 from repro.analysis.rules.native_boundary import NativeBoundaryRule
 from repro.analysis.rules.ordered_iteration import OrderedIterationRule
-from repro.analysis.rules.shm_lifecycle import ShmLifecycleRule
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,12 +66,6 @@ FILE_RULE_CASES = [
         "float_accumulation",
         "src/repro/core/fixture_float_accumulation.py",
         id="RPR003",
-    ),
-    pytest.param(
-        ShmLifecycleRule(),
-        "shm_lifecycle",
-        "src/repro/core/fixture_shm_lifecycle.py",
-        id="RPR004",
     ),
     pytest.param(
         DtypeDisciplineRule(),
@@ -124,9 +117,6 @@ class TestScoping:
     def test_out_of_scope_path_is_skipped(self, rule, outside):
         assert not rule.applies_to(outside)
 
-    def test_shm_rule_is_global(self):
-        assert ShmLifecycleRule().applies_to("benchmarks/bench_x.py")
-
     def test_non_repro_tree_never_matches_scoped_rules(self):
         assert not DeterminismRule().applies_to(
             "tests/analysis/fixtures/bad_determinism.py"
@@ -162,16 +152,6 @@ class TestRuleEdgeCases:
         )
         findings = list(FloatAccumulationRule().check(src))
         assert [f.line for f in findings] == [2]
-
-    def test_shm_with_statement_accepted(self):
-        src = SourceFile.from_source(
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def f(name):\n"
-            "    with SharedMemory(name=name) as shm:\n"
-            "        return bytes(shm.buf[:1])\n",
-            "src/repro/core/x.py",
-        )
-        assert list(ShmLifecycleRule().check(src)) == []
 
     def test_dtype_rule_ignores_non_numpy_calls(self):
         src = SourceFile.from_source(

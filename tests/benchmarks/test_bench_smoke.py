@@ -50,26 +50,6 @@ def test_imports_cleanly(path):
 
 
 @pytest.mark.slow
-def test_micro_parallel_scaling_curve():
-    """bench_parallel's curve helper at micro scale, links asserted."""
-    module = load_bench_module(BENCHMARKS_DIR / "bench_parallel.py")
-    curve = module.scaling_curve(workers_counts=(1, 2), scale=7)
-    assert set(curve) == {1, 2}
-    assert all(elapsed > 0 for elapsed in curve.values())
-
-
-@pytest.mark.slow
-def test_micro_parallel_workload_builder():
-    """bench_parallel's workload recipe holds at micro scale too."""
-    module = load_bench_module(BENCHMARKS_DIR / "bench_parallel.py")
-    pair, seeds = module.build_workload(scale=7, seed=0)
-    assert pair.g1.num_nodes > 0
-    assert seeds
-    result = module.run_matcher(pair, seeds, workers=1)
-    assert result.num_links >= len(seeds)
-
-
-@pytest.mark.slow
 def test_micro_table2_ladder():
     """The Table-2 driver the R-MAT benches wrap, at micro scale."""
     from repro.experiments import table2_rmat
@@ -80,23 +60,12 @@ def test_micro_table2_ladder():
 
 
 @pytest.mark.slow
-def test_micro_blocked_budget_curve():
-    """bench_blocked's curve helper at micro scale, links asserted."""
-    module = load_bench_module(BENCHMARKS_DIR / "bench_blocked.py")
-    curve = module.budget_curve(budgets=(None, 1), scale=7)
-    assert set(curve) == {None, 1}
-    for elapsed, peak_mb in curve.values():
-        assert elapsed > 0
-        assert peak_mb >= 0
-
-
-@pytest.mark.slow
 def test_micro_million_rung_driver():
     """bench_blocked's million-rung driver, at micro scale."""
     module = load_bench_module(BENCHMARKS_DIR / "bench_blocked.py")
-    row = module.million_rung(scale=8, edge_factor=4, memory_budget_mb=4)
-    assert row["memory_budget_mb"] == 4
+    row = module.million_rung(scale=8, edge_factor=4)
     assert row["nodes"] > 0
+    assert "peak_rss_mb" in row
 
 
 @pytest.mark.slow

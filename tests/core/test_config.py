@@ -55,36 +55,3 @@ class TestMatcherConfig:
             tie_policy=TiePolicy.LOWEST_ID,
         )
         assert cfg.threshold == 9
-
-
-class TestMemoryBudget:
-    def test_default_is_unbudgeted(self):
-        from repro.core.config import MatcherConfig
-
-        assert MatcherConfig().memory_budget_mb is None
-
-    def test_valid_budget(self):
-        from repro.core.config import MatcherConfig
-
-        assert MatcherConfig(memory_budget_mb=256).memory_budget_mb == 256
-
-    def test_invalid_budgets(self):
-        import pytest
-
-        from repro.core.config import MatcherConfig
-        from repro.errors import MatcherConfigError
-
-        for bad in (0, -1, 1.5, "256", True):
-            with pytest.raises(MatcherConfigError):
-                MatcherConfig(memory_budget_mb=bad)
-
-    def test_validate_helper(self):
-        import pytest
-
-        from repro.core.config import validate_memory_budget_mb
-        from repro.errors import MatcherConfigError
-
-        assert validate_memory_budget_mb(None) is None
-        assert validate_memory_budget_mb(64) == 64
-        with pytest.raises(MatcherConfigError):
-            validate_memory_budget_mb(0)

@@ -274,146 +274,6 @@ def canonical_table(scores: ArrayScores):
     return packed[order], scores.score[order]
 
 
-class TestMergeScoreTables:
-    def test_merge_of_split_equals_whole(self, pa_pair, pa_seeds):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        link_l, link_r = index.intern_links(pa_seeds)
-        elig1 = np.ones(index.n1, dtype=bool)
-        elig2 = np.ones(index.n2, dtype=bool)
-        whole, emitted = count_witnesses(index, link_l, link_r, elig1, elig2)
-        half = len(link_l) // 2
-        parts = []
-        for sl in (slice(None, half), slice(half, None)):
-            scores, part_emitted = count_witnesses(
-                index, link_l[sl], link_r[sl], elig1, elig2
-            )
-            parts.append(
-                (scores.left, scores.right, scores.score, part_emitted)
-            )
-        merged, merged_emitted = kernels.merge_score_tables(index, parts)
-        assert merged_emitted == emitted
-        wk, wc = canonical_table(whole)
-        mk, mc = canonical_table(merged)
-        assert np.array_equal(wk, mk)
-        assert np.array_equal(wc, mc)
-
-    def test_merge_is_canonically_sorted(self, pa_pair, pa_seeds):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        link_l, link_r = index.intern_links(pa_seeds)
-        elig = np.ones(index.n1, dtype=bool), np.ones(index.n2, dtype=bool)
-        scores, emitted = count_witnesses(
-            index, link_l, link_r, elig[0], elig[1]
-        )
-        part = (scores.left, scores.right, scores.score, emitted)
-        merged, _ = kernels.merge_score_tables(index, [part, part])
-        packed = merged.left * index.n2 + merged.right
-        assert (np.diff(packed) > 0).all()  # sorted, unique
-        assert np.array_equal(merged.score, 2 * canonical_table(scores)[1])
-
-    def test_empty_parts(self, pa_pair):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        merged, emitted = kernels.merge_score_tables(index, [])
-        assert merged.num_pairs == 0 and emitted == 0
-
-
-class TestCountWitnessesBlocked:
-    def _round(self, pa_pair, pa_seeds):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        link_l, link_r = index.intern_links(pa_seeds)
-        linked1 = np.zeros(index.n1, dtype=bool)
-        linked2 = np.zeros(index.n2, dtype=bool)
-        linked1[link_l] = True
-        linked2[link_r] = True
-        floor1, floor2 = index.eligibility(2)
-        return (
-            index, link_l, link_r, ~linked1 & floor1, ~linked2 & floor2,
-        )
-
-    def test_no_budget_passthrough(self, pa_pair, pa_seeds):
-        index, ll, lr, e1, e2 = self._round(pa_pair, pa_seeds)
-        mono, em = count_witnesses(index, ll, lr, e1, e2)
-        blocked, eb = kernels.count_witnesses_blocked(
-            index, ll, lr, e1, e2, None
-        )
-        assert em == eb
-        assert np.array_equal(blocked.left, mono.left)
-        assert np.array_equal(blocked.score, mono.score)
-
-    def test_forced_multi_block_identical(self, pa_pair, pa_seeds):
-        from unittest import mock
-
-        import repro.core.shards as shards
-
-        index, ll, lr, e1, e2 = self._round(pa_pair, pa_seeds)
-        mono, em = count_witnesses(index, ll, lr, e1, e2)
-        with mock.patch.object(shards, "WITNESS_PAIR_BYTES", 1 << 22):
-            plan = shards.plan_witness_blocks(index, ll, lr, 1)
-            blocked, eb = kernels.count_witnesses_blocked(
-                index, ll, lr, e1, e2, 1
-            )
-        assert plan.num_blocks > 1
-        assert em == eb
-        mk, mc = canonical_table(mono)
-        bk, bc = canonical_table(blocked)
-        assert np.array_equal(mk, bk)
-        assert np.array_equal(mc, bc)
-
-    @pytest.mark.parametrize("join", JOINS)
-    def test_both_join_paths_identical(self, pa_pair, pa_seeds, join):
-        from unittest import mock
-
-        import repro.core.shards as shards
-
-        native = join_handle(join)
-        index, ll, lr, e1, e2 = self._round(pa_pair, pa_seeds)
-        mono, _ = count_witnesses(index, ll, lr, e1, e2, native=native)
-        with mock.patch.object(shards, "WITNESS_PAIR_BYTES", 1 << 21):
-            blocked, _ = kernels.count_witnesses_blocked(
-                index, ll, lr, e1, e2, 1, native=native
-            )
-        mk, mc = canonical_table(mono)
-        bk, bc = canonical_table(blocked)
-        assert np.array_equal(mk, bk)
-        assert np.array_equal(mc, bc)
-
-    def test_counter_hook_receives_blocks(self, pa_pair, pa_seeds):
-        from unittest import mock
-
-        import repro.core.shards as shards
-
-        index, ll, lr, e1, e2 = self._round(pa_pair, pa_seeds)
-        calls = []
-
-        def counter(link_l, link_r, elig1, elig2):
-            calls.append(len(link_l))
-            return count_witnesses(index, link_l, link_r, elig1, elig2)
-
-        with mock.patch.object(shards, "WITNESS_PAIR_BYTES", 1 << 22):
-            blocked, _ = kernels.count_witnesses_blocked(
-                index, ll, lr, e1, e2, 1, counter=counter
-            )
-        assert len(calls) > 1
-        assert sum(calls) == len(ll)
-        mono, _ = count_witnesses(index, ll, lr, e1, e2)
-        mk, mc = canonical_table(mono)
-        bk, bc = canonical_table(blocked)
-        assert np.array_equal(mk, bk)
-        assert np.array_equal(mc, bc)
-
-    def test_empty_links(self, pa_pair):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        empty = np.empty(0, dtype=np.int64)
-        scores, emitted = kernels.count_witnesses_blocked(
-            index,
-            empty,
-            empty,
-            np.ones(index.n1, dtype=bool),
-            np.ones(index.n2, dtype=bool),
-            4,
-        )
-        assert emitted == 0 and scores.num_pairs == 0
-
-
 class TestUint32Compaction:
     def test_pair_index_compacts_indices(self, pa_pair):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)

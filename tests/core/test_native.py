@@ -2,10 +2,10 @@
 
 Two families live here: exactness of each C kernel against its
 reference (the witness join against the dict oracle across all four
-index-dtype variants; packed merge, mutual-best under both tie policies
-and greedy scan against their numpy twins), and the
-load/fallback machinery (module-level cache, kill switch, broken
-compiler, quiet resolution for workers).  Everything degrades — none of
+index-dtype variants; mutual-best under both tie policies and greedy
+scan against their numpy twins), and the load/fallback machinery
+(module-level cache, kill switch, broken compiler, the load-time
+self-check, quiet resolution).  Everything degrades — none of
 these tests require a working C toolchain except the ones explicitly
 marked ``needs_native``.
 """
@@ -22,10 +22,7 @@ from repro.core import kernels, native
 from repro.core.config import MatcherConfig, TiePolicy
 from repro.core.kernels import (
     ArrayScores,
-    ScatterWorkspace,
     count_witnesses,
-    count_witnesses_blocked,
-    merge_score_tables,
     select_greedy_arrays,
     select_mutual_best_arrays,
 )
@@ -89,10 +86,6 @@ def canon(scores: ArrayScores):
     packed = scores.left * scores.index.n2 + scores.right
     order = np.argsort(packed)
     return packed[order].tolist(), scores.score[order].tolist()
-
-
-def parts_of(*tables):
-    return [(t.left, t.right, t.score, 0) for t in tables]
 
 
 class TestWitnessJoin:
@@ -439,67 +432,6 @@ class TestJoinFloor:
                 raw_join(handle, index, *args, 0)
 
 
-class TestMergePacked:
-    def test_matches_numpy_merge(self, pa_pair, pa_seeds, nk):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        args = linked_masks(index, pa_seeds)
-        whole, _ = count_witnesses(index, *args)
-        tables = [
-            count_witnesses(
-                index, args[0][chunk], args[1][chunk], args[2], args[3]
-            )[0]
-            for chunk in np.array_split(np.arange(args[0].size), 3)
-        ]
-        ref, _ = merge_score_tables(index, parts_of(*tables))
-        nat, _ = merge_score_tables(index, parts_of(*tables), native=nk)
-        assert table(nat) == table(ref)
-        assert canon(nat) == canon(whole)
-        assert nat.native is nk
-
-    def test_disjoint_and_overlapping_keys(self, nk):
-        rng = np.random.default_rng(5)
-        parts = []
-        for _ in range(4):
-            keys = np.unique(rng.integers(0, 400, size=60))
-            counts = rng.integers(1, 9, size=keys.size)
-            parts.append((keys.astype(np.int64), counts.astype(np.int64)))
-        keys, counts = nk.merge_packed(parts)
-        all_keys = np.concatenate([p[0] for p in parts])
-        all_counts = np.concatenate([p[1] for p in parts])
-        ref_keys, inv = np.unique(all_keys, return_inverse=True)
-        ref_counts = np.bincount(inv, weights=all_counts).astype(np.int64)
-        assert keys.tolist() == ref_keys.tolist()
-        assert counts.tolist() == ref_counts.tolist()
-
-    def test_empty_parts(self, nk):
-        keys, counts = nk.merge_packed([])
-        assert keys.size == 0 and counts.size == 0
-
-    @pytest.mark.parametrize(
-        "keys,counts,match",
-        [
-            ([5, -1], [1, 1], ">= 0"),
-            ([5, 3, 7], [1, 1], "equal length"),
-            ([5, 3], [1, 1, 1], "equal length"),
-            ([[5, 3]], [[1, 1]], "1-d"),
-        ],
-    )
-    def test_malformed_part_refused(self, nk, keys, counts, match):
-        """Bad parts are refused before any C call.
-
-        The accumulator marks empty slots with key -1, so a -1 key
-        matched the first empty slot it probed: merging ``[5, -1]``
-        with ``[-1]`` (counts 1, 1 and 7) returned ``[5]`` alone.
-        Keys ``[5, 3, 7]`` with counts ``[1, 1]`` read past the counts
-        (key 7 took whatever followed them in memory), and a ``(1, 2)``
-        part was read as its first key only.
-        """
-        good = (np.array([1, 4]), np.array([2, 2]))
-        part = (np.array(keys), np.array(counts))
-        with pytest.raises(KernelInputError, match=match):
-            nk.merge_packed([good, part])
-
-
 def _random_scores(pa_pair, pa_seeds, nk):
     index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
     args = linked_masks(index, pa_seeds)
@@ -694,7 +626,7 @@ class TestLoadAndFallback:
             warnings.simplefilter("error")
             assert load_native_library(warn=False) is None
 
-    def test_kill_switch_quiet_for_workers(self, fresh_cache, monkeypatch):
+    def test_kill_switch_quiet_when_asked(self, fresh_cache, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -758,61 +690,59 @@ class TestLoadAndFallback:
         mode = handle.lib_path.parent.stat().st_mode & 0o777
         assert mode & 0o022 == 0
 
+    @needs_native
+    @pytest.mark.parametrize(
+        "kernel,wrong",
+        [
+            # A join that drops a witness: (2, 2) scores 1, not 2.
+            (
+                "witness_join",
+                lambda *a, **k: (
+                    np.array([2, 2, 3, 3]),
+                    np.array([2, 3, 2, 3]),
+                    np.array([1, 1, 1, 1]),
+                    5,
+                ),
+            ),
+            # A selection that links the tied pair as well.
+            (
+                "mutual_best",
+                lambda *a, **k: (np.array([2, 3]), np.array([2, 3])),
+            ),
+        ],
+        ids=["join", "select"],
+    )
+    def test_failed_self_check_falls_back_once(
+        self,
+        fresh_cache,
+        monkeypatch,
+        tmp_path,
+        pa_pair,
+        pa_seeds,
+        kernel,
+        wrong,
+    ):
+        """A library whose round trip is wrong is never published.
 
-class TestScatterWorkspace:
-    def test_for_index_respects_cap(self, pa_pair):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        ws = ScatterWorkspace.for_index(index)
-        assert ws is not None and ws.keyspace == index.n1 * index.n2
-        assert ScatterWorkspace.for_index(index, cap=8) is None
-
-    def test_merge_matches_unique_path(self, pa_pair, pa_seeds):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        args = linked_masks(index, pa_seeds)
-        tables = [
-            count_witnesses(
-                index, args[0][chunk], args[1][chunk], args[2], args[3]
-            )[0]
-            for chunk in np.array_split(np.arange(args[0].size), 3)
+        The load-time self-check runs one join and one mutual-best
+        selection on hand-built arrays; a wrong answer from either
+        turns ``backend="native"`` into the csr kernels with exactly one
+        warning, and the links are csr's.
+        """
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        monkeypatch.setattr(native.NativeKernels, kernel, wrong)
+        csr = UserMatching(MatcherConfig(backend="csr")).run(
+            pa_pair.g1, pa_pair.g2, pa_seeds
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = UserMatching(MatcherConfig(backend="native")).run(
+                pa_pair.g1, pa_pair.g2, pa_seeds
+            )
+        fallbacks = [
+            w for w in caught if issubclass(w.category, NativeFallbackWarning)
         ]
-        ref, _ = merge_score_tables(index, parts_of(*tables))
-        ws = ScatterWorkspace.for_index(index)
-        got, _ = merge_score_tables(index, parts_of(*tables), workspace=ws)
-        assert table(got) == table(ref)
-
-    def test_buffer_reused_and_rezeroed(self, pa_pair, pa_seeds):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        args = linked_masks(index, pa_seeds)
-        part, _ = count_witnesses(index, *args)
-        ws = ScatterWorkspace.for_index(index)
-        first, _ = merge_score_tables(index, parts_of(part), workspace=ws)
-        buf = ws._buf
-        second, _ = merge_score_tables(index, parts_of(part), workspace=ws)
-        assert ws._buf is buf
-        assert table(first) == table(second)
-        assert not ws._buf.any()
-
-
-class TestBlockedNative:
-    def test_blocked_fold_native(self, pa_pair, pa_seeds, nk):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        args = linked_masks(index, pa_seeds)
-        ref, ref_emitted = count_witnesses_blocked(
-            index, *args, memory_budget_mb=1
-        )
-        nat, nat_emitted = count_witnesses_blocked(
-            index, *args, memory_budget_mb=1, native=nk
-        )
-        assert nat_emitted == ref_emitted
-        assert canon(nat) == canon(ref)
-        assert nat.native is nk
-
-    def test_blocked_fold_workspace(self, pa_pair, pa_seeds):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        args = linked_masks(index, pa_seeds)
-        ref, _ = count_witnesses_blocked(index, *args, memory_budget_mb=1)
-        ws = ScatterWorkspace.for_index(index)
-        got, _ = count_witnesses_blocked(
-            index, *args, memory_budget_mb=1, workspace=ws
-        )
-        assert canon(got) == canon(ref)
+        assert len(fallbacks) == 1
+        assert "self-check" in str(fallbacks[0].message)
+        assert got.links == csr.links
+        assert got.phases == csr.phases

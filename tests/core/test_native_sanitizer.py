@@ -13,12 +13,15 @@ or undefined behaviour inside a kernel aborts the run:
   (``tests/properties/test_carried_kernels.py``: fold and extraction
   against their numpy bodies, whole sweeps, the boundary refusals);
 - the carried-table sweep wall
-  (``tests/properties/test_carried_table_equivalence.py``).
+  (``tests/properties/test_carried_table_equivalence.py``);
+- the join floor and the selection kernels of
+  ``tests/core/test_native.py`` (``TestJoinFloor``,
+  ``TestNativeSelection``, ``TestSelectionBoundary``).
 
 Canaries first prove the sanitizer is live: with the wrapper's check
-patched out, a short eligibility mask given to the join and a row id
-past the end of a carried table must each be reported as a heap
-overflow.
+patched out, a short eligibility mask given to the join, a row id past
+the end of a carried table and a short column given to mutual-best
+must each be reported as a heap overflow.
 
 Skipped when the C compiler has no ASan runtime.  Run on its own with
 ``python -m pytest -q tests/core/test_native_sanitizer.py``.
@@ -124,6 +127,15 @@ with mock.patch.object(native, "check_ascending_ids", lambda *a: None):
         buf, 64, 64, np.array([64]), np.arange(64), 1
     )
 """,
+    # Mutual-best reads past a right column shorter than the others.
+    "select": """
+left = np.arange(1000, dtype=np.int64)
+with mock.patch.object(native, "check_pair_ids", lambda *a: None):
+    nk.mutual_best(
+        left, np.arange(10, dtype=np.int64), np.ones(1000, dtype=np.int64),
+        1000, 1000, True,
+    )
+""",
 }
 
 WALL = """
@@ -140,6 +152,9 @@ sys.exit(pytest.main([
     "tests/properties/test_pruned_join.py",
     "tests/properties/test_carried_kernels.py",
     "tests/properties/test_carried_table_equivalence.py",
+    "tests/core/test_native.py::TestJoinFloor",
+    "tests/core/test_native.py::TestNativeSelection",
+    "tests/core/test_native.py::TestSelectionBoundary",
 ]))
 """
 

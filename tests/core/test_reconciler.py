@@ -242,7 +242,3 @@ class TestScorerLifetime:
         pipeline.run(pair.g1, pair.g2, seeds)
         pipeline.run(pair.g1, pair.g2, seeds)
         assert closed == []
-
-    def test_workers_validated(self):
-        with pytest.raises(MatcherConfigError):
-            Reconciler(workers=0)

@@ -3,15 +3,12 @@
 The harness, the bench JSONs, and the CI regression gate all report
 peak memory under the same ``peak_mb`` (MiB) key; these tests pin the
 harness side — tracking off by default (tracing costs wall-clock),
-opt-in per trial, budget knob threaded like backend/workers.
+opt-in per trial, and recorded next to the other row columns.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.config import MatcherConfig
-from repro.errors import MatcherConfigError
-from repro.core.matcher import UserMatching
 from repro.evaluation.harness import compare_matchers, run_trial
 from repro.generators.preferential_attachment import (
     preferential_attachment_graph,
@@ -67,52 +64,18 @@ class TestRunTrialMemory:
         assert trial.peak_mb >= 0
         assert trial.row()["peak_mb"] == round(trial.peak_mb, 2)
 
-    def test_budget_knob_threaded_to_default_matcher(self, workload):
-        pair, seeds = workload
-        ref = run_trial(pair, seeds, backend="csr")
-        budgeted = run_trial(pair, seeds, backend="csr", memory_budget_mb=64)
-        assert budgeted.result.links == ref.result.links
-
-    def test_budget_knob_threaded_to_named_matcher(self, workload):
-        pair, seeds = workload
-        ref = run_trial(
-            pair, seeds, matcher="common-neighbors", backend="dict"
-        )
-        budgeted = run_trial(
-            pair,
-            seeds,
-            matcher="common-neighbors",
-            backend="csr",
-            memory_budget_mb=64,
-        )
-        assert budgeted.result.links == ref.result.links
-
-    def test_budget_rejected_for_instances(self, workload):
-        pair, seeds = workload
-        matcher = UserMatching(MatcherConfig())
-        with pytest.raises(MatcherConfigError):
-            run_trial(pair, seeds, matcher=matcher, memory_budget_mb=64)
-
-    def test_invalid_budget_rejected(self, workload):
-        pair, seeds = workload
-        with pytest.raises(MatcherConfigError):
-            run_trial(pair, seeds, memory_budget_mb=0)
-
-
 class TestCompareMatchersMemory:
-    def test_budget_and_peak_columns(self, workload):
+    def test_backend_and_peak_columns(self, workload):
         pair, seeds = workload
         trials = compare_matchers(
             pair,
             seeds,
             ["user-matching", "common-neighbors"],
             backend="csr",
-            memory_budget_mb=64,
             track_memory=True,
         )
         for trial in trials:
             row = trial.row()
-            assert row["memory_budget_mb"] == 64
             assert row["backend"] == "csr"
             assert "peak_mb" in row
 

@@ -5,8 +5,8 @@ substrate behind ``MatcherConfig.mmap``; these tests pin the roundtrip
 (bit-identical arrays, preserved node ids), the explicit lifecycle
 (close is idempotent, reads after close raise
 :class:`~repro.errors.MmapIndexClosedError`, never a fault on unmapped
-pages), and that blocked execution over a mapped index stays
-link-identical to the in-memory run.
+pages), and that the sweep over a mapped index stays link-identical to
+the in-memory run.
 """
 
 import numpy as np
@@ -136,17 +136,6 @@ class TestMatcherOverMmap:
             self.run(pair, seeds, mmap=True).links
             == self.run(pair, seeds).links
         )
-
-    def test_blocked_over_mmap_links_identical(self):
-        """The satellite acceptance case: blocked execution streaming a
-        memory-mapped adjacency must stay bit-identical."""
-        pair, seeds = self.workload()
-        reference = self.run(pair, seeds)
-        blocked = self.run(
-            pair, seeds, mmap=True, memory_budget_mb=1
-        )
-        assert blocked.links == reference.links
-        assert blocked.seeds == reference.seeds
 
     def test_mmap_with_pruning_matches_unmapped_pruned(self):
         pair, seeds = self.workload()

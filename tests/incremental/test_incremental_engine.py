@@ -32,6 +32,23 @@ def workload(seed=0, n=80, hold_back=15):
     return pair, seeds, base1, base2, stream1, stream2
 
 
+def named_rounds(engine):
+    """Every cached round over node ids: key, start links, table, emitted."""
+    index = engine.index
+    rounds = []
+    for rc in engine.rounds:
+        v1, v2 = np.divmod(rc.packed, index.n2)
+        table = {
+            (index.node1(a), index.node2(b)): score
+            for a, b, score in zip(
+                v1.tolist(), v2.tolist(), rc.score.tolist()
+            )
+        }
+        start = index.export_links(rc.start_l, rc.start_r)
+        rounds.append((rc.key, start, table, rc.emitted))
+    return rounds
+
+
 class TestLifecycle:
     def test_start_matches_cold_run(self):
         pair, seeds, *_rest = workload()
@@ -283,6 +300,27 @@ class TestCheckpointing:
         with pytest.raises(ReproError, match="differ in length"):
             IncrementalReconciler.resume(path)
 
+    def test_checkpoint_with_retired_knobs_resumes(self, tmp_path):
+        """A checkpoint whose config still names the retired execution
+        knobs resumes exactly: they never changed results, so the
+        reader ignores them."""
+        from repro.core.links_io import load_checkpoint, save_checkpoint
+
+        engine, path = self._saved(tmp_path)
+        arrays, meta = load_checkpoint(path)
+        assert "workers" not in meta["config"]
+        assert "memory_budget_mb" not in meta["config"]
+        meta["config"].update(workers=3, memory_budget_mb=64)
+        save_checkpoint(path, arrays, meta)
+        resumed = IncrementalReconciler.resume(path)
+        fresh = IncrementalReconciler(resumed.config)
+        fresh.start(resumed.g1.copy(), resumed.g2.copy(), resumed.seeds)
+        assert resumed.result.links == engine.result.links
+        assert resumed.result.links == fresh.result.links
+        assert resumed.result.phases == fresh.result.phases
+        assert named_rounds(resumed)
+        assert named_rounds(resumed) == named_rounds(fresh)
+
     def test_resumed_graphs_keep_iteration_order(self, tmp_path):
         """Resumed graphs iterate like the add_node/add_edge rebuild.
 
@@ -337,7 +375,7 @@ class TestCheckpointing:
             resumed.require_config(MatcherConfig(threshold=3))
         # Execution-only differences are fine.
         resumed.require_config(
-            MatcherConfig(threshold=2, backend="csr", workers=4)
+            MatcherConfig(threshold=2, backend="csr", mmap=True)
         )
 
     def test_missing_checkpoint_raises(self, tmp_path):

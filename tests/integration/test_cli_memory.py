@@ -1,33 +1,11 @@
-"""CLI ``--memory-budget-mb`` / ``--track-memory`` plumbing tests."""
+"""CLI ``--track-memory`` plumbing and the million-rung driver."""
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
 
 
-class TestRunMemoryBudget:
-    def test_budget_forwarded_to_experiment(self, capsys, monkeypatch):
-        from repro.experiments import table2_rmat
-
-        seen = {}
-        original = table2_rmat.run
-
-        def spy(seed=0, memory_budget_mb=None):
-            seen["memory_budget_mb"] = memory_budget_mb
-            return original(
-                scales=(7, 8),
-                edge_factor=4,
-                seed=seed,
-                backend="csr",
-                memory_budget_mb=memory_budget_mb,
-            )
-
-        monkeypatch.setitem(EXPERIMENTS, "table2", (spy, "spy"))
-        assert main(["run", "table2", "--memory-budget-mb", "64"]) == 0
-        assert seen["memory_budget_mb"] == 64
-        out = capsys.readouterr().out
-        assert "memory_budget_mb=64" in out
-
+class TestRunMemory:
     def test_track_memory_forwarded(self, capsys, monkeypatch):
         from repro.experiments import table2_rmat
 
@@ -48,15 +26,6 @@ class TestRunMemoryBudget:
         assert seen["track_memory"] is True
         assert "peak_mb" in capsys.readouterr().out
 
-    def test_budget_rejected_for_unsupported_experiment(self, capsys):
-        assert (main(["run", "percolation", "--memory-budget-mb", "64"]) == 2)
-        err = capsys.readouterr().err
-        assert "--memory-budget-mb is not supported" in err
-
-    def test_invalid_budget_value_rejected(self, capsys):
-        assert main(["run", "table2", "--memory-budget-mb", "0"]) == 2
-        assert "--memory-budget-mb must be >= 1" in capsys.readouterr().err
-
     def test_million_rung_registered(self):
         assert "table2-million" in EXPERIMENTS
 
@@ -64,20 +33,16 @@ class TestRunMemoryBudget:
         """The million driver at micro scale through the real CLI path."""
         from repro.experiments.table2_rmat import run_million
 
-        result = run_million(
-            scale=8, edge_factor=4, memory_budget_mb=4, link_prob=0.2
-        )
+        result = run_million(scale=8, edge_factor=4, link_prob=0.2)
         assert len(result.rows) == 1
         row = result.rows[0]
-        assert row["memory_budget_mb"] == 4
         assert row["nodes"] > 0
         assert "peak_rss_mb" in row  # POSIX: resource is available
 
-    @pytest.mark.parametrize("flag", ["--memory-budget-mb", "--track-memory"])
-    def test_help_mentions_flag(self, capsys, flag):
+    def test_help_mentions_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--help"])
-        assert flag in capsys.readouterr().out
+        assert "--track-memory" in capsys.readouterr().out
 
 
 class TestRunAllExcludesMillionRung:

@@ -1,0 +1,85 @@
+"""The retired execution knobs fail loudly at every entry point.
+
+``workers`` (the process pool) and ``memory_budget_mb`` (the link-block
+planner) are gone; the one serial join is faster and smaller than
+either.  A caller still passing one must get an error naming the key,
+never a silent no-op: the dataclass and keyword ``TypeError``, the
+harness's refusal of stray options, and argparse's usage error each
+name it.
+"""
+
+import pytest
+
+from repro.cli import main
+from repro.core.config import MatcherConfig
+from repro.core.matcher import UserMatching
+from repro.core.reconciler import Reconciler
+from repro.errors import MatcherConfigError
+from repro.evaluation.harness import compare_matchers, run_trial
+from repro.generators.preferential_attachment import (
+    preferential_attachment_graph,
+)
+from repro.mapreduce.engine import LocalMapReduce
+from repro.registry import get_matcher
+from repro.sampling.edge_sampling import independent_copies
+from repro.seeds.generators import sample_seeds
+
+KNOBS = [("workers", 2), ("memory_budget_mb", 64)]
+
+#: What a removed keyword raises: the dataclass/keyword ``TypeError``,
+#: or the harness's own refusal of options no matcher takes.
+REFUSED = (TypeError, MatcherConfigError)
+
+
+@pytest.fixture(scope="module")
+def workload():
+    g = preferential_attachment_graph(120, 3, seed=0)
+    pair = independent_copies(g, 0.6, seed=1)
+    return pair, sample_seeds(pair, 0.1, seed=2)
+
+
+@pytest.mark.parametrize("key,value", KNOBS)
+class TestLibraryEntryPoints:
+    def test_matcher_config(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            MatcherConfig(**{key: value})
+
+    def test_user_matching_from_params(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            UserMatching.from_params(**{key: value})
+
+    @pytest.mark.parametrize(
+        "name", ["user-matching", "common-neighbors", "degree-sequence"]
+    )
+    def test_registry(self, key, value, name):
+        with pytest.raises(TypeError, match=key):
+            get_matcher(name, **{key: value})
+
+    def test_reconciler(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            Reconciler(**{key: value})
+
+    @pytest.mark.parametrize("matcher", [None, "user-matching"])
+    def test_run_trial(self, workload, key, value, matcher):
+        pair, seeds = workload
+        with pytest.raises(REFUSED, match=key):
+            run_trial(pair, seeds, matcher=matcher, **{key: value})
+
+    def test_compare_matchers(self, workload, key, value):
+        pair, seeds = workload
+        with pytest.raises(TypeError, match=key):
+            compare_matchers(pair, seeds, ["user-matching"], **{key: value})
+
+    def test_local_mapreduce(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            LocalMapReduce(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--workers", "2"), ("--memory-budget-mb", "64")]
+)
+def test_cli_flag_is_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "table2", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

@@ -93,48 +93,3 @@ class TestEngine:
 
     def test_sum_combiner(self):
         assert sum_combiner("k", [1, 2, 3]) == [6]
-
-
-class TestShardedReduce:
-    """workers > 1 shards the reduce phase without changing anything."""
-
-    def test_worker_count_does_not_change_result(self):
-        records = [(i, "x y z x w q") for i in range(20)]
-        reference = LocalMapReduce().run(word_count_job(), records)
-        for workers in (2, 3, 8, 64):
-            engine = LocalMapReduce(workers=workers)
-            assert engine.run(word_count_job(), records) == reference
-
-    def test_output_order_identical_to_serial(self):
-        """Byte-identical output: per-key results reassemble in order."""
-
-        def map_fn(_key, value):
-            yield (value % 5, value)
-
-        def reduce_fn(bucket, values):
-            for v in sorted(values):
-                yield (bucket, v)
-
-        job = MapReduceJob("expand", map_fn, reduce_fn)
-        records = [(i, i) for i in range(37)]
-        serial = LocalMapReduce().run(job, records)
-        sharded = LocalMapReduce(workers=4).run(job, records)
-        assert sharded == serial
-
-    def test_more_workers_than_keys(self):
-        engine = LocalMapReduce(workers=16)
-        out = dict(engine.run(word_count_job(), [(0, "a b")]))
-        assert out == {"a": 1, "b": 1}
-
-    def test_invalid_workers(self):
-        engine = LocalMapReduce(workers=0)
-        with pytest.raises(MapReduceError):
-            engine.run(word_count_job(), [(0, "a")])
-
-    def test_stats_unchanged_by_workers(self):
-        records = [(0, "a b a"), (1, "b c")]
-        serial = LocalMapReduce()
-        serial.run(word_count_job(), records)
-        sharded = LocalMapReduce(workers=3)
-        sharded.run(word_count_job(), records)
-        assert serial.history == sharded.history

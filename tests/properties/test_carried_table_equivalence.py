@@ -4,7 +4,7 @@ The array sweep carries one dense score table across its (iteration,
 bucket) rounds when the packed key space fits the scatter cap, joining
 only new links and newly eligible degree bands.  Patching the cap to 0
 forces the per-round recount instead, which is the reference: every
-execution knob must give the same ``MatchingResult.links`` *and* the
+config case must give the same ``MatchingResult.links`` *and* the
 same ``phases`` (candidates, the recount's ``witnesses_emitted``, links
 added) either way.
 """
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.shards as shards
 from repro.core import kernels
 from repro.core.config import MatcherConfig, TiePolicy
 from repro.core.matcher import UserMatching
@@ -28,17 +27,10 @@ from repro.generators.preferential_attachment import (
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
 
-#: Inflated per-pair cost so a 1 MiB budget forces multi-block joins.
-FORCED_PAIR_BYTES = 1 << 21
-
-#: One case per execution knob, each on top of threshold=2, 2 iterations.
+#: One case per sweep option, each on top of threshold=2, 2 iterations.
 CASES = {
     "default": {},
-    "workers": {"workers": 3},
-    "blocked": {"memory_budget_mb": 1},
-    "blocked-workers": {"memory_budget_mb": 1, "workers": 3},
     "community": {"candidate_pruning": "community"},
-    "community-workers": {"candidate_pruning": "community", "workers": 3},
     "lowest-id": {"tie_policy": TiePolicy.LOWEST_ID},
     "no-buckets": {"use_degree_buckets": False},
     "max-degree-below-observed": {"max_degree": 6},
@@ -52,8 +44,8 @@ CASES = {
 }
 
 
-#: The single-process cases, for the randomized graphs.
-SERIAL_CASES = [
+#: The cases the randomized graphs run.
+RANDOM_CASES = [
     "default",
     "community",
     "lowest-id",
@@ -78,7 +70,6 @@ def run(pair, seeds, *, recount: bool, **config):
     cap = 0 if recount else kernels._SCATTER_KEYSPACE_CAP
     with (
         mock.patch.object(kernels, "_SCATTER_KEYSPACE_CAP", cap),
-        mock.patch.object(shards, "WITNESS_PAIR_BYTES", FORCED_PAIR_BYTES),
         warnings.catch_warnings(),
     ):
         # Without a toolchain backend="native" is the csr fallback —
@@ -108,7 +99,7 @@ class TestCarriedTableWall:
         s=st.floats(0.4, 0.9),
         link_prob=st.floats(0.05, 0.3),
         seed=st.integers(0, 10_000),
-        case=st.sampled_from(SERIAL_CASES),
+        case=st.sampled_from(RANDOM_CASES),
     )
     def test_random_graphs(self, n, p, s, link_prob, seed, case):
         g = gnp_graph(n, p, seed=seed)

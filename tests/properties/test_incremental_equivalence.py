@@ -3,12 +3,12 @@
 The incremental engine's contract: replaying any edge stream as ``k``
 deltas through :class:`~repro.incremental.engine.IncrementalReconciler`
 yields links **bit-identical** to one cold run on the final graphs —
-for every registry matcher, on both backends, at any worker count.  The
+for every registry matcher, on both backends.  The
 warm engine earns this with exact score-table corrections; black-box
 matchers earn it by cold replay; either way the seam must never leak.
 
-The sweep below pins the full matrix (7 matchers × {dict, csr} ×
-workers {1, N}) on a seeded PA workload, and hypothesis drives the warm
+The sweep below pins the full matrix (7 matchers × {dict, csr}) on a
+seeded PA workload, and hypothesis drives the warm
 engine through randomized G(n, p) streams — including removals, late
 seed confirmations, and brand-new nodes — under every matcher config
 knob that changes the schedule.
@@ -20,8 +20,6 @@ after every delta, and one deterministic stream forces every kind of
 correction (adjacency-dirty hub, bucket-floor flip, departed link,
 arrived link) through the patch path.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -44,7 +42,7 @@ from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
 
 #: Registry-name -> extra config used in the all-matchers sweep (same
-#: recipe as the parallel/blocked equivalence walls).
+#: recipe as the backend equivalence wall).
 MATCHER_CONFIGS: dict[str, dict] = {
     "user-matching": {"threshold": 2, "iterations": 2},
     "mapreduce-user-matching": {"threshold": 2, "iterations": 2},
@@ -54,8 +52,6 @@ MATCHER_CONFIGS: dict[str, dict] = {
     "narayanan-shmatikov": {},
     "structural-features": {},
 }
-
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "3"))
 
 
 def streamed_workload(n=200, m=4, s=0.6, link_prob=0.12, seed=0,
@@ -87,20 +83,19 @@ class TestRegistrySweep:
     def test_sweep_covers_the_whole_registry(self):
         assert sorted(MATCHER_CONFIGS) == matcher_names()
 
-    @pytest.mark.parametrize("workers", [1, WORKERS])
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize("name", sorted(MATCHER_CONFIGS))
-    def test_stream_replay_matches_cold_run(self, name, backend, workers):
+    def test_stream_replay_matches_cold_run(self, name, backend):
         pair, seeds, base1, base2, deltas = streamed_workload(seed=41)
         config = MATCHER_CONFIGS[name]
-        matcher = get_matcher(name, backend=backend, workers=workers, **config)
+        matcher = get_matcher(name, backend=backend, **config)
         engine = IncrementalReconciler(matcher=matcher)
         engine.start(base1, base2, seeds)
         for delta in deltas:
             engine.apply(delta)
-        cold = get_matcher(
-            name, backend=backend, workers=workers, **config
-        ).run(pair.g1, pair.g2, seeds)
+        cold = get_matcher(name, backend=backend, **config).run(
+            pair.g1, pair.g2, seeds
+        )
         assert engine.result.links == cold.links
 
 
@@ -198,7 +193,7 @@ class TestWarmEngineProperties:
             {"tie_policy": TiePolicy.LOWEST_ID},
             {"use_degree_buckets": False},
             {"threshold": 1, "min_bucket_exponent": 0},
-            {"threshold": 3, "memory_budget_mb": 1},
+            {"threshold": 3},
         ):
             engine = IncrementalReconciler(MatcherConfig(**kwargs))
             engine.start(base1.copy(), base2.copy(), start_seeds)

@@ -1,8 +1,8 @@
 """dict↔csr↔native three-way equivalence: identical links everywhere.
 
 ``backend="native"`` swaps the csr kernels for compiled C, but the
-contract is bit-exactness: for every registry matcher, worker count, and
-block plan, the native backend must produce exactly the same
+contract is bit-exactness: for every registry matcher the native
+backend must produce exactly the same
 ``MatchingResult.links`` as both ``backend="dict"`` and
 ``backend="csr"``.  The forced-fallback classes additionally pin the
 degradation contract — with the kill switch set (or no toolchain at
@@ -14,15 +14,12 @@ toolchain is missing the native runs *are* fallback runs, and the wall
 degenerates to re-checking dict↔csr — still true, just not new.
 """
 
-import os
 import warnings
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.shards as shards
 from repro.core.config import MatcherConfig
 from repro.core.matcher import UserMatching
 from repro.core.native import (
@@ -49,16 +46,7 @@ MATCHER_CONFIGS: dict[str, dict] = {
     "structural-features": {},
 }
 
-WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "3"))
-
-#: Inflated per-pair cost so a 1 MiB budget forces multi-block rounds.
-FORCED_PAIR_BYTES = 1 << 21
-
 NATIVE = native_available()
-
-
-def force_blocking():
-    return mock.patch.object(shards, "WITNESS_PAIR_BYTES", FORCED_PAIR_BYTES)
 
 
 def workload(n=220, m=4, s=0.6, link_prob=0.1, seed=0):
@@ -113,42 +101,6 @@ class TestThreeWayRegistrySweep:
         assert nat.links == ref.links
         assert nat.seeds == ref.seeds
 
-    @pytest.mark.parametrize("name", sorted(MATCHER_CONFIGS))
-    def test_links_identical_with_workers(self, name):
-        pair, seeds = workload(seed=300)
-        config = dict(MATCHER_CONFIGS[name], workers=WORKERS)
-        csr = run_backend(name, "csr", seeds, pair, **config)
-        nat = run_backend(name, "native", seeds, pair, **config)
-        assert nat.links == csr.links
-
-    @pytest.mark.parametrize("name", sorted(MATCHER_CONFIGS))
-    def test_links_identical_forced_multi_block(self, name):
-        pair, seeds = workload(seed=400)
-        config = dict(MATCHER_CONFIGS[name], memory_budget_mb=1)
-        ref = run_backend(name, "dict", seeds, pair, **MATCHER_CONFIGS[name])
-        with force_blocking():
-            csr = run_backend(name, "csr", seeds, pair, **config)
-            nat = run_backend(name, "native", seeds, pair, **config)
-        assert csr.links == ref.links
-        assert nat.links == ref.links
-
-    def test_blocked_and_workers_compose_natively(self):
-        pair, seeds = workload(seed=500)
-        config = {
-            "threshold": 2,
-            "iterations": 2,
-            "memory_budget_mb": 1,
-            "workers": WORKERS,
-        }
-        ref = run_backend(
-            "user-matching", "dict", seeds, pair, threshold=2, iterations=2
-        )
-        with force_blocking():
-            nat = run_backend("user-matching", "native", seeds, pair,
-                              **config)
-        assert nat.links == ref.links
-
-
 class TestNativeProperties:
     @given(gnp_workload())
     @settings(max_examples=15, deadline=None)
@@ -201,23 +153,6 @@ class TestForcedFallback:
             w for w in caught if issubclass(w.category, NativeFallbackWarning)
         ]
         assert len(fallbacks) == 1
-
-    def test_fallback_with_workers_and_blocking(self):
-        pair, seeds = workload(seed=700)
-        ref = UserMatching(
-            MatcherConfig(threshold=2, iterations=2, backend="csr")
-        ).run(pair.g1, pair.g2, seeds)
-        with force_blocking(), pytest.warns(NativeFallbackWarning):
-            got = UserMatching(
-                MatcherConfig(
-                    threshold=2,
-                    iterations=2,
-                    backend="native",
-                    workers=WORKERS,
-                    memory_budget_mb=1,
-                )
-            ).run(pair.g1, pair.g2, seeds)
-        assert got.links == ref.links
 
     def test_reconciler_fallback_matches(self):
         pair, seeds = workload(seed=800)

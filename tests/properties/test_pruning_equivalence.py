@@ -43,16 +43,14 @@ class TestPrunedRegistryWall:
     def test_wall_covers_the_whole_registry(self):
         assert sorted(MATCHER_CONFIGS) == matcher_names()
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("name", sorted(MATCHER_CONFIGS))
-    def test_backends_link_identical_under_pruning(self, name, workers):
+    def test_backends_link_identical_under_pruning(self, name):
         pair, seeds = workload()
         config = MATCHER_CONFIGS[name]
         results = {
             backend: get_matcher(
                 name,
                 backend=backend,
-                workers=workers,
                 candidate_pruning="community",
                 **config,
             ).run(pair.g1, pair.g2, seeds)

@@ -241,7 +241,6 @@ class TestMainExitCodes:
         repo = pathlib.Path(__file__).resolve().parents[2]
         for name in (
             "BENCH_kernels.json",
-            "BENCH_parallel.json",
             "BENCH_blocked.json",
         ):
             path = repo / name
