@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import MatcherConfig
+from repro.core.config import MatcherConfig, TiePolicy
 from repro.core.matcher import UserMatching
 from repro.core.native import (
     NativeFallbackWarning,
@@ -31,6 +31,7 @@ from repro.generators.erdos_renyi import gnp_graph
 from repro.generators.preferential_attachment import (
     preferential_attachment_graph,
 )
+from repro.graphs.graph import Graph
 from repro.registry import get_matcher, matcher_names
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
@@ -101,6 +102,7 @@ class TestThreeWayRegistrySweep:
         assert nat.links == ref.links
         assert nat.seeds == ref.seeds
 
+
 class TestNativeProperties:
     @given(gnp_workload())
     @settings(max_examples=15, deadline=None)
@@ -127,6 +129,86 @@ class TestNativeProperties:
                 "reconciler", selector=selector, backend="native"
             ).run(pair.g1, pair.g2, seeds)
             assert nat.links == ref.links, selector
+
+
+class TestSweepEdgeCases:
+    """Degenerate rounds of the one serial sweep, on every backend."""
+
+    @staticmethod
+    def three_ways(g1, g2, seeds, **config):
+        runs = {
+            backend: run_backend("user-matching", backend, seeds,
+                                 _Pair(g1, g2), **config)
+            for backend in ("dict", "csr", "native")
+        }
+        ref = runs["dict"]
+        for backend, got in runs.items():
+            assert got.links == ref.links, backend
+            assert [shape(p) for p in got.phases] == [
+                shape(p) for p in ref.phases
+            ], backend
+        # The array backends also agree on the witness work; the dict
+        # backend's incremental records account for it differently.
+        assert runs["native"].phases == runs["csr"].phases
+        return ref
+
+    def test_empty_bucket_rounds(self):
+        """A high max_degree opens buckets with no eligible candidate."""
+        pair, seeds = workload(n=80, seed=5)
+        ref = self.three_ways(
+            pair.g1, pair.g2, seeds,
+            threshold=2, iterations=1, max_degree=4096,
+        )
+        empty = [p for p in ref.phases if p.candidates == 0]
+        assert empty and all(p.links_added == 0 for p in empty)
+
+    def test_single_seed_grows(self):
+        g = Graph.from_edges(
+            [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (1, 4)]
+        )
+        # LOWEST_ID: with a single witness everywhere SKIP would tie
+        # every candidate away and nothing could ever link.
+        ref = self.three_ways(
+            g, g.copy(), {0: 0},
+            threshold=1, min_bucket_exponent=0, iterations=2,
+            tie_policy=TiePolicy.LOWEST_ID,
+        )
+        assert len(ref.links) > 1
+
+    def test_no_seeds_at_all(self):
+        pair, _ = workload(n=60, seed=9)
+        ref = self.three_ways(pair.g1, pair.g2, {})
+        assert ref.links == {}
+        assert all(p.witnesses_emitted == 0 for p in ref.phases)
+
+    def test_two_seeds(self):
+        pair, seeds = workload(n=100, seed=3)
+        two = dict(list(seeds.items())[:2])
+        ref = self.three_ways(
+            pair.g1, pair.g2, two, threshold=2, iterations=2
+        )
+        assert set(two.items()) <= set(ref.links.items())
+
+    def test_isolated_nodes(self):
+        g1 = Graph.from_edges([(0, 1)], nodes=[0, 1, 2, 3])
+        g2 = Graph.from_edges([(0, 1)], nodes=[0, 1, 2, 3])
+        ref = self.three_ways(
+            g1, g2, {0: 0}, threshold=1, min_bucket_exponent=0
+        )
+        assert ref.links == {0: 0, 1: 1}
+
+
+def shape(phase):
+    """A ``PhaseRecord`` without its witness-work count."""
+    return (phase.iteration, phase.bucket_exponent, phase.min_degree,
+            phase.candidates, phase.links_added)
+
+
+class _Pair:
+    """The ``g1``/``g2`` shape :func:`run_backend` reads."""
+
+    def __init__(self, g1, g2):
+        self.g1, self.g2 = g1, g2
 
 
 class TestForcedFallback:
