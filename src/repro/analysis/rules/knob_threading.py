@@ -1,6 +1,6 @@
 """RPR006: every MatcherConfig knob must be validated, plumbed, and doc'd.
 
-Each config knob (``backend``, ``mmap``, ``candidate_pruning``,
+Each config knob (``backend``, ``candidate_pruning``,
 ``checkpoint_path``/``warm_start``, ...) needs the same chores: a
 validator, CLI plumbing, and a ``docs/API.md`` entry.  Forgetting one
 produces a knob that silently accepts garbage, cannot be reached from

@@ -42,7 +42,6 @@ class CommonNeighborsMatcher:
         backend: str = DEFAULT_BACKEND,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
-        mmap: bool = False,
     ) -> None:
         self.config = MatcherConfig(
             threshold=threshold,
@@ -53,7 +52,6 @@ class CommonNeighborsMatcher:
             backend=backend,
             candidate_pruning=candidate_pruning,
             pruning_frontier=pruning_frontier,
-            mmap=mmap,
         )
         self._matcher = UserMatching(self.config)
 

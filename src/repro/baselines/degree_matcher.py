@@ -14,7 +14,6 @@ from repro.core.config import (
     DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
-    validate_mmap,
     validate_pruning_frontier,
 )
 from repro.core.ordering import node_sort_key
@@ -45,20 +44,17 @@ class DegreeSequenceMatcher:
         backend: str = DEFAULT_BACKEND,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
-        mmap: bool = False,
     ) -> None:
         self.max_matches = max_matches
         self.backend = validate_backend(backend)
-        # Degree ranking is two lexsorts — nothing to prune or spill;
-        # the execution knobs are accepted (and validated) for
-        # interface uniformity across the registry.
-        # candidate_pruning in particular is inert by design: this
+        # Degree ranking is two lexsorts — nothing to prune; the
+        # pruning knobs are accepted (and validated) for interface
+        # uniformity across the registry and are inert by design: this
         # baseline has no candidate-pair stage to restrict.
         self.candidate_pruning = validate_candidate_pruning(
             candidate_pruning
         )
         self.pruning_frontier = validate_pruning_frontier(pruning_frontier)
-        self.mmap = validate_mmap(mmap)
 
     def run(
         self,

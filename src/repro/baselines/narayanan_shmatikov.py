@@ -31,7 +31,6 @@ from repro.core.config import (
     DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
-    validate_mmap,
     validate_pruning_frontier,
 )
 from repro.core.protocol import ProgressCallback, ProgressReporter
@@ -73,7 +72,6 @@ class NarayananShmatikovMatcher:
         backend: str = DEFAULT_BACKEND,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
-        mmap: bool = False,
     ) -> None:
         if eccentricity_threshold < 0:
             raise MatcherConfigError(
@@ -89,8 +87,8 @@ class NarayananShmatikovMatcher:
         self.allow_rematch = allow_rematch
         self.backend = validate_backend(backend)
         # The sweep rematches nodes one at a time (order-dependent by
-        # design), so there is no independent work to prune or spill;
-        # the execution knobs are accepted (and validated) for
+        # design), so there is no independent work to prune; the
+        # pruning knobs are accepted (and validated) for
         # interface uniformity across the registry —
         # candidate_pruning stays inert because the rematch dynamics
         # would make a pruned run's trajectory incomparable anyway.
@@ -98,7 +96,6 @@ class NarayananShmatikovMatcher:
             candidate_pruning
         )
         self.pruning_frontier = validate_pruning_frontier(pruning_frontier)
-        self.mmap = validate_mmap(mmap)
 
     # ------------------------------------------------------------------
     def _candidate_scores(

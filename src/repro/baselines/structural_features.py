@@ -32,7 +32,6 @@ from repro.core.config import (
     DEFAULT_BACKEND,
     validate_backend,
     validate_candidate_pruning,
-    validate_mmap,
     validate_pruning_frontier,
 )
 from repro.core.ordering import node_sort_key
@@ -139,7 +138,6 @@ class StructuralFeatureMatcher:
         backend: str = DEFAULT_BACKEND,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
-        mmap: bool = False,
     ) -> None:
         if not 0.0 < quantile <= 1.0:
             raise MatcherConfigError(
@@ -154,8 +152,8 @@ class StructuralFeatureMatcher:
         self.max_candidates = max_candidates
         self.backend = validate_backend(backend)
         # Feature extraction is one vectorized pass per graph with no
-        # per-round join to prune or spill; the execution knobs are
-        # accepted (and validated) for interface uniformity across the
+        # per-round join to prune; the pruning knobs are accepted
+        # (and validated) for interface uniformity across the
         # registry — candidate selection here is by feature distance,
         # not link-join candidates, so candidate_pruning has nothing to
         # restrict and stays inert.
@@ -163,7 +161,6 @@ class StructuralFeatureMatcher:
             candidate_pruning
         )
         self.pruning_frontier = validate_pruning_frontier(pruning_frontier)
-        self.mmap = validate_mmap(mmap)
 
     def run(
         self,

@@ -6,7 +6,6 @@ Examples::
     repro matchers
     repro run fig2 --seed 7
     repro run table2 --backend csr
-    repro run table2-million --mmap
     repro run fig2 --checkpoint state.npz --resume
     repro run table3-facebook
     repro run ablation-wikipedia --matcher common-neighbors
@@ -183,7 +182,6 @@ def _cmd_run(
     backend: str | None = None,
     candidate_pruning: str | None = None,
     pruning_frontier: int | None = None,
-    mmap: bool | None = None,
     track_memory: bool = False,
     checkpoint: str | None = None,
     resume: bool = False,
@@ -224,7 +222,6 @@ def _cmd_run(
         ("backend", backend),
         ("candidate_pruning", candidate_pruning),
         ("pruning_frontier", pruning_frontier),
-        ("mmap", mmap),
         ("track_memory", track_memory or None),
         ("checkpoint_path", checkpoint),
         ("warm_start", resume or None),
@@ -255,8 +252,6 @@ def _cmd_run(
             kwargs["candidate_pruning"] = candidate_pruning
         if pruning_frontier is not None:
             kwargs["pruning_frontier"] = pruning_frontier
-        if mmap is not None:
-            kwargs["mmap"] = mmap
         if track_memory:
             kwargs["track_memory"] = True
         if checkpoint is not None:
@@ -497,16 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
             "frontier ring radius for --candidate-pruning community "
             "(default 0 = same-community pairs only); only for "
             "experiments that support it"
-        ),
-    )
-    run_p.add_argument(
-        "--mmap",
-        action="store_true",
-        default=None,
-        help=(
-            "spill the interned CSR adjacency to disk and stream it "
-            "back memory-mapped (links identical to in-memory runs); "
-            "only for experiments that support it"
         ),
     )
     run_p.add_argument(
@@ -756,7 +741,6 @@ def main(argv: list[str] | None = None) -> int:
             args.backend,
             args.candidate_pruning,
             args.pruning_frontier,
-            args.mmap,
             args.track_memory,
             args.checkpoint,
             args.resume,

@@ -94,13 +94,6 @@ def validate_pruning_frontier(pruning_frontier: int) -> int:
     return pruning_frontier
 
 
-def validate_mmap(mmap: bool) -> bool:
-    """Validate the out-of-core flag; shared across matchers."""
-    if not isinstance(mmap, bool):
-        raise MatcherConfigError(f"mmap must be a bool, got {mmap!r}")
-    return mmap
-
-
 def validate_checkpoint_path(
     checkpoint_path: "str | Path | None",
 ) -> "str | Path | None":
@@ -178,17 +171,6 @@ class MatcherConfig:
         to complete, so already ``r=1`` can allow nearly every pair —
         widen the ring only when the measured recall cost of 0 is too
         high.  Ignored under ``candidate_pruning="none"``.
-    mmap : bool
-        Stream the csr adjacency from disk instead of RAM.  When true,
-        the ``csr``/``native`` paths spill the interned
-        :class:`~repro.graphs.pair_index.GraphPairIndex` to an
-        uncompressed npz and reopen it memory-mapped
-        (:meth:`GraphPairIndex.open_mmap`), so the sweep streams
-        adjacency pages on demand — the out-of-core rung for
-        graphs whose CSR arrays exceed RAM.  Links are bit-identical
-        to the in-memory path; the knob only changes where the bytes
-        live.  The ``dict`` backend accepts it for interface
-        uniformity but keeps its structures in memory.
     checkpoint_path : str or Path, optional
         npz file persisting the reconciliation's warm-start state
         (graphs, seeds, per-round score tables) through
@@ -215,7 +197,6 @@ class MatcherConfig:
     backend: str = DEFAULT_BACKEND
     candidate_pruning: str = "none"
     pruning_frontier: int = 0
-    mmap: bool = False
     checkpoint_path: "str | Path | None" = None
     warm_start: bool = False
 
@@ -252,7 +233,6 @@ class MatcherConfig:
             )
         validate_candidate_pruning(self.candidate_pruning)
         validate_pruning_frontier(self.pruning_frontier)
-        validate_mmap(self.mmap)
         validate_checkpoint_path(self.checkpoint_path)
         if not isinstance(self.warm_start, bool):
             raise MatcherConfigError(

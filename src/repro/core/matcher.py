@@ -56,7 +56,6 @@ bit-identical.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.config import MatcherConfig, TiePolicy
@@ -208,11 +207,9 @@ class UserMatching:
     ) -> list[int]:
         """:meth:`bucket_exponents` from an index's degree arrays.
 
-        The graph-free twin used by the array sweep and the incremental
-        engine — a memory-mapped index
-        (:meth:`~repro.graphs.pair_index.GraphPairIndex.open_mmap`) has
-        no backing :class:`Graph` objects, and the observed maximum
-        degree is already an ``O(n)`` array reduction.
+        Used by the array sweep and the incremental engine: the observed
+        maximum degree is an ``O(n)`` reduction over arrays the index
+        already holds.
         """
         return self._bucket_schedule(
             max(
@@ -433,8 +430,12 @@ class UserMatching:
         only new links and newly eligible degree bands; larger key
         spaces recount every bucket against the full link set (the
         MapReduce formulation's dataflow).  Both yield exactly the
-        eligible-pair scores of the dict backend's incremental table,
-        and the same ``PhaseRecord`` values.
+        eligible-pair scores of the dict backend's incremental table, so
+        the links and each ``PhaseRecord``'s ``candidates`` and
+        ``links_added`` agree across backends.  ``witnesses_emitted``
+        does not yet: this sweep reports the full-recount figure, the
+        dict backend the pairs its deferred table materialized (see
+        :class:`~repro.core.result.PhaseRecord`).
 
         ``backend="native"`` runs the same sweep with the compiled
         kernels of :mod:`repro.core.native` plugged into every join,
@@ -443,78 +444,14 @@ class UserMatching:
         (:class:`~repro.core.native.NativeFallbackWarning`) and the
         sweep proceeds on the csr kernels — links identical either way.
         """
-        from repro.graphs.pair_index import GraphPairIndex
-
-        cfg = self.config
-        index = GraphPairIndex(g1, g2)
-        if cfg.mmap:
-            # Out-of-core execution: spill the interning to an
-            # uncompressed npz and reopen it memory-mapped, so the
-            # sweep streams adjacency pages from disk.  The in-memory
-            # arrays are dropped before the sweep starts; links are
-            # bit-identical either way.
-            import tempfile
-
-            with tempfile.TemporaryDirectory(
-                prefix="repro-mmap-"
-            ) as tmpdir:
-                spill = Path(tmpdir) / "pair_index.npz"
-                index.save_npz(spill)
-                del index
-                with GraphPairIndex.open_mmap(spill) as mapped:
-                    return self._run_index(mapped, seeds, reporter)
-        return self._run_index(index, seeds, reporter)
-
-    def run_index(
-        self,
-        index: "GraphPairIndex",
-        seeds: dict[Node, Node],
-        *,
-        progress: ProgressCallback | None = None,
-    ) -> MatchingResult:
-        """Run the array sweep directly over a prebuilt pair index.
-
-        The out-of-core entry point: pass a
-        :class:`~repro.graphs.pair_index.MmapGraphPairIndex` from
-        :meth:`~repro.graphs.pair_index.GraphPairIndex.open_mmap` and
-        the whole reconciliation runs without the original
-        :class:`Graph` objects ever existing in this process.  Requires
-        an array backend (``"csr"``/``"native"``) and no
-        ``checkpoint_path`` (the incremental engine needs the mutable
-        graphs); links are bit-identical to :meth:`run` on the graphs
-        the index was built from.
-        """
-        cfg = self.config
-        if cfg.backend not in ("csr", "native"):
-            raise MatcherConfigError(
-                "run_index requires backend='csr' or 'native'; the "
-                f"'{cfg.backend}' backend needs the original Graph "
-                "objects — use run(g1, g2, seeds)"
-            )
-        if cfg.checkpoint_path is not None:
-            raise MatcherConfigError(
-                "run_index does not support checkpoint_path: the "
-                "incremental engine needs the mutable graphs — use "
-                "run(g1, g2, seeds)"
-            )
-        if len(set(seeds.values())) != len(seeds):
-            raise MatcherConfigError("seed links must be one-to-one")
-        reporter = ProgressReporter("user-matching", progress)
-        return self._run_index(index, seeds, reporter)
-
-    def _run_index(
-        self,
-        index: "GraphPairIndex",
-        seeds: dict[Node, Node],
-        reporter: ProgressReporter,
-    ) -> MatchingResult:
-        """The bucket sweep over dense ids."""
         import functools
 
         import numpy as np
 
         from repro.core import kernels
+        from repro.graphs.pair_index import GraphPairIndex
 
+        index = GraphPairIndex(g1, g2)
         cfg = self.config
         native: "NativeKernels | None" = None
         if cfg.backend == "native":

@@ -48,7 +48,6 @@ from repro.core.config import (
     TiePolicy,
     validate_backend,
     validate_candidate_pruning,
-    validate_mmap,
     validate_pruning_frontier,
 )
 from repro.core.kernels import ArrayScores
@@ -146,19 +145,13 @@ def _csr_witness_scorer(
     g1: Graph,
     g2: Graph,
     use_native: bool = False,
-    mmap: bool = False,
 ) -> ScoringKernel:
     """Per-run witness scorer over one shared dense interning.
 
     Builds the :class:`~repro.graphs.pair_index.GraphPairIndex` lazily on
     the first scoring round and reuses it for every subsequent round —
     interning is paid once per reconciliation, as the complexity argument
-    assumes.  With *mmap* the freshly interned index is spilled to an
-    uncompressed npz and reopened memory-mapped, so every round's join
-    streams adjacency pages from disk (the caller must invoke the
-    scorer's ``close()`` attribute when the run ends: it unmaps and
-    removes the spill).
-    Without a candidate stage the flat
+    assumes.  Without a candidate stage the flat
     :class:`~repro.core.kernels.ArrayScores` table flows straight into
     the selectors; with one, the scores are restricted through the dict
     view exactly like :func:`witness_count_kernel`.  With *use_native*
@@ -180,15 +173,6 @@ def _csr_witness_scorer(
         index = state.get("index")
         if index is None:
             index = GraphPairIndex(g1, g2)
-            if mmap:
-                import tempfile
-                from pathlib import Path
-
-                tmpdir = tempfile.TemporaryDirectory(prefix="repro-mmap-")
-                state["tmpdir"] = tmpdir
-                spill = Path(tmpdir.name) / "pair_index.npz"
-                index.save_npz(spill)
-                index = GraphPairIndex.open_mmap(spill)
             state["index"] = index
             if use_native:
                 from repro.core.native import load_native_library
@@ -209,16 +193,7 @@ def _csr_witness_scorer(
                 out[v1] = kept
         return out
 
-    def close() -> None:
-        index = state.pop("index", None)
-        if index is not None and hasattr(index, "close"):
-            index.close()
-        tmpdir = state.pop("tmpdir", None)
-        if tmpdir is not None:
-            tmpdir.cleanup()
-
     score.__name__ = "csr_witness_scorer"
-    score.close = close
     return score
 
 
@@ -363,12 +338,6 @@ class Reconciler:
     pruning_frontier : int
         Ring radius for ``candidate_pruning="community"`` (0 = same
         community only).  Ignored under ``"none"``.
-    mmap : bool
-        Stream the ``csr``/``native`` default scorer's adjacency from
-        a memory-mapped npz spill instead of RAM (link-identical;
-        see :class:`~repro.core.config.MatcherConfig`).  Accepted for
-        interface uniformity by the ``dict`` backend and by custom
-        scorers, which keep their structures in memory.
     """
 
     def __init__(
@@ -385,7 +354,6 @@ class Reconciler:
         backend: str = DEFAULT_BACKEND,
         candidate_pruning: str = "none",
         pruning_frontier: int = 0,
-        mmap: bool = False,
     ) -> None:
         if threshold <= 0:
             raise MatcherConfigError(
@@ -405,7 +373,6 @@ class Reconciler:
             candidate_pruning
         )
         self.pruning_frontier = validate_pruning_frontier(pruning_frontier)
-        self.mmap = validate_mmap(mmap)
         self.seed_strategy = seed_strategy or validated_seeds
         self.candidates = candidates
         self._default_scorer = scorer is None
@@ -530,94 +497,81 @@ class Reconciler:
         scorer = self.scorer
         if self.backend in ("csr", "native") and self._default_scorer:
             scorer = _csr_witness_scorer(
-                g1,
-                g2,
-                use_native=self.backend == "native",
-                mmap=self.mmap,
+                g1, g2, use_native=self.backend == "native"
             )
 
         phases: list[PhaseRecord] = []
-        try:
-            for rnd in range(1, self.rounds + 1):
-                if self.candidates is not None:
-                    cands = timed(
-                        "candidates", rnd, self.candidates, g1, g2, links
-                    )
-                    reporter.emit(
-                        "candidates", links_total=len(links), links_added=0
-                    )
-                else:
-                    cands = None  # fused: the kernel enumerates its own join
-                scores = timed("score", rnd, scorer, g1, g2, links, cands)
-                reporter.emit("score", links_total=len(links), links_added=0)
-                if prune is not None:
-                    scores = timed("prune", rnd, prune, scores)
-                    reporter.emit(
-                        "prune", links_total=len(links), links_added=0
-                    )
-                if isinstance(scores, ArrayScores) and (
-                    self.selector not in SELECTORS.values()
-                ):
-                    # Only the named selectors dispatch on the flat table; a
-                    # custom selector callable gets the documented dict shape.
-                    scores = scores.to_dict()
-                new_links = timed(
-                    "select",
-                    rnd,
-                    self.selector,
-                    scores,
-                    self.threshold,
-                    self.tie_policy,
-                )
-                # Selectors only see unmatched candidates, but a custom stage
-                # could return anything: enforce one-to-one against current
-                # links and within the round's own output.
-                linked_right = set(links.values())
-                accepted: dict[Node, Node] = {}
-                for v1, v2 in new_links.items():
-                    if v1 in links or v2 in linked_right:
-                        continue
-                    accepted[v1] = v2
-                    linked_right.add(v2)
-                links.update(accepted)
-                if isinstance(scores, ArrayScores):
-                    scored_pairs = scores.num_pairs
-                    witnesses = scores.total_score()
-                else:
-                    scored_pairs = sum(len(row) for row in scores.values())
-                    witnesses = int(
-                        sum(
-                            sc
-                            for row in scores.values()
-                            for sc in row.values()
-                        )
-                    )
-                phases.append(
-                    PhaseRecord(
-                        iteration=rnd,
-                        bucket_exponent=None,
-                        min_degree=1,
-                        candidates=scored_pairs,
-                        witnesses_emitted=witnesses,
-                        links_added=len(accepted),
-                    )
+        for rnd in range(1, self.rounds + 1):
+            if self.candidates is not None:
+                cands = timed(
+                    "candidates", rnd, self.candidates, g1, g2, links
                 )
                 reporter.emit(
-                    "select",
-                    links_total=len(links),
+                    "candidates", links_total=len(links), links_added=0
+                )
+            else:
+                cands = None  # fused: the kernel enumerates its own join
+            scores = timed("score", rnd, scorer, g1, g2, links, cands)
+            reporter.emit("score", links_total=len(links), links_added=0)
+            if prune is not None:
+                scores = timed("prune", rnd, prune, scores)
+                reporter.emit(
+                    "prune", links_total=len(links), links_added=0
+                )
+            if isinstance(scores, ArrayScores) and (
+                self.selector not in SELECTORS.values()
+            ):
+                # Only the named selectors dispatch on the flat table; a
+                # custom selector callable gets the documented dict shape.
+                scores = scores.to_dict()
+            new_links = timed(
+                "select",
+                rnd,
+                self.selector,
+                scores,
+                self.threshold,
+                self.tie_policy,
+            )
+            # Selectors only see unmatched candidates, but a custom stage
+            # could return anything: enforce one-to-one against current
+            # links and within the round's own output.
+            linked_right = set(links.values())
+            accepted: dict[Node, Node] = {}
+            for v1, v2 in new_links.items():
+                if v1 in links or v2 in linked_right:
+                    continue
+                accepted[v1] = v2
+                linked_right.add(v2)
+            links.update(accepted)
+            if isinstance(scores, ArrayScores):
+                scored_pairs = scores.num_pairs
+                witnesses = scores.total_score()
+            else:
+                scored_pairs = sum(len(row) for row in scores.values())
+                witnesses = int(
+                    sum(
+                        sc
+                        for row in scores.values()
+                        for sc in row.values()
+                    )
+                )
+            phases.append(
+                PhaseRecord(
+                    iteration=rnd,
+                    bucket_exponent=None,
+                    min_degree=1,
+                    candidates=scored_pairs,
+                    witnesses_emitted=witnesses,
                     links_added=len(accepted),
                 )
-                if not accepted:
-                    break
-        finally:
-            # The per-run csr scorer may hold a memory-mapped spill;
-            # release it as soon as scoring rounds end.  Only
-            # the scorer created here is closed — a user-supplied one
-            # manages its own lifetime across runs.
-            if scorer is not self.scorer:
-                close = getattr(scorer, "close", None)
-                if close is not None:
-                    close()
+            )
+            reporter.emit(
+                "select",
+                links_total=len(links),
+                links_added=len(accepted),
+            )
+            if not accepted:
+                break
 
         for validator in self.validators:
             before = len(links)

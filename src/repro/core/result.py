@@ -31,7 +31,9 @@ class PhaseRecord:
             join strategy ran, including a sweep that carries its score
             table across rounds and joins only what is new.  The
             ``dict`` backend instead reports the pairs its deferred
-            incremental table materialized in the round.
+            incremental table materialized in the round, so this field
+            is not yet comparable across backends (links,
+            ``candidates`` and ``links_added`` are).
         links_added: new identification links produced by this round.
     """
 

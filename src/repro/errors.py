@@ -65,23 +65,6 @@ class MapReduceError(ReproError, RuntimeError):
     """Raised for errors inside the local MapReduce engine."""
 
 
-class MmapIndexError(ReproError, ValueError):
-    """Raised when a memory-mapped pair-index file is invalid.
-
-    Covers missing/extra members, compressed members (which cannot be
-    memory-mapped), and corrupted npy headers.
-    """
-
-
-class MmapIndexClosedError(ReproError, ValueError):
-    """Raised when a closed memory-mapped pair index is read.
-
-    :meth:`repro.graphs.pair_index.MmapGraphPairIndex.close` swaps the
-    mapped CSR arrays for sentinels that raise this error, so a stale
-    reference fails loudly instead of reading unmapped memory.
-    """
-
-
 class KernelInputError(ReproError, ValueError):
     """Raised when a compiled kernel receives malformed arrays.
 

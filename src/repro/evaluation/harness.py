@@ -19,7 +19,6 @@ from repro.core.config import (
     MatcherConfig,
     validate_backend,
     validate_candidate_pruning,
-    validate_mmap,
     validate_pruning_frontier,
 )
 from repro.errors import MatcherConfigError
@@ -108,7 +107,6 @@ _EXECUTION_KNOBS = (
     ("backend", validate_backend),
     ("candidate_pruning", validate_candidate_pruning),
     ("pruning_frontier", validate_pruning_frontier),
-    ("mmap", validate_mmap),
 )
 
 
@@ -121,7 +119,6 @@ def run_trial(
     backend: str | None = None,
     candidate_pruning: str | None = None,
     pruning_frontier: int | None = None,
-    mmap: bool | None = None,
     measure_pruning_cost: bool = False,
     track_memory: bool = False,
     deltas: "Sequence | None" = None,
@@ -153,17 +150,13 @@ def run_trial(
         (:data:`~repro.core.config.DEFAULT_BACKEND`).
     candidate_pruning : {"none", "community"}, optional
         Candidate-pruning mode applied exactly like *backend*.  Unlike
-        *backend* and *mmap* this one *changes the links* (it
+        *backend* this one *changes the links* (it
         trades recall for candidate-pair volume — compare the
         ``candidate_pairs`` column, and see *measure_pruning_cost*);
         what stays invariant is backend parity under pruning.
     pruning_frontier : int, optional
         Frontier ring radius for community pruning, applied exactly
         like *backend*.
-    mmap : bool, optional
-        Stream the csr adjacency from a memory-mapped spill, applied
-        exactly like *backend* (links are identical — the knob only
-        changes where the bytes live).
     measure_pruning_cost : bool, optional
         Additionally run the same matcher with
         ``candidate_pruning="none"`` (untimed) and record the recall
@@ -204,7 +197,6 @@ def run_trial(
         "backend": backend,
         "candidate_pruning": candidate_pruning,
         "pruning_frontier": pruning_frontier,
-        "mmap": mmap,
     }
     for option, validator in _EXECUTION_KNOBS:
         value = knobs[option]
@@ -322,7 +314,6 @@ def compare_matchers(
     backend: str | None = None,
     candidate_pruning: str | None = None,
     pruning_frontier: int | None = None,
-    mmap: bool | None = None,
     track_memory: bool = False,
 ) -> list[TrialResult]:
     """Run several matchers on the same workload, one trial each.
@@ -359,10 +350,6 @@ def compare_matchers(
     pruning_frontier : int, optional
         Frontier ring radius for community pruning, applied and
         recorded like *candidate_pruning*.
-    mmap : bool, optional
-        Run every *named* matcher with the memory-mapped adjacency
-        spill and record it in the ``mmap`` column of its row; same
-        instance caveat as *backend*.
     track_memory : bool, optional
         Measure every trial's peak allocation into the shared
         ``peak_mb`` column (MiB; see :func:`run_trial`).
@@ -386,7 +373,6 @@ def compare_matchers(
                 ("backend", backend),
                 ("candidate_pruning", candidate_pruning),
                 ("pruning_frontier", pruning_frontier),
-                ("mmap", mmap),
             ):
                 if value is not None:
                     extra[option] = value
@@ -398,7 +384,6 @@ def compare_matchers(
                 backend=backend if named else None,
                 candidate_pruning=candidate_pruning if named else None,
                 pruning_frontier=pruning_frontier if named else None,
-                mmap=mmap if named else None,
                 track_memory=track_memory,
                 # label last: it must win over any caller-supplied key.
                 params={**(params or {}), **extra},

@@ -36,7 +36,6 @@ def run(
     backend: str = DEFAULT_BACKEND,
     candidate_pruning: str = "none",
     pruning_frontier: int = 0,
-    mmap: bool = False,
     checkpoint_path: str | None = None,
     warm_start: bool = False,
 ) -> ExperimentResult:
@@ -77,7 +76,6 @@ def run(
                 backend=backend,
                 candidate_pruning=candidate_pruning,
                 pruning_frontier=pruning_frontier,
-                mmap=mmap,
                 checkpoint_path=checkpoint_for(
                     checkpoint_path, f"p{link_prob}-t{threshold}"
                 ),

@@ -40,7 +40,6 @@ def run(
     backend: str = DEFAULT_BACKEND,
     candidate_pruning: str = "none",
     pruning_frontier: int = 0,
-    mmap: bool = False,
     track_memory: bool = False,
     checkpoint_path: str | None = None,
     warm_start: bool = False,
@@ -54,8 +53,7 @@ def run(
     With ``candidate_pruning="community"`` every rung reports the pair
     space actually scored (``candidate_pairs``) and the recall given up
     versus an unpruned reference run (``pruning_recall_cost``); pruning
-    does not compose with *checkpoint_path*.  *mmap* streams each
-    rung's adjacency from a memory-mapped spill (link-identical).
+    does not compose with *checkpoint_path*.
     """
     result = ExperimentResult(
         name="table2",
@@ -86,7 +84,6 @@ def run(
                 backend=backend,
                 candidate_pruning=candidate_pruning,
                 pruning_frontier=pruning_frontier,
-                mmap=mmap,
                 checkpoint_path=checkpoint_for(
                     checkpoint_path, f"scale{scale}"
                 ),
@@ -132,7 +129,6 @@ def run_million(
     backend: str = DEFAULT_BACKEND,
     candidate_pruning: str = "none",
     pruning_frontier: int = 0,
-    mmap: bool = False,
     track_memory: bool = False,
 ) -> ExperimentResult:
     """The million-node rung: one RMAT *scale* graph, peak RSS recorded.
@@ -147,9 +143,7 @@ def run_million(
     Nightly also re-runs the smoke with
     ``candidate_pruning="community"`` — at this rung the row carries
     ``candidate_pairs`` and ``pruning_recall_cost`` so the scale win
-    and its quality price are visible side by side.  *mmap* composes:
-    the rung's interned CSR spills to disk and the sweep streams it
-    back page by page.
+    and its quality price are visible side by side.
     """
     result = ExperimentResult(
         name="table2-million",
@@ -182,7 +176,6 @@ def run_million(
             backend=backend,
             candidate_pruning=candidate_pruning,
             pruning_frontier=pruning_frontier,
-            mmap=mmap,
         ),
         params={"scale": scale},
         measure_pruning_cost=candidate_pruning != "none",

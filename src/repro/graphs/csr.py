@@ -178,30 +178,6 @@ class CSRGraph:
         self.indptr, self.indices = assemble_csr(row, neighbor, n)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_arrays(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        node_ids: Sequence[Node],
-    ) -> "CSRGraph":
-        """Wrap prebuilt CSR arrays (e.g. memory-mapped) without a Graph.
-
-        The arrays are adopted as-is — callers guarantee the CSR
-        invariants (``indptr`` monotone with ``indptr[-1] == len
-        (indices)``, per-row-sorted dense neighbor ids).  Used by
-        :meth:`repro.graphs.pair_index.GraphPairIndex.open_mmap` to
-        stream adjacency from disk.
-        """
-        self = cls.__new__(cls)
-        self.indptr = indptr
-        self.indices = indices
-        self.node_ids = list(node_ids)
-        self._dense_of = {
-            node: i for i, node in enumerate(self.node_ids)
-        }
-        return self
-
     @property
     def num_nodes(self) -> int:
         """Number of nodes."""

@@ -24,28 +24,14 @@ id is a plain ``int``, and with ``repr`` strings otherwise.
 
 from __future__ import annotations
 
-import zipfile
-from pathlib import Path
 from typing import Hashable, Iterable
 
 import numpy as np
 
-from repro.errors import MmapIndexClosedError, MmapIndexError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 
 Node = Hashable
-
-#: Schema marker of the npz pair-index format (``save_npz``).
-PAIR_INDEX_FORMAT = 1
-
-#: npz members that are memory-mapped on open (the ``2m``-dominant
-#: adjacency arrays); ``node_ids*`` members stay eager — they are
-#: ``n``-sized, object-typed, and needed for link interning anyway.
-_MMAP_MEMBERS = frozenset(
-    {"indptr1", "indices1", "indptr2", "indices2"}
-)
-
 
 #: ``10**k`` for ``k = 0..17``.  Ids below ``10**17`` in absolute value
 #: take the numeric canonical key, which then fits int64.
@@ -188,16 +174,8 @@ class GraphPairIndex:
         """Dense id of a ``g2`` node."""
         return self.csr2.dense_id(node)
 
-    def has1(self, node: Node) -> bool:
-        """Whether *node* is a ``g1`` node.
-
-        Graph-free membership test (works on memory-mapped indexes,
-        whose ``g1``/``g2`` are ``None``).
-        """
-        return node in self.csr1._dense_of
-
     def has2(self, node: Node) -> bool:
-        """Whether *node* is a ``g2`` node (graph-free, like :meth:`has1`)."""
+        """Whether *node* is a ``g2`` node (interned in ``csr2``)."""
         return node in self.csr2._dense_of
 
     def node1(self, dense: int) -> Node:
@@ -242,296 +220,4 @@ class GraphPairIndex:
         return (
             f"GraphPairIndex(n1={self.n1}, n2={self.n2}, "
             f"m1={self.csr1.num_edges}, m2={self.csr2.num_edges})"
-        )
-
-    # ------------------------------------------------------------------
-    # out-of-core: npz spill + memory-mapped reopen
-    # ------------------------------------------------------------------
-    def save_npz(self, path: "str | Path") -> None:
-        """Spill the interned index to an *uncompressed* npz.
-
-        Uncompressed (``np.savez``, not ``savez_compressed``) because a
-        zip member can only be memory-mapped if it is stored verbatim;
-        the adjacency arrays are then reopened page-on-demand by
-        :meth:`open_mmap` — the out-of-core substrate for graphs whose
-        CSR arrays exceed RAM.  Written atomically via a temporary
-        sibling + replace, mirroring :mod:`repro.core.links_io`.
-        """
-        path = Path(path)
-        payload = {
-            "format_version": np.array([PAIR_INDEX_FORMAT], dtype=np.int64),
-            "indptr1": self.csr1.indptr,
-            "indices1": self.csr1.indices,
-            "indptr2": self.csr2.indptr,
-            "indices2": self.csr2.indices,
-            "node_ids1": _object_array(self.csr1.node_ids),
-            "node_ids2": _object_array(self.csr2.node_ids),
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **payload)
-            tmp.replace(path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    @classmethod
-    def open_mmap(cls, path: "str | Path") -> "MmapGraphPairIndex":
-        """Reopen a :meth:`save_npz` spill with disk-backed adjacency.
-
-        The ``2m``-dominant ``indptr``/``indices`` members become
-        read-only ``np.memmap`` views straight into the npz (the zip
-        member offsets are resolved manually — ``np.load`` never maps
-        npz members), so the block planner streams adjacency pages on
-        demand; only the ``n``-sized node-id and degree arrays live in
-        RAM.  The returned index owns the mappings: call
-        :meth:`MmapGraphPairIndex.close` (or use it as a context
-        manager) when done — reads after close raise
-        :class:`~repro.errors.MmapIndexClosedError` instead of touching
-        unmapped memory.
-        """
-        path = Path(path)
-        if not path.exists():
-            raise MmapIndexError(f"pair-index file {path} does not exist")
-        try:
-            with np.load(path, allow_pickle=True) as data:
-                files = set(data.files)
-                required = _MMAP_MEMBERS | {
-                    "format_version", "node_ids1", "node_ids2",
-                }
-                missing = sorted(required - files)
-                if missing:
-                    raise MmapIndexError(
-                        f"{path} is not a pair-index npz: missing "
-                        f"members {missing}"
-                    )
-                version = int(data["format_version"][0])
-                if version != PAIR_INDEX_FORMAT:
-                    raise MmapIndexError(
-                        f"{path} has pair-index format {version}, "
-                        f"expected {PAIR_INDEX_FORMAT}"
-                    )
-                node_ids1 = list(data["node_ids1"])
-                node_ids2 = list(data["node_ids2"])
-        except MmapIndexError:
-            raise
-        except Exception as exc:
-            raise MmapIndexError(
-                f"pair-index file {path} is unreadable: {exc!r}"
-            ) from exc
-        views = _mmap_npz_members(path, _MMAP_MEMBERS)
-        return MmapGraphPairIndex(
-            path,
-            CSRGraph.from_arrays(
-                views["indptr1"], views["indices1"], node_ids1
-            ),
-            CSRGraph.from_arrays(
-                views["indptr2"], views["indices2"], node_ids2
-            ),
-        )
-
-
-def _object_array(values: "list[Node]") -> np.ndarray:
-    """An object-dtype array holding *values* one per slot.
-
-    Element-wise assignment, not ``np.asarray`` — tuple-valued node ids
-    must stay scalars, never broadcast into rows.
-    """
-    arr = np.empty(len(values), dtype=object)
-    for i, value in enumerate(values):
-        arr[i] = value
-    return arr
-
-
-def _mmap_npz_members(
-    path: Path, names: frozenset[str]
-) -> dict[str, np.ndarray]:
-    """Memory-map the named ``.npy`` members of an uncompressed npz.
-
-    ``np.load(..., mmap_mode=...)`` silently ignores the mmap request
-    for zip archives, so the member data offsets are resolved here: the
-    zip central directory gives each member's local-header offset, the
-    local header gives the stored payload offset (its name/extra fields
-    can differ from the central directory's), and the npy header inside
-    the payload gives dtype/shape plus the final array offset for
-    :class:`numpy.memmap`.
-    """
-    views: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
-        for info in zf.infolist():
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[: -len(".npy")]
-            if name not in names:
-                continue
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise MmapIndexError(
-                    f"{path} member {info.filename!r} is compressed "
-                    "and cannot be memory-mapped — respill with "
-                    "save_npz (uncompressed)"
-                )
-            fh.seek(info.header_offset)
-            local = fh.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                raise MmapIndexError(
-                    f"{path} member {info.filename!r} has a corrupt "
-                    "local zip header"
-                )
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            fh.seek(info.header_offset + 30 + name_len + extra_len)
-            try:
-                version = np.lib.format.read_magic(fh)
-                if version == (1, 0):
-                    shape, fortran, dtype = (
-                        np.lib.format.read_array_header_1_0(fh)
-                    )
-                elif version == (2, 0):
-                    shape, fortran, dtype = (
-                        np.lib.format.read_array_header_2_0(fh)
-                    )
-                else:
-                    raise MmapIndexError(
-                        f"{path} member {info.filename!r} has npy "
-                        f"format {version}; expected 1.0 or 2.0"
-                    )
-            except MmapIndexError:
-                raise
-            except Exception as exc:
-                raise MmapIndexError(
-                    f"{path} member {info.filename!r} has a corrupt "
-                    f"npy header: {exc!r}"
-                ) from exc
-            if fortran and len(shape) > 1:  # pragma: no cover - 1-D only
-                raise MmapIndexError(
-                    f"{path} member {info.filename!r} is Fortran-"
-                    "ordered; pair-index arrays are 1-D C arrays"
-                )
-            if int(np.prod(shape)) == 0:
-                # mmap cannot map zero bytes; an empty member is just
-                # an empty array (nothing to stream).
-                views[name] = np.empty(shape, dtype=dtype)
-            else:
-                views[name] = np.memmap(
-                    path, mode="r", dtype=dtype, shape=shape,
-                    offset=fh.tell(),
-                )
-    missing = sorted(names - set(views))
-    if missing:
-        raise MmapIndexError(
-            f"{path} is not a pair-index npz: missing members {missing}"
-        )
-    return views
-
-
-class _ClosedArray(np.ndarray):
-    """Zero-length sentinel swapped in for unmapped CSR arrays.
-
-    Any read — indexing, ``len``, iteration, a ufunc, or a numpy API
-    call — raises :class:`~repro.errors.MmapIndexClosedError`, so stale
-    references to a closed :class:`MmapGraphPairIndex` fail loudly
-    instead of faulting on unmapped pages.
-    """
-
-    #: Ufuncs refuse the operand outright (TypeError) instead of
-    #: silently treating the sentinel as an empty array.
-    __array_ufunc__ = None
-
-    def __new__(cls) -> "_ClosedArray":
-        return np.empty(0, dtype=np.int64).view(cls)
-
-    def _fail(self) -> None:
-        raise MmapIndexClosedError(
-            "this GraphPairIndex was close()d — its memory-mapped CSR "
-            "arrays are gone; reopen with GraphPairIndex.open_mmap"
-        )
-
-    def __getitem__(self, item: object) -> "np.ndarray":
-        self._fail()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def __len__(self) -> int:
-        self._fail()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def __iter__(self) -> "object":
-        self._fail()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def __array_function__(
-        self, func: object, types: object, args: object, kwargs: object
-    ) -> "np.ndarray":
-        self._fail()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-
-class MmapGraphPairIndex(GraphPairIndex):
-    """A :class:`GraphPairIndex` whose adjacency streams from disk.
-
-    Produced by :meth:`GraphPairIndex.open_mmap`; behaves identically
-    to the in-memory index (the kernels are bit-identical over memmap
-    views) except that it has no backing :class:`Graph` objects
-    (``g1 is g2 is None``) and owns an explicit lifecycle:
-
-    - :meth:`close` releases the mappings (idempotent — double close is
-      a no-op) and swaps the CSR arrays for fail-loud sentinels;
-    - reads after close raise
-      :class:`~repro.errors.MmapIndexClosedError`;
-    - ``with GraphPairIndex.open_mmap(p) as index:`` closes on exit.
-
-    Node-sized state (node ids, degrees, bucket exponents) is eager and
-    survives close; only the ``2m``-sized adjacency is disk-backed.
-    """
-
-    __slots__ = ("path", "_closed")
-
-    def __init__(
-        self, path: Path, csr1: CSRGraph, csr2: CSRGraph
-    ) -> None:
-        self.path = path
-        self.g1 = None  # type: ignore[assignment]
-        self.g2 = None  # type: ignore[assignment]
-        self.csr1 = csr1
-        self.csr2 = csr2
-        # Degrees/exponents come from indptr deltas: n-sized, kept in
-        # RAM so bucket scheduling never touches the mapping.
-        self.deg1 = np.diff(np.asarray(csr1.indptr))
-        self.deg2 = np.diff(np.asarray(csr2.indptr))
-        self.exp1 = degree_exponents(self.deg1)
-        self.exp2 = degree_exponents(self.deg2)
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
-        return self._closed
-
-    def close(self) -> None:
-        """Release the disk mappings; idempotent.
-
-        The memmap references are dropped (the OS unmaps once the last
-        numpy view dies) and the CSR array slots are replaced with
-        sentinels that raise :class:`~repro.errors.MmapIndexClosedError`
-        on any read — never a segfault on unmapped pages.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for csr in (self.csr1, self.csr2):
-            csr.indptr = _ClosedArray()
-            csr.indices = _ClosedArray()
-
-    def __enter__(self) -> "MmapGraphPairIndex":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return (
-            f"MmapGraphPairIndex(path={str(self.path)!r}, {state}, "
-            f"n1={self.n1}, n2={self.n2})"
         )

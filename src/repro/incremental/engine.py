@@ -81,7 +81,7 @@ _ALGORITHMIC_FIELDS = (
     # combination with checkpoint_path is rejected at config time (the
     # delta corrections assume the unpruned candidate space), so every
     # checkpointed config carries the defaults; listed for the day that
-    # restriction is lifted.  ``mmap`` is execution-only and excluded.
+    # restriction is lifted.
     "candidate_pruning",
     "pruning_frontier",
 )
@@ -796,9 +796,9 @@ class IncrementalReconciler:
     def require_config(self, config: MatcherConfig) -> None:
         """Raise unless *config* is algorithmically compatible.
 
-        Execution knobs (backend, mmap, checkpoint plumbing) are free
-        to differ; the fields that change the output
-        must match the checkpointed run.
+        Execution knobs (backend, checkpoint plumbing) are free to
+        differ; the fields that change the output must match the
+        checkpointed run.
         """
         if self.config is None:
             raise ReproError(

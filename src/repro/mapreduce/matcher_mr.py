@@ -54,12 +54,10 @@ class MapReduceUserMatching:
     """User-Matching on top of :class:`LocalMapReduce`.
 
     Args:
-        config: same knobs as the sequential matcher.  ``config.mmap``
-            is accepted for registry uniformity (the local engine keeps
-            its shuffle in memory).  ``config.candidate_pruning`` is
-            real: round 2's reducer drops community-disallowed pairs,
-            keeping the links identical to the sequential matcher's
-            under pruning.
+        config: same knobs as the sequential matcher.
+            ``config.candidate_pruning`` is real: round 2's reducer
+            drops community-disallowed pairs, keeping the links
+            identical to the sequential matcher's under pruning.
         engine: optionally share/inspect an engine (round history is the
             interesting part: 4 rounds per bucket, O(k log D) total).
     """

@@ -14,6 +14,12 @@ or undefined behaviour inside a kernel aborts the run:
   against their numpy bodies, whole sweeps, the boundary refusals);
 - the carried-table sweep wall
   (``tests/properties/test_carried_table_equivalence.py``);
+- the witness-join oracle wall
+  (``tests/properties/test_witness_join_oracle.py``: every join
+  against the serial dict oracle, plain, pruned, reordered and split);
+- the three-way equivalence wall
+  (``tests/properties/test_native_equivalence.py``: registry sweep,
+  random graphs, sweep edge cases, the forced csr fallback);
 - the join floor and the selection kernels of
   ``tests/core/test_native.py`` (``TestJoinFloor``,
   ``TestNativeSelection``, ``TestSelectionBoundary``).
@@ -152,6 +158,8 @@ sys.exit(pytest.main([
     "tests/properties/test_pruned_join.py",
     "tests/properties/test_carried_kernels.py",
     "tests/properties/test_carried_table_equivalence.py",
+    "tests/properties/test_witness_join_oracle.py",
+    "tests/properties/test_native_equivalence.py",
     "tests/core/test_native.py::TestJoinFloor",
     "tests/core/test_native.py::TestNativeSelection",
     "tests/core/test_native.py::TestSelectionBoundary",

@@ -9,7 +9,6 @@ from repro.core.reconciler import (
     common_neighbor_candidates,
     degree_ratio_validator,
     normalized_witness_kernel,
-    witness_count_kernel,
 )
 from repro.core.result import MatchingResult, StageTiming
 from repro.errors import MatcherConfigError, MatcherRegistryError
@@ -225,20 +224,3 @@ class TestConfigValidation:
         pair, seeds = workload
         result = Reconciler().run(pair.g1, pair.g2, seeds)
         assert isinstance(result, MatchingResult)
-
-
-class TestScorerLifetime:
-    def test_user_scorer_close_is_not_called(self, workload):
-        """Only the per-run csr scorer is closed; a user-supplied scorer
-        with its own close() manages its own lifetime across runs."""
-        pair, seeds = workload
-        closed = []
-
-        def scorer(g1, g2, links, candidates=None):
-            return {}
-
-        scorer.close = lambda: closed.append(True)
-        pipeline = Reconciler(scorer=scorer, rounds=1)
-        pipeline.run(pair.g1, pair.g2, seeds)
-        pipeline.run(pair.g1, pair.g2, seeds)
-        assert closed == []

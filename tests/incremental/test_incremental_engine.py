@@ -374,9 +374,7 @@ class TestCheckpointing:
         with pytest.raises(ReproError):
             resumed.require_config(MatcherConfig(threshold=3))
         # Execution-only differences are fine.
-        resumed.require_config(
-            MatcherConfig(threshold=2, backend="csr", mmap=True)
-        )
+        resumed.require_config(MatcherConfig(threshold=2, backend="csr"))
 
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(ReproError):

@@ -1,4 +1,4 @@
-"""CLI ``--candidate-pruning`` / ``--pruning-frontier`` / ``--mmap`` plumbing."""
+"""CLI ``--candidate-pruning`` / ``--pruning-frontier`` plumbing."""
 
 import pytest
 
@@ -45,26 +45,6 @@ class TestRunPruningFlags:
         assert "candidate_pairs" in out
         assert "pruning_recall_cost" in out
 
-    def test_mmap_forwarded(self, capsys, monkeypatch):
-        from repro.experiments import table2_rmat
-
-        seen = {}
-        original = table2_rmat.run
-
-        def spy(seed=0, mmap=False):
-            seen["mmap"] = mmap
-            return original(
-                scales=(7, 8),
-                edge_factor=4,
-                seed=seed,
-                backend="csr",
-                mmap=mmap,
-            )
-
-        monkeypatch.setitem(EXPERIMENTS, "table2", (spy, "spy"))
-        assert main(["run", "table2", "--mmap"]) == 0
-        assert seen["mmap"] is True
-
     def test_unknown_mode_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "fig2", "--candidate-pruning", "bogus"])
@@ -83,10 +63,6 @@ class TestRunPruningFlags:
         err = capsys.readouterr().err
         assert "--candidate-pruning is not supported" in err
 
-    def test_mmap_rejected_for_unsupported_experiment(self, capsys):
-        assert main(["run", "percolation", "--mmap"]) == 2
-        assert "--mmap is not supported" in capsys.readouterr().err
-
     def test_fig2_supports_the_flags(self):
         """The fig2/table2 drivers are the advertised consumers."""
         import inspect
@@ -97,10 +73,9 @@ class TestRunPruningFlags:
             ).parameters
             assert "candidate_pruning" in params, exp_name
             assert "pruning_frontier" in params, exp_name
-            assert "mmap" in params, exp_name
 
     @pytest.mark.parametrize(
-        "flag", ["--candidate-pruning", "--pruning-frontier", "--mmap"]
+        "flag", ["--candidate-pruning", "--pruning-frontier"]
     )
     def test_help_mentions_flag(self, capsys, flag):
         with pytest.raises(SystemExit):

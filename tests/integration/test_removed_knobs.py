@@ -1,8 +1,8 @@
 """The retired execution knobs fail loudly at every entry point.
 
-``workers`` (the process pool) and ``memory_budget_mb`` (the link-block
-planner) are gone; the one serial join is faster and smaller than
-either.  A caller still passing one must get an error naming the key,
+``workers`` (the process pool), ``memory_budget_mb`` (the link-block
+planner) and ``mmap`` (the memory-mapped adjacency spill) are gone; the
+one in-memory serial join is faster and smaller than each.  A caller still passing one must get an error naming the key,
 never a silent no-op: the dataclass and keyword ``TypeError``, the
 harness's refusal of stray options, and argparse's usage error each
 name it.
@@ -24,7 +24,7 @@ from repro.registry import get_matcher
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
 
-KNOBS = [("workers", 2), ("memory_budget_mb", 64)]
+KNOBS = [("workers", 2), ("memory_budget_mb", 64), ("mmap", True)]
 
 #: What a removed keyword raises: the dataclass/keyword ``TypeError``,
 #: or the harness's own refusal of options no matcher takes.
@@ -76,10 +76,12 @@ class TestLibraryEntryPoints:
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--workers", "2"), ("--memory-budget-mb", "64")]
+    "flag,value",
+    [("--workers", "2"), ("--memory-budget-mb", "64"), ("--mmap", None)],
 )
 def test_cli_flag_is_a_usage_error(capsys, flag, value):
+    argv = [flag] if value is None else [flag, value]
     with pytest.raises(SystemExit) as exc:
-        main(["run", "table2", flag, value])
+        main(["run", "table2", *argv])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
