@@ -224,3 +224,20 @@ class TestConfigValidation:
         pair, seeds = workload
         result = Reconciler().run(pair.g1, pair.g2, seeds)
         assert isinstance(result, MatchingResult)
+
+
+class TestScorerLifetime:
+    def test_user_scorer_close_is_not_called(self, workload):
+        """A user-supplied scorer with its own close() manages its own
+        lifetime across runs: the pipeline never closes it."""
+        pair, seeds = workload
+        closed = []
+
+        def scorer(g1, g2, links, candidates=None):
+            return {}
+
+        scorer.close = lambda: closed.append(True)
+        pipeline = Reconciler(scorer=scorer, rounds=1)
+        pipeline.run(pair.g1, pair.g2, seeds)
+        pipeline.run(pair.g1, pair.g2, seeds)
+        assert closed == []

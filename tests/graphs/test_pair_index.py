@@ -61,6 +61,24 @@ class TestInterning:
         with pytest.raises(NodeNotFoundError):
             index.intern_links({"nope": "nada"})
 
+    def test_has2_membership(self):
+        g1 = Graph.from_edges([("a", "b")])
+        g2 = Graph.from_edges([("b", "c")])
+        index = GraphPairIndex(g1, g2)
+        assert index.has2("b") and index.has2("c")
+        assert not index.has2("a")
+        assert not index.has2(object())
+
+    def test_string_node_ids_roundtrip(self):
+        g = Graph.from_edges([("b", "c"), ("a", "b"), ("a", "c")])
+        index = GraphPairIndex(g, g.copy())
+        assert index.csr1.node_ids == ["a", "b", "c"]
+        assert index.csr2.node_ids == ["a", "b", "c"]
+        links = {"a": "a", "c": "b"}
+        left, right = index.intern_links(links)
+        assert left.tolist() == [0, 2] and right.tolist() == [0, 1]
+        assert index.export_links(left, right) == links
+
 
 class TestArraysAgreeWithGraph:
     def test_degrees_match(self, index, pa_pair):

@@ -81,3 +81,11 @@ class TestRunPruningFlags:
         with pytest.raises(SystemExit):
             main(["run", "--help"])
         assert flag in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", ["--mmap", "--workers", "--memory-budget-mb"]
+    )
+    def test_help_omits_retired_flag(self, capsys, flag):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert flag not in capsys.readouterr().out

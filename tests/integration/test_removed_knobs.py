@@ -2,10 +2,10 @@
 
 ``workers`` (the process pool), ``memory_budget_mb`` (the link-block
 planner) and ``mmap`` (the memory-mapped adjacency spill) are gone; the
-one in-memory serial join is faster and smaller than each.  A caller still passing one must get an error naming the key,
-never a silent no-op: the dataclass and keyword ``TypeError``, the
-harness's refusal of stray options, and argparse's usage error each
-name it.
+one in-memory serial join is faster and smaller than each.  A caller
+still passing one must get an error naming the key, never a silent
+no-op: the dataclass and keyword ``TypeError``, the harness's refusal
+of stray options, and argparse's usage error each name it.
 """
 
 import pytest
@@ -85,3 +85,12 @@ def test_cli_flag_is_a_usage_error(capsys, flag, value):
         main(["run", "table2", *argv])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["fig2", "table2-million"])
+def test_cli_mmap_refused_by_its_former_consumers(capsys, experiment):
+    """The drivers that took ``--mmap`` now refuse it like any stray flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", experiment, "--mmap"])
+    assert exc.value.code == 2
+    assert "--mmap" in capsys.readouterr().err
