@@ -249,6 +249,14 @@ SECTIONS: list[tuple[str, list[tuple[str, str]]]] = [
                 "repro.core.links_io.load_checkpoint",
                 "repro.core.links_io:load_checkpoint",
             ),
+            (
+                "repro.core.links_io.encode_node_ids",
+                "repro.core.links_io:encode_node_ids",
+            ),
+            (
+                "repro.core.links_io.decode_node_ids",
+                "repro.core.links_io:decode_node_ids",
+            ),
         ],
     ),
 ]

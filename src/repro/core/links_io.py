@@ -15,7 +15,17 @@ it in three forms:
 - **npz score-table checkpoints** (:func:`save_checkpoint` /
   :func:`load_checkpoint`): the dense arrays + JSON metadata an
   :class:`~repro.incremental.engine.IncrementalReconciler` needs to
-  stop, persist, and warm-resume in another process.
+  stop, persist, and warm-resume in another process.  Checkpoints are
+  pickle-free: every member is a plain numeric array, written
+  uncompressed (``np.savez``) and read with ``allow_pickle=False``, so
+  loading a file runs no code from it.  Node ids ride as ``int64``
+  when every id is an ``int``, else as a UTF-8 buffer of
+  :func:`format_node_token` tokens (:func:`encode_node_ids` /
+  :func:`decode_node_ids`).  A write goes to a temporary sibling that
+  is fsynced, renamed over the target with :func:`os.replace`, and
+  then the directory is fsynced, so after a crash the path holds
+  either the old checkpoint or the new one, and the rename survives
+  power loss.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import json
 import numbers
 import os
 from pathlib import Path
-from typing import IO, Hashable, Iterable, Iterator
+from typing import IO, Hashable, Iterable, Iterator, cast
 
 import numpy as np
 
@@ -330,48 +340,136 @@ class LinkStore:
 # ----------------------------------------------------------------------
 # npz score-table checkpoints
 # ----------------------------------------------------------------------
+def encode_node_ids(nodes: "list[Node]") -> np.ndarray:
+    """Node ids as a pickle-free array that :func:`decode_node_ids` inverts.
+
+    When every id is exactly ``int`` and fits ``int64`` the result is an
+    ``int64`` array.  Otherwise each id is written as its
+    :func:`format_node_token` token and the tokens are joined by
+    newlines into one ``uint8`` UTF-8 buffer (a token never holds a
+    newline: strings containing one are JSON-quoted).
+
+    Raises
+    ------
+    ReproError
+        If an id is neither an ``int`` nor a ``str`` (``bool`` and
+        numpy integers included: they would come back as plain ints);
+        the message names the id's type.
+    """
+    types = set(map(type, nodes))
+    if types <= {int}:
+        try:
+            return np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        except OverflowError:
+            pass  # ints past int64 travel as tokens
+    if not types <= {int, str}:
+        bad = next(v for v in nodes if type(v) not in (int, str))
+        raise ReproError(
+            f"cannot checkpoint node id {bad!r} of type "
+            f"{type(bad).__name__}: only int and str ids are stored"
+        )
+    text = "\n".join(map(format_node_token, nodes))
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+
+
+def decode_node_ids(ids: np.ndarray) -> "list[Node]":
+    """The node ids an :func:`encode_node_ids` array holds.
+
+    Raises
+    ------
+    ReproError
+        If *ids* has neither encoding.
+    """
+    if ids.ndim == 1 and ids.dtype == np.int64:
+        return cast("list[Node]", ids.tolist())
+    if ids.ndim == 1 and ids.dtype == np.uint8:
+        text = ids.tobytes().decode("utf-8", "surrogatepass")
+        tokens = text.split("\n") if text else []
+        return cast("list[Node]", list(map(parse_node_token, tokens)))
+    raise ReproError(
+        f"node id array has dtype {ids.dtype} (expected int64 ids "
+        "or a uint8 token buffer)"
+    )
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a rename inside *directory* durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_checkpoint(
     path: "str | Path", arrays: dict[str, np.ndarray], meta: dict
 ) -> None:
-    """Atomically write a checkpoint of arrays plus JSON metadata.
+    """Durably and atomically write a checkpoint of arrays plus JSON metadata.
 
     Parameters
     ----------
     path : str or Path
-        Target file (conventionally ``*.npz``).  Written via a
-        temporary sibling + :func:`os.replace`, so readers never see a
-        half-written checkpoint.
+        Target file (conventionally ``*.npz``).  The arrays go to a
+        temporary sibling ``<path>.tmp``, which is fsynced and then
+        renamed over *path* with :func:`os.replace`; the directory is
+        fsynced last.  Readers never see a half-written checkpoint, and
+        a crash at any point leaves either the old file or the new one
+        at *path* (a stray ``.tmp`` is never read).
     arrays : dict of str to ndarray
-        Named arrays; object-dtype arrays (original node ids) are
-        allowed and stored pickled.
+        Named numeric arrays, stored uncompressed.  Object arrays are
+        refused: checkpoints never hold pickles (see
+        :func:`encode_node_ids` for node ids).
     meta : dict
         JSON-serializable metadata stored alongside the arrays.
+
+    Raises
+    ------
+    ReproError
+        If an array name is reserved or an array has object dtype.
     """
     path = Path(path)
     if _META_KEY in arrays:
         raise ReproError(f"array name {_META_KEY!r} is reserved")
+    for name, arr in arrays.items():
+        if np.asarray(arr).dtype.hasobject:
+            raise ReproError(
+                f"checkpoint array {name!r} has object dtype; checkpoints "
+                "are pickle-free, so store plain numeric arrays"
+            )
     payload = dict(arrays)
     payload[_META_KEY] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
     # Stream straight into a temporary sibling (passing an open handle
-    # also stops numpy from appending '.npz' to the name), then swap it
-    # in — atomic for readers, and peak memory stays at one array's
-    # compression buffer rather than the whole archive.
+    # also stops numpy from appending '.npz' to the name).  Members are
+    # stored, not deflated: numpy writes each in chunks of at most
+    # 16 MiB, so peak memory stays flat.
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        tmp.replace(path)
+            np.savez(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _fsync_directory(path.parent)
 
 
 def load_checkpoint(
-    path: "str | Path",
+    path: "str | Path", *, version: int | None = None
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Load a checkpoint written by :func:`save_checkpoint`.
+
+    Parameters
+    ----------
+    path : str or Path
+        The checkpoint file.
+    version : int, optional
+        The format version the caller reads.  A file whose
+        ``meta["version"]`` differs is refused before any array is
+        read.
 
     Returns
     -------
@@ -382,20 +480,39 @@ def load_checkpoint(
     ------
     ReproError
         If the file is missing, truncated, or not a valid checkpoint
-        (including a zip/npz that lacks the metadata member).
+        (including a zip/npz that lacks the metadata member), holds a
+        pickled (object) member — refused unread, never unpickled — or
+        has another format *version*.
     """
     path = Path(path)
     if not path.exists():
         raise ReproError(f"checkpoint {path} does not exist")
     try:
-        with np.load(path, allow_pickle=True) as data:
+        # Own the handle: np.load leaks it when the zip is unreadable.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             if _META_KEY not in data.files:
                 raise ReproError(
                     f"checkpoint {path} has no metadata — not written "
                     "by save_checkpoint?"
                 )
             meta = json.loads(bytes(data[_META_KEY]).decode("utf-8"))
-            arrays = {key: data[key] for key in data.files if key != _META_KEY}
+            found = meta.get("version") if isinstance(meta, dict) else None
+            if version is not None and found != version:
+                raise ReproError(_version_message(path, found, version))
+            arrays: dict[str, np.ndarray] = {}
+            for key in data.files:
+                if key == _META_KEY:
+                    continue
+                try:
+                    arrays[key] = data[key]
+                except ValueError as exc:
+                    if "allow_pickle" not in str(exc):
+                        raise
+                    raise ReproError(
+                        f"checkpoint {path} member {key!r} is a pickled "
+                        "object array; checkpoints are pickle-free and "
+                        "it was refused unread"
+                    ) from None
     except ReproError:
         raise
     except Exception as exc:
@@ -403,3 +520,17 @@ def load_checkpoint(
             f"checkpoint {path} is unreadable or truncated: {exc!r}"
         ) from exc
     return arrays, meta
+
+
+def _version_message(path: Path, found: object, version: int) -> str:
+    if isinstance(found, int) and found < version:
+        return (
+            f"checkpoint {path} has format version {found}, an older "
+            f"format this build no longer reads (version {version} is "
+            "pickle-free); it must be rewritten: rebuild the state "
+            "without resuming to write a new checkpoint"
+        )
+    return (
+        f"checkpoint {path} has format version {found!r}; this build "
+        f"reads version {version}"
+    )

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Hashable, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
 
 from repro.core.config import (
     DEFAULT_BACKEND,
@@ -62,6 +62,9 @@ from repro.core.selectors import SELECTORS, Selector, get_selector
 from repro.errors import MatcherConfigError
 from repro.graphs.graph import Graph
 from repro.registry import register_matcher
+
+if TYPE_CHECKING:
+    from repro.graphs.pair_index import GraphPairIndex
 
 Node = Hashable
 
@@ -145,12 +148,14 @@ def _csr_witness_scorer(
     g1: Graph,
     g2: Graph,
     use_native: bool = False,
+    index: "GraphPairIndex | None" = None,
 ) -> ScoringKernel:
     """Per-run witness scorer over one shared dense interning.
 
-    Builds the :class:`~repro.graphs.pair_index.GraphPairIndex` lazily on
-    the first scoring round and reuses it for every subsequent round —
-    interning is paid once per reconciliation, as the complexity argument
+    Scores over *index* when given (the community pruner's), else builds
+    the :class:`~repro.graphs.pair_index.GraphPairIndex` lazily on the
+    first scoring round; either way every round reuses it — interning
+    is paid once per reconciliation, as the complexity argument
     assumes.  Without a candidate stage the flat
     :class:`~repro.core.kernels.ArrayScores` table flows straight into
     the selectors; with one, the scores are restricted through the dict
@@ -162,7 +167,7 @@ def _csr_witness_scorer(
     """
     from repro.graphs.pair_index import GraphPairIndex
 
-    state: dict[str, object] = {}
+    state: dict[str, object] = {"index": index}
 
     def score(
         graph1: Graph,
@@ -174,10 +179,10 @@ def _csr_witness_scorer(
         if index is None:
             index = GraphPairIndex(g1, g2)
             state["index"] = index
-            if use_native:
-                from repro.core.native import load_native_library
+        if use_native and "native" not in state:
+            from repro.core.native import load_native_library
 
-                state["native"] = load_native_library()
+            state["native"] = load_native_library()
         scores, _emitted = count_similarity_witnesses_arrays(
             index, links, native=state.get("native")
         )
@@ -390,14 +395,16 @@ class Reconciler:
         g1: Graph,
         g2: Graph,
         start_links: dict[Node, Node],
-    ) -> "Callable[[object], object]":
+    ) -> "tuple[Callable[[object], object], GraphPairIndex]":
         """Community filter closure, built once from the initial links.
 
         The returned callable accepts either score shape — the flat
         :class:`~repro.core.kernels.ArrayScores` table or the nested
         dict — and applies the identical allowed-pair relation to both,
         which is what keeps every backend (and custom scorers)
-        link-identical to each other under pruning.
+        link-identical to each other under pruning.  It comes with the
+        :class:`~repro.graphs.pair_index.GraphPairIndex` the assignment
+        was built on, which the csr and native scorers reuse.
         """
         from repro.core import kernels
         from repro.graphs.communities import assignment_for
@@ -412,7 +419,6 @@ class Reconciler:
             index=index,
         )
         cmap1, cmap2 = assignment.community_maps(index)
-        del index
 
         def prune(scores: object) -> object:
             if isinstance(scores, ArrayScores):
@@ -436,7 +442,7 @@ class Reconciler:
                     out[v1] = kept
             return out
 
-        return prune
+        return prune, index
 
     # ------------------------------------------------------------------
     def run(
@@ -485,9 +491,10 @@ class Reconciler:
         links: dict[Node, Node] = dict(start_links)
         reporter.emit("seeds", links_total=len(links), links_added=0)
 
-        prune = None
+        prune: "Callable[[object], object] | None" = None
+        index: "GraphPairIndex | None" = None
         if self.candidate_pruning == "community":
-            prune = timed(
+            prune, index = timed(
                 "prune-setup", 0, self._build_pruner, g1, g2, start_links
             )
             reporter.emit(
@@ -497,8 +504,9 @@ class Reconciler:
         scorer = self.scorer
         if self.backend in ("csr", "native") and self._default_scorer:
             scorer = _csr_witness_scorer(
-                g1, g2, use_native=self.backend == "native"
+                g1, g2, use_native=self.backend == "native", index=index
             )
+        del index  # held by the scorer, if it uses one
 
         phases: list[PhaseRecord] = []
         for rnd in range(1, self.rounds + 1):

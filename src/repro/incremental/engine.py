@@ -67,6 +67,11 @@ Node = Hashable
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+#: Checkpoint format written by :meth:`IncrementalReconciler.save_checkpoint`.
+#: Version 2 is pickle-free (node ids as ``int64`` or a token buffer);
+#: version-1 files stored them pickled and are refused.
+CHECKPOINT_VERSION = 2
+
 #: Fields of :class:`MatcherConfig` that change *what* is computed (as
 #: opposed to how); a checkpoint can only warm-resume under a config
 #: whose algorithmic fields match.
@@ -289,6 +294,18 @@ def _apply_corrections(
         keep = out_score != 0
         out_packed, out_score = out_packed[keep], out_score[keep]
     return out_packed, out_score
+
+
+def _upper_edges(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of *csr* once, as dense ``(row, col)`` with ``row < col``.
+
+    The upper triangle of the adjacency, rows ascending and each row's
+    columns ascending, as ``int64`` — no Python per edge.
+    """
+    rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
+    cols = csr.indices.astype(np.int64)
+    upper = rows < cols
+    return rows[upper], cols[upper]
 
 
 def _id_pair(
@@ -818,10 +835,18 @@ class IncrementalReconciler:
     ) -> None:
         """Persist the engine so another process can :meth:`resume`.
 
+        The file is format :data:`CHECKPOINT_VERSION`: plain numeric
+        arrays, uncompressed, no pickles.  Each graph's edges are the
+        upper triangle of the index's CSR arrays in dense ids, so the
+        write walks no Python per edge; node ids are stored by
+        :func:`~repro.core.links_io.encode_node_ids`.  The write is
+        synchronous, atomic and fsynced
+        (:func:`~repro.core.links_io.save_checkpoint`).
+
         Parameters
         ----------
         path : str or Path
-            Checkpoint file (npz); written atomically.
+            Checkpoint file (npz).
         extra_meta : dict, optional
             Caller metadata stored under ``meta["extra"]`` (e.g. how
             many stream batches were already applied).
@@ -829,10 +854,11 @@ class IncrementalReconciler:
         Raises
         ------
         ReproError
-            If the engine was never started or runs in cold-replay
-            mode (black-box matchers carry un-persistable state).
+            If the engine was never started, runs in cold-replay mode
+            (black-box matchers carry un-persistable state), or has a
+            node id that is neither an ``int`` nor a ``str``.
         """
-        from repro.core.links_io import save_checkpoint
+        from repro.core.links_io import encode_node_ids, save_checkpoint
 
         if self.result is None:
             raise ReproError("nothing to checkpoint: call start() first")
@@ -842,28 +868,16 @@ class IncrementalReconciler:
                 "(UserMatching); black-box matchers cannot be resumed"
             )
         index = self.index
-        nodes1 = [index.node1(d) for d in range(index.n1)]
-        nodes2 = [index.node2(d) for d in range(index.n2)]
-        dense1, dense2 = index.dense1, index.dense2
-        e1u, e1v, e2u, e2v = [], [], [], []
-        for u, v in self.g1.edges():
-            e1u.append(dense1(u))
-            e1v.append(dense1(v))
-        for u, v in self.g2.edges():
-            e2u.append(dense2(u))
-            e2v.append(dense2(v))
+        edges1_u, edges1_v = _upper_edges(index.csr1)
+        edges2_u, edges2_v = _upper_edges(index.csr2)
         seeds_l, seeds_r = index.intern_links(self.seeds)
-        nodes1_arr = np.empty(len(nodes1), dtype=object)
-        nodes1_arr[:] = nodes1
-        nodes2_arr = np.empty(len(nodes2), dtype=object)
-        nodes2_arr[:] = nodes2
         arrays: dict[str, np.ndarray] = {
-            "nodes1": nodes1_arr,
-            "nodes2": nodes2_arr,
-            "edges1_u": np.asarray(e1u, dtype=np.int64),
-            "edges1_v": np.asarray(e1v, dtype=np.int64),
-            "edges2_u": np.asarray(e2u, dtype=np.int64),
-            "edges2_v": np.asarray(e2v, dtype=np.int64),
+            "nodes1": encode_node_ids(index.csr1.node_ids),
+            "nodes2": encode_node_ids(index.csr2.node_ids),
+            "edges1_u": edges1_u,
+            "edges1_v": edges1_v,
+            "edges2_u": edges2_u,
+            "edges2_v": edges2_v,
             "seeds_l": seeds_l,
             "seeds_r": seeds_r,
             "links_l": self._link_l,
@@ -886,7 +900,7 @@ class IncrementalReconciler:
 
         cfg = self.config
         meta = {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "mode": "warm",
             "rounds": rounds_meta,
             "phases": [
@@ -919,16 +933,16 @@ class IncrementalReconciler:
         Raises
         ------
         ReproError
-            If the checkpoint is missing, truncated, from an
-            incompatible version, or holds a dense id out of range.
+            If the checkpoint is missing, truncated, pickled, of
+            another format version (version-1 files must be rewritten),
+            or holds a dense id out of range.
         """
-        from repro.core.links_io import load_checkpoint
+        from repro.core.links_io import decode_node_ids, load_checkpoint
 
-        arrays, meta = load_checkpoint(path)
-        if meta.get("version") != 1 or meta.get("mode") != "warm":
+        arrays, meta = load_checkpoint(path, version=CHECKPOINT_VERSION)
+        if meta.get("mode") != "warm":
             raise ReproError(
-                f"unsupported checkpoint (version={meta.get('version')!r},"
-                f" mode={meta.get('mode')!r})"
+                f"unsupported checkpoint (mode={meta.get('mode')!r})"
             )
         cfg_meta = meta["config"]
         config = MatcherConfig(
@@ -940,8 +954,8 @@ class IncrementalReconciler:
             tie_policy=TiePolicy(cfg_meta["tie_policy"]),
             backend=cfg_meta.get("backend", "csr"),
         )
-        nodes1 = list(arrays["nodes1"])
-        nodes2 = list(arrays["nodes2"])
+        nodes1 = decode_node_ids(arrays["nodes1"])
+        nodes2 = decode_node_ids(arrays["nodes2"])
         n1, n2 = len(nodes1), len(nodes2)
         g1 = Graph.from_dense_edges(
             nodes1,

@@ -232,11 +232,14 @@ class ReconciliationService:
             raise ReproError("service already started")
         if self.checkpoint_path is not None and not self._resumed:
             # A fresh service supersedes whatever lived at this path:
-            # checkpoint the initial state and restart the event log so
-            # its replay is exactly this engine's history.
-            self._save_checkpoint()
+            # restart the event log so its replay is exactly this
+            # engine's history, then checkpoint the initial state.  The
+            # old log goes first: a crash in between then resumes the
+            # old checkpoint alone or the new one alone, never the new
+            # checkpoint with the old service's deltas replayed on it.
             assert self.store is not None
             self.store.path.unlink(missing_ok=True)
+            self._save_checkpoint()
             self.store.append_seeds(self.engine.seeds)
             self.store.append_links(self.engine.result.new_links, round=0)
         self._bootstrapped = True

@@ -1,16 +1,35 @@
 """Unit tests for link persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.links_io import (
     LinkStore,
+    decode_node_ids,
+    encode_node_ids,
     load_checkpoint,
     read_links,
     save_checkpoint,
     write_links,
 )
 from repro.errors import ReproError
+
+
+#: Appended to whenever a :class:`_Tripwire` is unpickled.
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(True)
+
+
+class _Tripwire:
+    """Runs :func:`_trip` when it is unpickled."""
+
+    def __reduce__(self):
+        return (_trip, ())
 
 
 class TestLinksRoundTrip:
@@ -139,16 +158,128 @@ class TestCheckpointIO:
         arrays = {
             "ints": np.arange(5, dtype=np.int64),
             "empty": np.empty(0, dtype=np.int64),
+            "bytes": np.frombuffer("ünï".encode(), dtype=np.uint8),
         }
+        save_checkpoint(path, arrays, {"version": 2, "note": "ünï"})
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"version": 2, "note": "ünï"}
+        assert set(loaded) == set(arrays)
+        for name, arr in arrays.items():
+            assert loaded[name].dtype == arr.dtype
+            assert np.array_equal(loaded[name], arr)
+
+    def test_object_arrays_refused_at_save(self, tmp_path):
+        path = tmp_path / "state.npz"
         nodes = np.empty(3, dtype=object)
         nodes[:] = ["fr:héros", 7, "中文"]
-        arrays["nodes"] = nodes
-        save_checkpoint(path, arrays, {"version": 1, "note": "ünï"})
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"version": 1, "note": "ünï"}
-        assert np.array_equal(loaded["ints"], arrays["ints"])
-        assert len(loaded["empty"]) == 0
-        assert list(loaded["nodes"]) == ["fr:héros", 7, "中文"]
+        with pytest.raises(ReproError, match="'nodes' has object dtype"):
+            save_checkpoint(
+                path, {"ints": np.arange(3), "nodes": nodes}, {"v": 1}
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mixed_ids_round_trip_through_engine_resume(self, tmp_path):
+        """Ids that are not all ints ride as tokens and come back with
+        their types, through the engine's save and resume."""
+        from repro.core.config import MatcherConfig
+        from repro.graphs.graph import Graph
+        from repro.incremental.engine import IncrementalReconciler
+
+        ids = ["fr:héros", 7, "中文"]
+        g1, g2 = Graph(), Graph()
+        for g in (g1, g2):
+            g.add_edge(ids[0], ids[1])
+            g.add_edge(ids[1], ids[2])
+            g.add_edge(ids[2], ids[0])
+        engine = IncrementalReconciler(MatcherConfig(threshold=1))
+        engine.start(g1, g2, {"fr:héros": "fr:héros"})
+        path = tmp_path / "state.npz"
+        engine.save_checkpoint(path)
+        arrays, _meta = load_checkpoint(path)
+        assert arrays["nodes1"].dtype == np.uint8
+        resumed = IncrementalReconciler.resume(path)
+        assert list(resumed.g1.nodes()) == list(engine.index.csr1.node_ids)
+        assert [type(v) for v in resumed.g1.nodes()] == [
+            type(v) for v in engine.index.csr1.node_ids
+        ]
+        for got, saved in ((resumed.g1, g1), (resumed.g2, g2)):
+            assert set(map(frozenset, got.edges())) == set(
+                map(frozenset, saved.edges())
+            )
+        assert resumed.seeds == {"fr:héros": "fr:héros"}
+        assert resumed.result.links == engine.result.links
+        assert resumed.result.phases == engine.result.phases
+
+    def test_pickled_member_refused_unread(self, tmp_path):
+        """A hand-made npz whose member is a pickle is refused at load,
+        and the pickle is never run."""
+        path = tmp_path / "evil.npz"
+        TRIPPED.clear()
+        payload = np.empty(1, dtype=object)
+        payload[0] = _Tripwire()
+        np.savez(
+            path,
+            a=np.arange(3),
+            nodes=payload,
+            __meta_json__=np.frombuffer(b'{"version": 2}', dtype=np.uint8),
+        )
+        with pytest.raises(ReproError, match="'nodes' is a pickled"):
+            load_checkpoint(path)
+        assert TRIPPED == []
+        # The tripwire does fire when unpickled: the refusal is real.
+        with np.load(path, allow_pickle=True) as data:
+            data["nodes"]
+        assert TRIPPED == [True]
+
+    def test_other_format_version_refused_unread(self, tmp_path):
+        path = tmp_path / "state.npz"
+        save_checkpoint(path, {"a": np.arange(3)}, {"version": 1})
+        with pytest.raises(ReproError, match="older format.*rewritten"):
+            load_checkpoint(path, version=2)
+        save_checkpoint(path, {"a": np.arange(3)}, {"version": 3})
+        with pytest.raises(ReproError, match="reads version 2"):
+            load_checkpoint(path, version=2)
+        assert load_checkpoint(path, version=3)[1] == {"version": 3}
+
+    def test_write_fsyncs_file_then_renames_then_fsyncs_directory(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import stat
+
+        from repro.core import links_io
+
+        path = tmp_path / "state.npz"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(links_io.os, "fsync", fsync)
+        monkeypatch.setattr(links_io.os, "replace", replace)
+        save_checkpoint(path, {"a": np.arange(3)}, {"v": 1})
+        assert events == [
+            ("fsync", "file"),
+            ("replace", "state.npz.tmp", "state.npz"),
+            ("fsync", "dir"),
+        ]
+
+    def test_members_are_stored_uncompressed(self, tmp_path):
+        import zipfile
+
+        path = tmp_path / "state.npz"
+        save_checkpoint(path, {"a": np.zeros(10_000)}, {"v": 1})
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_STORED
+            }
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ReproError):
@@ -188,6 +319,54 @@ class TestCheckpointIO:
         store.append_retractions([2])
         store.append_links({3: 30})
         assert store.links() == {1: 10, 3: 30}
+
+
+class TestCheckpointNodeIds:
+    def test_plain_ints_ride_as_int64(self):
+        ids = [5, -3, 0, 2**62]
+        encoded = encode_node_ids(ids)
+        assert encoded.dtype == np.int64
+        decoded = decode_node_ids(encoded)
+        assert decoded == ids
+        assert {type(v) for v in decoded} == {int}
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["fr:héros", 7, "中文"],
+            ["7", 7, "", '"q', "#h", "a\nb", "t\tab", "nul\x00", "\ud800"],
+            [2**70, -(2**70), 1],
+            ["only", "strings"],
+        ],
+    )
+    def test_other_ids_ride_as_tokens(self, ids):
+        encoded = encode_node_ids(ids)
+        assert encoded.dtype == np.uint8
+        decoded = decode_node_ids(encoded)
+        assert decoded == ids
+        assert [type(v) for v in decoded] == [type(v) for v in ids]
+
+    def test_empty(self):
+        assert decode_node_ids(encode_node_ids([])) == []
+        empty_tokens = np.empty(0, dtype=np.uint8)
+        assert decode_node_ids(empty_tokens) == []
+
+    @pytest.mark.parametrize(
+        "bad, type_name",
+        [
+            ((1, 2), "tuple"),
+            (True, "bool"),
+            (np.int64(3), "int64"),
+            (1.5, "float"),
+        ],
+    )
+    def test_other_types_refused_naming_the_type(self, bad, type_name):
+        with pytest.raises(ReproError, match=f"of type {type_name}"):
+            encode_node_ids([1, "a", bad])
+
+    def test_unknown_encoding_refused(self):
+        with pytest.raises(ReproError, match="dtype"):
+            decode_node_ids(np.zeros(3, dtype=np.float64))
 
 
 class TestNodeIdEscaping:

@@ -241,3 +241,39 @@ class TestScorerLifetime:
         pipeline.run(pair.g1, pair.g2, seeds)
         pipeline.run(pair.g1, pair.g2, seeds)
         assert closed == []
+
+
+class TestPrunedInterning:
+    @pytest.mark.parametrize("backend", ["csr", "native"])
+    def test_pruned_run_interns_the_pair_once(
+        self, workload, backend, monkeypatch
+    ):
+        """Community pruning and the witness scorer share one
+        GraphPairIndex, and the links are those of the dict backend."""
+        import warnings
+
+        from repro.graphs import pair_index
+
+        pair, seeds = workload
+        reference = Reconciler(
+            backend="dict", candidate_pruning="community"
+        ).run(pair.g1, pair.g2, seeds)
+        built = []
+        original = pair_index.GraphPairIndex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            pair_index.GraphPairIndex, "__init__", counting_init
+        )
+        with warnings.catch_warnings():
+            # A machine without a C toolchain runs native as csr.
+            warnings.simplefilter("ignore")
+            result = Reconciler(
+                backend=backend, candidate_pruning="community"
+            ).run(pair.g1, pair.g2, seeds)
+        assert built == [pair_index.GraphPairIndex]
+        assert result.links == reference.links
+        assert result.phases == reference.phases

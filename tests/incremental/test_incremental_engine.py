@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.incremental.engine.IncrementalReconciler`."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.config import MatcherConfig
 from repro.core.matcher import UserMatching
 from repro.errors import ReproError
 from repro.generators.erdos_renyi import gnp_graph
+from repro.graphs.graph import Graph
 from repro.incremental import (
     DeltaError,
     GraphDelta,
@@ -328,8 +331,7 @@ class TestCheckpointing:
         every neighbor set iterate exactly as the sequential rebuild of
         the saved arrays does.
         """
-        from repro.core.links_io import load_checkpoint
-        from repro.graphs.graph import Graph
+        from repro.core.links_io import decode_node_ids, load_checkpoint
 
         engine, path = self._saved(tmp_path)
         arrays, _meta = load_checkpoint(path)
@@ -338,7 +340,7 @@ class TestCheckpointing:
             ("1", engine.g1, resumed.g1),
             ("2", engine.g2, resumed.g2),
         ):
-            nodes = list(arrays[f"nodes{side}"])
+            nodes = decode_node_ids(arrays[f"nodes{side}"])
             rebuilt = Graph()
             for node in nodes:
                 rebuilt.add_node(node)
@@ -358,6 +360,100 @@ class TestCheckpointing:
                     rebuilt.neighbors(node)
                 )
                 assert got.neighbors(node) == saved.neighbors(node)
+
+    def test_edge_arrays_are_the_current_graphs(self, tmp_path):
+        """The checkpoint's edges come from the index's CSR arrays: after
+        deltas that remove edges and append nodes they decode to exactly
+        each graph's edge set, and a resumed engine applies the rest of
+        the stream bit-identically to one that never stopped."""
+        from repro.core.links_io import decode_node_ids, load_checkpoint
+
+        _pair, seeds, base1, base2, s1, s2 = workload(seed=29)
+        engine = IncrementalReconciler(
+            MatcherConfig(threshold=2, iterations=2)
+        )
+        engine.start(base1, base2, seeds)
+        gone1 = sorted(base1.edges())[:3]
+        gone2 = sorted(base2.edges())[3:5]
+        engine.apply(
+            GraphDelta.build(
+                added_edges1=s1[:5] + [("new1", 0), ("new1", "new2")],
+                added_edges2=s2[:5] + [(1, "new3")],
+                removed_edges1=gone1,
+                removed_edges2=gone2,
+                added_nodes2=["lonely"],
+            )
+        )
+        engine.apply(
+            GraphDelta.build(
+                removed_edges1=[("new1", 0)], added_edges2=s2[5:7]
+            )
+        )
+        path = tmp_path / "state.npz"
+        engine.save_checkpoint(path)
+        arrays, _meta = load_checkpoint(path)
+        for side, graph in (("1", engine.g1), ("2", engine.g2)):
+            nodes = decode_node_ids(arrays[f"nodes{side}"])
+            u, v = arrays[f"edges{side}_u"], arrays[f"edges{side}_v"]
+            assert (u < v).all()
+            pairs = [
+                frozenset((nodes[a], nodes[b]))
+                for a, b in zip(u.tolist(), v.tolist())
+            ]
+            assert len(pairs) == len(set(pairs)) == graph.num_edges
+            assert set(pairs) == set(map(frozenset, graph.edges()))
+            assert set(nodes) == set(graph.nodes())
+        resumed = IncrementalReconciler.resume(path)
+        assert named_rounds(resumed) == named_rounds(engine)
+        rest = [
+            GraphDelta.build(added_edges1=s1[5:9], added_edges2=s2[7:9]),
+            GraphDelta.build(
+                removed_edges1=s1[:2],
+                added_edges1=[("new2", "new4")],
+                added_seeds=[("new2", "new3")],
+            ),
+            GraphDelta.build(added_edges1=s1[9:], added_edges2=s2[9:]),
+        ]
+        for delta in rest:
+            ours = engine.apply(delta)
+            theirs = resumed.apply(delta)
+            assert theirs.mode == ours.mode
+            assert theirs.dirty_links == ours.dirty_links
+            assert theirs.result.links == ours.result.links
+            assert theirs.result.phases == ours.result.phases
+            assert named_rounds(resumed) == named_rounds(engine)
+
+    def test_version_1_checkpoint_refused_unread(self, tmp_path):
+        """A version-1 file (node ids pickled) is refused as an older
+        format that must be rewritten; nothing converts it."""
+        from repro.core.links_io import decode_node_ids, load_checkpoint
+
+        _engine, path = self._saved(tmp_path)
+        arrays, meta = load_checkpoint(path)
+        for side in ("1", "2"):
+            ids = decode_node_ids(arrays[f"nodes{side}"])
+            pickled = np.empty(len(ids), dtype=object)
+            pickled[:] = ids
+            arrays[f"nodes{side}"] = pickled
+        meta["version"] = 1
+        meta_blob = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        old = tmp_path / "v1.npz"
+        with open(old, "wb") as fh:
+            np.savez_compressed(fh, __meta_json__=meta_blob, **arrays)
+        with pytest.raises(ReproError, match="older format.*rewritten"):
+            IncrementalReconciler.resume(old)
+
+    def test_unsupported_id_type_refused_at_save(self, tmp_path):
+        g1, g2 = Graph(), Graph()
+        for g in (g1, g2):
+            g.add_edge((0, 1), (0, 2))
+            g.add_edge((0, 2), (0, 3))
+        engine = IncrementalReconciler(MatcherConfig(threshold=1))
+        engine.start(g1, g2, {(0, 1): (0, 1)})
+        path = tmp_path / "state.npz"
+        with pytest.raises(ReproError, match="of type tuple"):
+            engine.save_checkpoint(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unstarted_checkpoint_refused(self, tmp_path):
         engine = IncrementalReconciler()

@@ -37,6 +37,18 @@ CONFIGS = [
     ),
     MatcherConfig(threshold=2, iterations=2, max_degree=8),
 ]
+#: Short, stable test ids for CONFIGS (threshold, iterations, then what
+#: differs), so adding a config field renames no case.
+CONFIG_IDS = [
+    "t2-i1",
+    "t2-i2",
+    "t1-i2-minexp0",
+    "t3-i2",
+    "t2-i2-nobuckets",
+    "t2-i2-nobuckets-minexp0",
+    "t2-i2-lowest-id",
+    "t2-i2-maxdeg8",
+]
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +65,7 @@ def workloads():
 
 class TestEquivalence:
     @pytest.mark.parametrize("mr_backend", ["dict", "native"])
-    @pytest.mark.parametrize("config", CONFIGS, ids=str)
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
     def test_links_identical(self, workloads, config, mr_backend):
         for pair, seeds in workloads:
             seq = UserMatching(
