@@ -46,6 +46,12 @@ Node = Hashable
 #: Key under which checkpoint metadata JSON rides inside the npz.
 _META_KEY = "__meta_json__"
 
+#: Checkpoint format written by :func:`save_checkpoint` and the only
+#: one :func:`load_checkpoint` reads.  Version 2 is pickle-free (node
+#: ids as ``int64`` or a token buffer, see :func:`encode_node_ids`);
+#: version-1 files stored them pickled and are refused.
+CHECKPOINT_VERSION = 2
+
 
 def _open(path: Path, mode: str) -> IO[str]:
     if path.suffix == ".gz":
@@ -86,13 +92,13 @@ def _format_node(node: Node, label: str) -> str:
     (``"1"`` must not come back as ``int`` 1), containing TSV
     structure (tab/newline/carriage return), starting with ``"`` or
     ``#``, or empty is JSON-quoted instead.  Any other type is
-    rejected — use the npz checkpoint for richer ids.
+    rejected: link TSV, the event log and checkpoints all take only
+    ``int`` and ``str`` ids.
     """
     if isinstance(node, bool):
         raise ReproError(
             f"{label}: cannot write node id {node!r}: only int and str "
-            "ids round-trip through link TSV (use npz checkpoints for "
-            "richer types)"
+            "ids round-trip through link TSV"
         )
     if isinstance(node, numbers.Integral):
         return str(int(node))
@@ -100,7 +106,7 @@ def _format_node(node: Node, label: str) -> str:
         raise ReproError(
             f"{label}: cannot write node id {node!r} of type "
             f"{type(node).__name__}: only int and str ids round-trip "
-            "through link TSV (use npz checkpoints for richer types)"
+            "through link TSV"
         )
     needs_quoting = (
         not node
@@ -200,7 +206,7 @@ class LinkStore:
     concurrent readers always see whole lines and — with *fsync* left
     on — a crash or power loss loses at most the event being written.
     Node ids must be JSON-representable (ints and strings round-trip
-    exactly; use the npz checkpoint for anything richer).
+    exactly, as in link TSV and checkpoints).
 
     Parameters
     ----------
@@ -420,16 +426,23 @@ def save_checkpoint(
         refused: checkpoints never hold pickles (see
         :func:`encode_node_ids` for node ids).
     meta : dict
-        JSON-serializable metadata stored alongside the arrays.
+        JSON-serializable metadata stored alongside the arrays, under
+        ``"version": CHECKPOINT_VERSION``.
 
     Raises
     ------
     ReproError
-        If an array name is reserved or an array has object dtype.
+        If an array name or the ``"version"`` meta key is reserved, or
+        an array has object dtype.
     """
     path = Path(path)
     if _META_KEY in arrays:
         raise ReproError(f"array name {_META_KEY!r} is reserved")
+    if "version" in meta:
+        raise ReproError(
+            "meta key 'version' is reserved: save_checkpoint stamps "
+            "the format version itself"
+        )
     for name, arr in arrays.items():
         if np.asarray(arr).dtype.hasobject:
             raise ReproError(
@@ -438,7 +451,8 @@ def save_checkpoint(
             )
     payload = dict(arrays)
     payload[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        json.dumps({"version": CHECKPOINT_VERSION, **meta}).encode("utf-8"),
+        dtype=np.uint8,
     )
     # Stream straight into a temporary sibling (passing an open handle
     # also stops numpy from appending '.npz' to the name).  Members are
@@ -458,7 +472,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(
-    path: "str | Path", *, version: int | None = None
+    path: "str | Path",
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
@@ -466,23 +480,21 @@ def load_checkpoint(
     ----------
     path : str or Path
         The checkpoint file.
-    version : int, optional
-        The format version the caller reads.  A file whose
-        ``meta["version"]`` differs is refused before any array is
-        read.
 
     Returns
     -------
     (arrays, meta) : tuple
-        The named arrays and the metadata dict.
+        The named arrays and the caller's metadata dict (without the
+        ``"version"`` key :func:`save_checkpoint` stamped).
 
     Raises
     ------
     ReproError
         If the file is missing, truncated, or not a valid checkpoint
-        (including a zip/npz that lacks the metadata member), holds a
-        pickled (object) member — refused unread, never unpickled — or
-        has another format *version*.
+        (including a zip/npz that lacks the metadata member), has a
+        format version other than :data:`CHECKPOINT_VERSION` (checked
+        before any array is read), or holds a pickled (object) member,
+        which is refused unread and never unpickled.
     """
     path = Path(path)
     if not path.exists():
@@ -496,23 +508,10 @@ def load_checkpoint(
                     "by save_checkpoint?"
                 )
             meta = json.loads(bytes(data[_META_KEY]).decode("utf-8"))
-            found = meta.get("version") if isinstance(meta, dict) else None
-            if version is not None and found != version:
-                raise ReproError(_version_message(path, found, version))
-            arrays: dict[str, np.ndarray] = {}
-            for key in data.files:
-                if key == _META_KEY:
-                    continue
-                try:
-                    arrays[key] = data[key]
-                except ValueError as exc:
-                    if "allow_pickle" not in str(exc):
-                        raise
-                    raise ReproError(
-                        f"checkpoint {path} member {key!r} is a pickled "
-                        "object array; checkpoints are pickle-free and "
-                        "it was refused unread"
-                    ) from None
+            found = meta.pop("version", None)
+            if found != CHECKPOINT_VERSION:
+                raise ReproError(_version_message(path, found))
+            arrays = {k: data[k] for k in data.files if k != _META_KEY}
     except ReproError:
         raise
     except Exception as exc:
@@ -522,15 +521,16 @@ def load_checkpoint(
     return arrays, meta
 
 
-def _version_message(path: Path, found: object, version: int) -> str:
-    if isinstance(found, int) and found < version:
+def _version_message(path: Path, found: object) -> str:
+    if isinstance(found, int) and found < CHECKPOINT_VERSION:
         return (
             f"checkpoint {path} has format version {found}, an older "
-            f"format this build no longer reads (version {version} is "
-            "pickle-free); it must be rewritten: rebuild the state "
-            "without resuming to write a new checkpoint"
+            "format this build no longer reads (version "
+            f"{CHECKPOINT_VERSION} is pickle-free); it must be "
+            "rewritten: rebuild the state without resuming to write a "
+            "new checkpoint"
         )
     return (
         f"checkpoint {path} has format version {found!r}; this build "
-        f"reads version {version}"
+        f"reads version {CHECKPOINT_VERSION}"
     )

@@ -67,11 +67,6 @@ Node = Hashable
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Checkpoint format written by :meth:`IncrementalReconciler.save_checkpoint`.
-#: Version 2 is pickle-free (node ids as ``int64`` or a token buffer);
-#: version-1 files stored them pickled and are refused.
-CHECKPOINT_VERSION = 2
-
 #: Fields of :class:`MatcherConfig` that change *what* is computed (as
 #: opposed to how); a checkpoint can only warm-resume under a config
 #: whose algorithmic fields match.
@@ -835,12 +830,12 @@ class IncrementalReconciler:
     ) -> None:
         """Persist the engine so another process can :meth:`resume`.
 
-        The file is format :data:`CHECKPOINT_VERSION`: plain numeric
-        arrays, uncompressed, no pickles.  Each graph's edges are the
-        upper triangle of the index's CSR arrays in dense ids, so the
-        write walks no Python per edge; node ids are stored by
+        The file is plain numeric arrays, uncompressed, no pickles.
+        Each graph's edges are the upper triangle of the index's CSR
+        arrays in dense ids, so the write walks no Python per edge;
+        node ids are stored by
         :func:`~repro.core.links_io.encode_node_ids`.  The write is
-        synchronous, atomic and fsynced
+        synchronous, atomic and fsynced, and stamps the format version
         (:func:`~repro.core.links_io.save_checkpoint`).
 
         Parameters
@@ -900,7 +895,6 @@ class IncrementalReconciler:
 
         cfg = self.config
         meta = {
-            "version": CHECKPOINT_VERSION,
             "mode": "warm",
             "rounds": rounds_meta,
             "phases": [
@@ -939,7 +933,7 @@ class IncrementalReconciler:
         """
         from repro.core.links_io import decode_node_ids, load_checkpoint
 
-        arrays, meta = load_checkpoint(path, version=CHECKPOINT_VERSION)
+        arrays, meta = load_checkpoint(path)
         if meta.get("mode") != "warm":
             raise ReproError(
                 f"unsupported checkpoint (mode={meta.get('mode')!r})"

@@ -234,9 +234,12 @@ class ReconciliationService:
             # A fresh service supersedes whatever lived at this path:
             # restart the event log so its replay is exactly this
             # engine's history, then checkpoint the initial state.  The
-            # old log goes first: a crash in between then resumes the
-            # old checkpoint alone or the new one alone, never the new
-            # checkpoint with the old service's deltas replayed on it.
+            # old log goes first, so the new checkpoint never gets the
+            # old service's deltas replayed on it.  A crash before the
+            # new checkpoint lands resumes the old checkpoint without
+            # its log tail: the old service's state at its last
+            # checkpoint, not its last acknowledged batch.  The fresh
+            # start discards that state anyway; start fresh again.
             assert self.store is not None
             self.store.path.unlink(missing_ok=True)
             self._save_checkpoint()

@@ -1,11 +1,13 @@
 """Unit tests for link persistence."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.links_io import (
+    CHECKPOINT_VERSION,
     LinkStore,
     decode_node_ids,
     encode_node_ids,
@@ -160,9 +162,9 @@ class TestCheckpointIO:
             "empty": np.empty(0, dtype=np.int64),
             "bytes": np.frombuffer("ünï".encode(), dtype=np.uint8),
         }
-        save_checkpoint(path, arrays, {"version": 2, "note": "ünï"})
+        save_checkpoint(path, arrays, {"note": "ünï"})
         loaded, meta = load_checkpoint(path)
-        assert meta == {"version": 2, "note": "ünï"}
+        assert meta == {"note": "ünï"}
         assert set(loaded) == set(arrays)
         for name, arr in arrays.items():
             assert loaded[name].dtype == arr.dtype
@@ -223,7 +225,7 @@ class TestCheckpointIO:
             nodes=payload,
             __meta_json__=np.frombuffer(b'{"version": 2}', dtype=np.uint8),
         )
-        with pytest.raises(ReproError, match="'nodes' is a pickled"):
+        with pytest.raises(ReproError):
             load_checkpoint(path)
         assert TRIPPED == []
         # The tripwire does fire when unpickled: the refusal is real.
@@ -231,15 +233,38 @@ class TestCheckpointIO:
             data["nodes"]
         assert TRIPPED == [True]
 
-    def test_other_format_version_refused_unread(self, tmp_path):
+    def test_format_version_stamped_and_checked(self, tmp_path):
+        """save_checkpoint stamps the format version; load_checkpoint
+        refuses any other before reading an array."""
         path = tmp_path / "state.npz"
-        save_checkpoint(path, {"a": np.arange(3)}, {"version": 1})
-        with pytest.raises(ReproError, match="older format.*rewritten"):
-            load_checkpoint(path, version=2)
-        save_checkpoint(path, {"a": np.arange(3)}, {"version": 3})
-        with pytest.raises(ReproError, match="reads version 2"):
-            load_checkpoint(path, version=2)
-        assert load_checkpoint(path, version=3)[1] == {"version": 3}
+        save_checkpoint(path, {"a": np.arange(3)}, {"v": 1})
+        with np.load(path) as data:
+            stored = json.loads(bytes(data["__meta_json__"]))
+        assert stored == {"version": CHECKPOINT_VERSION, "v": 1}
+        TRIPPED.clear()
+        payload = np.empty(1, dtype=object)
+        payload[0] = _Tripwire()
+        for found, message in (
+            (1, "older format.*rewritten"),
+            (CHECKPOINT_VERSION + 1, "reads version 2"),
+            (None, "reads version 2"),
+        ):
+            meta = {} if found is None else {"version": found}
+            np.savez(
+                path,
+                nodes=payload,
+                __meta_json__=np.frombuffer(
+                    json.dumps(meta).encode(), dtype=np.uint8
+                ),
+            )
+            with pytest.raises(ReproError, match=message):
+                load_checkpoint(path)
+        assert TRIPPED == []
+
+    def test_caller_version_key_refused(self, tmp_path):
+        with pytest.raises(ReproError, match="'version' is reserved"):
+            save_checkpoint(tmp_path / "x.npz", {}, {"version": 2})
+        assert list(tmp_path.iterdir()) == []
 
     def test_write_fsyncs_file_then_renames_then_fsyncs_directory(
         self, tmp_path, monkeypatch
