@@ -24,9 +24,9 @@ the numpy bodies, with every round's table asserted equal.
 
 Unlike the blocked/parallel suites, links are *expected* to differ from
 the unpruned baseline — pruning changes results by design.  What must
-hold instead (and is asserted en route) is backend parity: dict, csr
-and native produce identical links *to each other* under the same
-pruning mode.  The quality side of the trade is gated separately by
+hold instead (and is asserted en route) is backend parity: csr and
+native produce identical links *to each other* under the same pruning
+mode.  The quality side of the trade is gated separately by
 ``scripts/check_quality_regression.py`` against ``QUALITY_pruning.json``.
 """
 

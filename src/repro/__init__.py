@@ -41,11 +41,12 @@ still the quickest way to the paper's algorithm::
 
 Every matcher also takes a ``backend`` — ``"native"`` (the default:
 dense interning + compiled C hot kernels, falling back to ``"csr"``
-without a C toolchain), ``"csr"`` (dense interning + array kernels) or
-``"dict"`` (the paper-literal reference over Python dicts keyed by
-original node ids).  Output is link-identical across all three::
+without a C toolchain) or ``"csr"`` (dense interning + array kernels).
+Output is identical across both; the MapReduce formulation
+(``"mapreduce-user-matching"``) is the literal reference over original
+node ids that the tests hold both to::
 
-    result = reconcile(pair.g1, pair.g2, seeds, threshold=2, backend="dict")
+    result = reconcile(pair.g1, pair.g2, seeds, threshold=2, backend="csr")
 
 See DESIGN.md §"Backends" for when interning pays off.
 

@@ -1,6 +1,6 @@
 """Plugin framework of the ``repro lint`` static-analysis pass.
 
-The runtime property walls (dict↔csr↔native link identity, carried ≡
+The runtime property walls (csr↔native↔MapReduce identity, carried ≡
 recount, warm ≡ cold) catch determinism violations *after* they are
 written.  This module is the other half of that discipline: a small AST
 framework whose rules reject the patterns that cause such violations —

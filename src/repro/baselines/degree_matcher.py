@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Hashable
 
+import numpy as np
+
 from repro.core.config import (
     DEFAULT_BACKEND,
     validate_backend,
@@ -32,10 +34,8 @@ Node = Hashable
 class DegreeSequenceMatcher:
     """Match nodes purely by degree rank.
 
-    With ``backend="csr"`` the two degree rankings are computed as one
-    ``np.lexsort`` each over canonical-order degree arrays (position in
-    canonical order is the tie key, so ties break identically to the
-    dict path).
+    One path over original node ids; ``backend`` is validated and
+    ignored, like the pruning knobs.
     """
 
     def __init__(
@@ -66,18 +66,8 @@ class DegreeSequenceMatcher:
     ) -> MatchingResult:
         """Pair unmatched nodes by descending degree (stable by id order)."""
         reporter = ProgressReporter("degree-sequence", progress)
-        if self.backend in ("csr", "native"):
-            left, right = self._ranked_csr(g1, g2, seeds)
-        else:
-            linked_right = set(seeds.values())
-            left = sorted(
-                (n for n in g1.nodes() if n not in seeds),
-                key=lambda n: (-g1.degree(n), node_sort_key(n)),
-            )
-            right = sorted(
-                (n for n in g2.nodes() if n not in linked_right),
-                key=lambda n: (-g2.degree(n), node_sort_key(n)),
-            )
+        left = _degree_ranking(g1, set(seeds))
+        right = _degree_ranking(g2, set(seeds.values()))
         links = dict(seeds)
         pairs = zip(left, right)
         if self.max_matches is not None:
@@ -91,37 +81,15 @@ class DegreeSequenceMatcher:
         )
         return MatchingResult(links=links, seeds=dict(seeds), phases=[])
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ranked_csr(
-        g1: Graph, g2: Graph, seeds: dict[Node, Node]
-    ) -> tuple[list[Node], list[Node]]:
-        """Both degree rankings as one vectorized lexsort per side.
 
-        Only per-node degrees are needed, so the arrays are built
-        directly over the canonical node order — no CSR adjacency
-        construction, which would be dead weight here.
-        """
-        import numpy as np
-
-        from repro.core.ordering import node_sort_key
-
-        def rank(graph: Graph, taken: set) -> list[Node]:
-            free = [
-                n
-                for n in sorted(graph.nodes(), key=node_sort_key)
-                if n not in taken
-            ]
-            deg = np.fromiter(
-                (graph.degree(n) for n in free),
-                dtype=np.int64,
-                count=len(free),
-            )
-            positions = np.arange(len(free), dtype=np.int64)
-            order = np.lexsort((positions, -deg))
-            return [free[i] for i in order.tolist()]
-
-        return (
-            rank(g1, set(seeds)),
-            rank(g2, set(seeds.values())),
-        )
+def _degree_ranking(graph: Graph, taken: set[Node]) -> list[Node]:
+    """The free nodes by descending degree, ties in canonical order."""
+    free = [
+        n for n in sorted(graph.nodes(), key=node_sort_key) if n not in taken
+    ]
+    degrees = np.fromiter(
+        map(graph.degree, free), dtype=np.int64, count=len(free)
+    )
+    # A stable sort keeps the canonical order within each degree.
+    order = np.argsort(-degrees, kind="stable")
+    return list(map(free.__getitem__, order.tolist()))

@@ -17,9 +17,9 @@ method itself needs no seeds — its selling point and its weakness).
 
 Float reductions use :func:`math.fsum` (correctly rounded, so the result
 is independent of iteration order) and every scan runs in the canonical
-node order — which makes the matcher deterministic under graph
-construction order and lets ``backend="csr"`` compute the identical
-feature table from dense CSR arrays.
+node order, which makes the matcher deterministic under graph
+construction order.  There is one path over original node ids;
+``backend`` is validated and ignored, like the pruning knobs.
 """
 
 from __future__ import annotations
@@ -121,13 +121,8 @@ class StructuralFeatureMatcher:
             taken among the ``max_candidates`` right nodes closest in
             degree (a blocking step that keeps the quadratic scan
             tractable, standard in feature-matching systems).
-        backend: ``"dict"`` (the Python reference) or ``"csr"`` — the
-            csr backend computes the identical feature table from dense
-            CSR arrays (reductions are correctly rounded, so the table
-            is bit-equal and the links match exactly).  ``"native"``
-            (the default) runs the csr path — feature extraction has no
-            compiled kernel, so the knob stays uniform across the
-            registry.
+        backend: validated and ignored (one path; see the module
+            docstring).
     """
 
     def __init__(
@@ -172,11 +167,8 @@ class StructuralFeatureMatcher:
     ) -> MatchingResult:
         """Match by feature proximity; returns seeds + feature matches."""
         reporter = ProgressReporter("structural-features", progress)
-        if self.backend in ("csr", "native"):
-            f1, f2 = self._normalized_features_csr(g1, g2)
-        else:
-            f1 = _normalize(recursive_features(g1, self.levels))
-            f2 = _normalize(recursive_features(g2, self.levels))
+        f1 = _normalize(recursive_features(g1, self.levels))
+        f2 = _normalize(recursive_features(g2, self.levels))
         # Calibrate the acceptance radius on the seed pairs.
         seed_distances = sorted(
             _distance(f1[v1], f2[v2])
@@ -193,14 +185,15 @@ class StructuralFeatureMatcher:
             radius = 0.0  # nothing to calibrate on: match nothing
         # Blocking by degree rank keeps the scan near-linear; ties in
         # degree follow the canonical order so the scan is independent
-        # of graph construction order (and of the backend).
+        # of graph construction order.
+        taken = set(seeds.values())
         right = sorted(
-            (n for n in g2.nodes() if n not in set(seeds.values())),
+            (n for n in g2.nodes() if n not in taken),
             key=lambda n: (-g2.degree(n), node_sort_key(n)),
         )
-        right_degrees = [g2.degree(n) for n in right]
+        # Negated so the descending degree column bisects ascending.
+        neg_degrees = [-g2.degree(n) for n in right]
         links: dict[Node, Node] = dict(seeds)
-        taken = set(seeds.values())
         best_left: dict[Node, tuple[float, Node]] = {}
 
         for v1 in sorted(g1.nodes(), key=node_sort_key):
@@ -208,7 +201,7 @@ class StructuralFeatureMatcher:
                 continue
             deg = g1.degree(v1)
             # Window of right nodes with the closest degrees.
-            pos = bisect.bisect_left([-d for d in right_degrees], -deg)
+            pos = bisect.bisect_left(neg_degrees, -deg)
             lo = max(0, pos - self.max_candidates // 2)
             window = right[lo : lo + self.max_candidates]
             best = None
@@ -231,61 +224,3 @@ class StructuralFeatureMatcher:
             links_added=len(links) - len(seeds),
         )
         return MatchingResult(links=links, seeds=dict(seeds), phases=[])
-
-    # ------------------------------------------------------------------
-    def _normalized_features_csr(
-        self, g1: Graph, g2: Graph
-    ) -> tuple[dict[Node, list[float]], dict[Node, list[float]]]:
-        """Both normalized feature tables from dense CSR arrays.
-
-        Level 0 is the (exact) degree column; each recursion level
-        gathers the previous column over the CSR neighbor slices and
-        reduces with correctly-rounded sums, so the resulting table is
-        bit-equal to the dict backend's.
-        """
-        import numpy as np
-
-        from repro.graphs.pair_index import GraphPairIndex
-
-        index = GraphPairIndex(g1, g2)
-
-        def features(csr, degrees) -> dict[Node, list[float]]:
-            n = csr.num_nodes
-            if n == 0:
-                return {}
-            columns = [degrees.astype(np.float64)]
-            current = columns[0]
-            indptr, indices = csr.indptr, csr.indices
-            for _level in range(self.levels):
-                means = np.zeros(n, dtype=np.float64)
-                tops = np.zeros(n, dtype=np.float64)
-                for i in range(n):
-                    sl = current[indices[indptr[i] : indptr[i + 1]]]
-                    if len(sl):
-                        means[i] = math.fsum(sl.tolist()) / len(sl)
-                        tops[i] = sl.max()
-                columns.append(means)
-                columns.append(tops)
-                current = means
-            mu = [math.fsum(col.tolist()) / n for col in columns]
-            sd = [
-                math.sqrt(
-                    math.fsum(((col - m) ** 2).tolist()) / n
-                )
-                or 1.0
-                for col, m in zip(columns, mu)
-            ]
-            normalized = np.stack(
-                [
-                    (col - m) / s
-                    for col, m, s in zip(columns, mu, sd)
-                ],
-                axis=1,
-            )
-            ids = csr.node_ids
-            return {ids[i]: row for i, row in enumerate(normalized.tolist())}
-
-        return (
-            features(index.csr1, index.deg1),
-            features(index.csr2, index.deg2),
-        )

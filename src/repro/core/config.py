@@ -29,16 +29,17 @@ class TiePolicy(enum.Enum):
     LOWEST_ID = "lowest_id"
 
 
-#: Execution backends every matcher accepts: ``"dict"`` runs over Python
-#: dict/set structures keyed by original node ids (the paper-literal
-#: reference every equivalence test compares against); ``"csr"`` interns
-#: both graphs to dense ids once and runs the array kernels in
+#: Execution backends every matcher accepts: ``"csr"`` interns both
+#: graphs to dense ids once and runs the array kernels in
 #: :mod:`repro.core.kernels`; ``"native"`` runs the same dataflow with
 #: the hot kernels (witness join, carried table, selection) in a small C
 #: library compiled on demand (:mod:`repro.core.native`), degrading to
 #: the ``csr`` kernels with a warning when no toolchain is available.
-#: Output is link-identical across all three.
-BACKENDS: tuple[str, ...] = ("dict", "csr", "native")
+#: Output is identical across both.  Matchers with a single path
+#: (the MapReduce formulation and the narayanan-shmatikov,
+#: structural-features and degree-sequence baselines) validate the
+#: value and ignore it.
+BACKENDS: tuple[str, ...] = ("csr", "native")
 
 #: The backend every matcher and driver runs when none is named.
 DEFAULT_BACKEND = "native"
@@ -60,8 +61,8 @@ def validate_backend(backend: str) -> str:
 #: communities are further than ``pruning_frontier`` hops apart in the
 #: community quotient graph.  Pruning changes the links versus
 #: ``"none"`` (that cost is measured, never hidden) but is applied
-#: identically by every backend, so dict/csr/native stay link-identical
-#: to each other.
+#: identically by every backend and by the MapReduce formulation, so
+#: they stay link-identical to each other.
 PRUNING_MODES: tuple[str, ...] = ("none", "community")
 
 
@@ -141,14 +142,13 @@ class MatcherConfig:
         degree-1 node can never have 2 witnesses).
     tie_policy : TiePolicy
         See :class:`TiePolicy`.
-    backend : {"dict", "csr", "native"}
-        Execution substrate: ``"dict"`` (the pure-Python reference),
-        ``"csr"`` (dense interning + array kernels), or ``"native"``
-        (:data:`DEFAULT_BACKEND`: the csr dataflow with compiled C hot
-        kernels, see :mod:`repro.core.native`; falls back to the csr
-        kernels with a :class:`~repro.core.native.NativeFallbackWarning`
-        when no C toolchain is available).  Output is link-identical
-        across all three.
+    backend : {"csr", "native"}
+        Execution substrate: ``"csr"`` (dense interning + array
+        kernels) or ``"native"`` (:data:`DEFAULT_BACKEND`: the csr
+        dataflow with compiled C hot kernels, see
+        :mod:`repro.core.native`; falls back to the csr kernels with a
+        :class:`~repro.core.native.NativeFallbackWarning` when no C
+        toolchain is available).  Output is identical across both.
     candidate_pruning : {"none", "community"}
         Candidate-pair pruning mode.  ``"none"`` (default) scores every
         pair the degree-bucket sweep produces.  ``"community"``
@@ -160,9 +160,9 @@ class MatcherConfig:
         dominates past the million-node rung.  Pruning changes results
         versus ``"none"`` (the recall cost is reported by the harness
         as ``pruning_recall_cost``, and gated in CI by
-        ``scripts/check_quality_regression.py``); all three backends
-        apply the identical filter, so dict/csr/native remain
-        link-identical *to each other* under pruning.
+        ``scripts/check_quality_regression.py``); both backends and
+        the MapReduce formulation apply the identical filter, so they
+        remain link-identical *to each other* under pruning.
     pruning_frontier : int
         Frontier ring radius for ``candidate_pruning="community"``:
         0 (default) keeps only same-community pairs, ``r`` also allows

@@ -1,8 +1,9 @@
 """Numpy array kernels for the ``backend="csr"`` execution paths.
 
-The dict backend runs the paper's dataflow over Python dict-of-dict score
-tables; these kernels run the *same* dataflow over flat ``int64`` arrays
-keyed by the dense node ids of a
+The MapReduce formulation (:mod:`repro.mapreduce.matcher_mr`) and the
+dict-level scorers of :mod:`repro.core.scoring` run the paper's dataflow
+over Python dict-of-dict score tables; these kernels run the *same*
+dataflow over flat ``int64`` arrays keyed by the dense node ids of a
 :class:`~repro.graphs.pair_index.GraphPairIndex`:
 
 - :func:`count_witnesses` — the witness count (Definition 1) as one
@@ -14,21 +15,22 @@ keyed by the dense node ids of a
   selection over flat ``(left, right, score)`` triples.  Because interning
   is canonical (dense-id order == :func:`~repro.core.ordering.node_sort_key`
   order), every tie-break is an integer comparison and the selected links
-  are identical to the dict selectors'.
+  are identical to the dict-level selectors'.
 
 :class:`ArrayScores` is the boundary object: scoring stages can hand it
 to the named selectors in :mod:`repro.core.selectors` directly (they
 dispatch on its type), and ``to_dict()`` converts back to the dict-of-dict
 form for custom stages that want the old representation.
 
-Scores here are integer witness counts, so dict↔csr equivalence is exact,
-not approximate; the property suite asserts link-for-link equality.
+Scores here are integer witness counts, so the equivalence with the
+dict-level dataflow is exact, not approximate; the property suite
+asserts it link for link and phase for phase.
 
 ``backend="native"`` reuses this module end to end: every kernel accepts
 an optional :class:`~repro.core.native.NativeKernels` handle (threaded
 by the callers, resolved once per run) that swaps the hot inner step —
 join, carried-table upkeep, selection — for its compiled twin while
-keeping the same integer counts, so all three backends select identical
+keeping the same integer counts, so both backends select identical
 links.  When the packed key space is bounded the sweep keeps a
 :class:`CarriedWitnessTable` across rounds, so each round joins only new
 links and newly eligible degree bands instead of recounting every link.
@@ -441,7 +443,7 @@ def _segment_cross_product(
 class ArrayScores:
     """Flat similarity-score table over dense node ids.
 
-    The array twin of the dict backend's ``scores[v1][v2]`` table: row
+    The array twin of the dict-level ``scores[v1][v2]`` table: row
     ``i`` says candidate pair ``(left[i], right[i])`` has ``score[i]``
     witnesses.  Pairs are unique and every score is at least the
     producer's floor: ``min_count`` for :func:`count_witnesses` (1,

@@ -202,9 +202,10 @@ class LinkStore:
     """Append-only JSONL log of a reconciliation's link history.
 
     Each :meth:`append` writes one JSON object per line; the file is
-    opened, written, flushed, fsynced, and closed per event, so
-    concurrent readers always see whole lines and — with *fsync* left
-    on — a crash or power loss loses at most the event being written.
+    opened, written, flushed, fsynced, and closed per event (the append
+    that starts an empty log also fsyncs its directory), so concurrent
+    readers always see whole lines and — with *fsync* left on — a crash
+    or power loss loses at most the event being written.
     Node ids must be JSON-representable (ints and strings round-trip
     exactly, as in link TSV and checkpoints).
 
@@ -246,10 +247,15 @@ class LinkStore:
         """
         line = json.dumps(event, separators=(",", ":"))
         with open(self.path, "a", encoding="utf-8") as fh:
+            created = fh.tell() == 0
             fh.write(line + "\n")
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
+        if created and self.fsync:
+            # A fresh log's directory entry is not durable until its
+            # directory is fsynced too; later appends only extend it.
+            _fsync_directory(self.path.parent)
 
     def append_seeds(self, seeds: dict[Node, Node]) -> None:
         """Record the seed links a reconciliation starts from."""

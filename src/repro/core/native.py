@@ -86,7 +86,7 @@ class NativeFallbackWarning(RuntimeWarning):
     working C toolchain is available, compilation fails, or the
     ``REPRO_NATIVE_DISABLE`` kill-switch is set.  Links are unaffected
     — ``backend="native"`` degrades to the ``csr`` kernels, which are
-    bit-identical by the three-way property wall.
+    bit-identical by the MapReduce-oracle property wall.
     """
 
 
@@ -1329,7 +1329,8 @@ def load_native_library(*, warn: bool = True) -> NativeKernels | None:
     the kill-switch is re-read on every call (tests and CI toggle it).
 
     ``backend="native"`` callers treat ``None`` as "run the csr
-    kernels" — the three-way property wall guarantees identical links.
+    kernels" — the MapReduce-oracle property wall guarantees identical
+    links.
     """
     global _CACHE
     if os.environ.get("REPRO_NATIVE_DISABLE") == "1":

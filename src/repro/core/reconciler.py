@@ -317,20 +317,21 @@ class Reconciler:
         Stage 5 — post-match hooks, applied in order; each receives
         ``(g1, g2, links, seeds)`` and returns the links to keep
         (seeds must be preserved).
-    backend : {"dict", "csr", "native"}
+    backend : {"csr", "native"}
         Defaults to :data:`~repro.core.config.DEFAULT_BACKEND`
-        (``"native"``); ``"dict"`` is the pure-Python reference.
-        With ``"csr"`` the *default* scoring stage interns both graphs
-        once per run and produces the flat
+        (``"native"``).  The *default* scoring stage interns both
+        graphs once per run and produces the flat
         :class:`~repro.core.kernels.ArrayScores` table; the named
         selectors dispatch to the vectorized kernels on it.
         ``"native"`` additionally routes the join and selection hot
         loops through the compiled kernels of
-        :mod:`repro.core.native`, degrading to ``csr`` with a warning
-        when no C toolchain is available.  Links are identical to the
-        dict backend either way.  A custom ``scorer`` takes precedence
-        over the backend choice; a custom ``candidates`` stage keeps
-        its dict-level filtering semantics on any backend.
+        :mod:`repro.core.native`, degrading to ``"csr"`` with a warning
+        when no C toolchain is available; links are identical either
+        way.  A custom ``scorer`` takes precedence over the backend
+        choice; a custom ``candidates`` stage keeps its dict-level
+        filtering semantics.  Passing ``scorer=witness_count_kernel``
+        runs the same witness count over Python dicts keyed by
+        original node ids, with identical links.
     candidate_pruning : {"none", "community"}
         ``"community"`` partitions the union graph once per run
         (:mod:`repro.graphs.communities`, from the *initial* links the
@@ -338,7 +339,7 @@ class Reconciler:
         communities are further than *pruning_frontier* hops apart —
         the same filter, applied between the scoring and selection
         stages, on every backend and on custom scorers, so links stay
-        identical across backends under pruning.  Pruning changes
+        identical across scorers under pruning.  Pruning changes
         links versus ``"none"``; that cost is measured, not hidden.
     pruning_frontier : int
         Ring radius for ``candidate_pruning="community"`` (0 = same
@@ -401,7 +402,7 @@ class Reconciler:
         The returned callable accepts either score shape — the flat
         :class:`~repro.core.kernels.ArrayScores` table or the nested
         dict — and applies the identical allowed-pair relation to both,
-        which is what keeps every backend (and custom scorers)
+        which is what keeps the default scorer and custom scorers
         link-identical to each other under pruning.  It comes with the
         :class:`~repro.graphs.pair_index.GraphPairIndex` the assignment
         was built on, which the csr and native scorers reuse.
@@ -502,7 +503,7 @@ class Reconciler:
             )
 
         scorer = self.scorer
-        if self.backend in ("csr", "native") and self._default_scorer:
+        if self._default_scorer:
             scorer = _csr_witness_scorer(
                 g1, g2, use_native=self.backend == "native", index=index
             )

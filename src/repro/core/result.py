@@ -25,15 +25,10 @@ class PhaseRecord:
             full recount would emit them — ``Σ_k a_k · b_k`` over all
             current links, with ``a_k``/``b_k`` link ``k``'s eligible
             neighbors in each copy (the size of the paper's second
-            MapReduce round output).  The array backends
-            (``csr``/``native``), the MapReduce reference and the
-            incremental engine all report this recount figure whatever
-            join strategy ran, including a sweep that carries its score
-            table across rounds and joins only what is new.  The
-            ``dict`` backend instead reports the pairs its deferred
-            incremental table materialized in the round, so this field
-            is not yet comparable across backends (links,
-            ``candidates`` and ``links_added`` are).
+            MapReduce round output).  Every matcher that records
+            bucket rounds reports this recount figure whatever join
+            strategy ran, including a sweep that carries its score
+            table across rounds and joins only what is new.
         links_added: new identification links produced by this round.
     """
 

@@ -13,11 +13,13 @@ work matches the paper's
 ``O((E1+E2)·min(Δ1,Δ2)·log max(Δ1,Δ2))`` sequential bound.
 
 Two representations of the same kernel live here:
-:func:`count_similarity_witnesses` is the dict-of-dict reference
-(``backend="dict"``), and :func:`count_similarity_witnesses_arrays`
-bridges to the vectorized CSR join in :mod:`repro.core.kernels`
-(``backend="csr"``) given a prebuilt
-:class:`~repro.graphs.pair_index.GraphPairIndex`.  Counts are identical.
+:func:`count_similarity_witnesses` is the dict-of-dict form over original
+node ids (behind :func:`~repro.core.reconciler.witness_count_kernel`, the
+building block for custom scorers), and
+:func:`count_similarity_witnesses_arrays` bridges to the vectorized CSR
+join in :mod:`repro.core.kernels` (the Reconciler's default scorer)
+given a prebuilt :class:`~repro.graphs.pair_index.GraphPairIndex`.
+Counts are identical.
 """
 
 from __future__ import annotations

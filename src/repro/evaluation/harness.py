@@ -142,7 +142,7 @@ def run_trial(
         :class:`UserMatching` with *config*.
     params : dict, optional
         Extra key/values recorded in the result row.
-    backend : {"dict", "csr", "native"}, optional
+    backend : {"csr", "native"}, optional
         Execution backend applied to the default matcher, a given
         *config*, or a *named* matcher; cannot reconfigure an
         already-constructed instance.  ``None`` keeps the matcher's
@@ -335,7 +335,7 @@ def compare_matchers(
         Registry names and/or matcher instances.
     params : dict, optional
         Extra key/values recorded in every result row.
-    backend : {"dict", "csr", "native"}, optional
+    backend : {"csr", "native"}, optional
         Run every *named* matcher on this execution backend and record
         it in the ``backend`` column of its row; ``None`` keeps each
         matcher's default, ``"native"``

@@ -32,8 +32,9 @@ ever act on positive community evidence).
 Everything is fully deterministic — no randomness is consumed, rounds
 are bounded, and final labels are compacted in canonical ascending
 order — so the same pair of graphs and seeds always produces the same
-partition, which is what lets all three matcher backends apply an
-*identical* pruning filter and stay link-identical to each other.
+partition, which is what lets both matcher backends and the MapReduce
+formulation apply an *identical* pruning filter and stay link-identical
+to each other.
 
 Everything is vectorized over the existing CSR arrays of a
 :class:`~repro.graphs.pair_index.GraphPairIndex`; no adjacency is ever
@@ -210,9 +211,10 @@ class CommunityAssignment:
     """A per-run community partition plus its allowed-pair relation.
 
     Built once per reconciliation from the union graph and the *initial*
-    seed links; every backend of every pruning-aware matcher consults
-    the same assignment, so the filter — and therefore the links — are
-    identical across dict/csr/native.
+    seed links; every pruning-aware matcher consults the same
+    assignment, so the filter — and therefore the links — are identical
+    across the array sweep, the MapReduce formulation and dict-level
+    custom scorers.
 
     Attributes:
         comm1: ``int64[n1]`` community id per dense ``g1`` id
@@ -291,7 +293,7 @@ class CommunityAssignment:
         return allowed
 
     def allowed_communities(self, c1: int, c2: int) -> bool:
-        """Scalar allowance test on community ids (dict-backend path).
+        """Scalar allowance test on community ids (original-id paths).
 
         The same diagonal-first rule as :meth:`allowed_mask`.
         """
@@ -304,7 +306,11 @@ class CommunityAssignment:
     def community_maps(
         self, index: GraphPairIndex
     ) -> tuple[dict[Node, int], dict[Node, int]]:
-        """Original-id -> community dicts for the dict backend."""
+        """Original-id -> community dicts for the original-id paths.
+
+        The MapReduce formulation and the Reconciler's pruning of
+        dict-level custom scorers look communities up by node id.
+        """
         return (
             dict(zip(index.csr1.node_ids, self.comm1.tolist())),
             dict(zip(index.csr2.node_ids, self.comm2.tolist())),
@@ -369,10 +375,9 @@ def assignment_for(
 
     Convenience wrapper used by every pruning-aware matcher: builds (or
     reuses) the dense interning, interns the seed links, and delegates
-    to :func:`assign_communities`.  Matchers without a prebuilt index
-    (the dict backend) pass the graphs and pay one interning — the price
-    of guaranteeing the *same* assignment code path as the array
-    backends.
+    to :func:`assign_communities`.  Original-id matchers (the MapReduce
+    formulation) pay one interning here — the price of guaranteeing the
+    *same* assignment code path as the array sweep.
     """
     if index is None:
         index = GraphPairIndex(g1, g2)  # type: ignore[arg-type]

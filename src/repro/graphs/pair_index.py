@@ -1,11 +1,11 @@
 """Dense interning of a reconciliation pair — the array execution substrate.
 
-Every ``backend="csr"`` execution path starts by building one
-:class:`GraphPairIndex`: both graphs' node ids are interned to dense
-``0..n-1`` integers exactly once per reconciliation, and everything
-downstream — witness counting, eligibility filtering, selection, the
-MapReduce shuffle — operates on flat numpy arrays keyed by those dense
-ids.  The index bundles:
+Every array execution path (``backend="csr"`` and ``"native"``) starts
+by building one :class:`GraphPairIndex`: both graphs' node ids are
+interned to dense ``0..n-1`` integers exactly once per reconciliation,
+and everything downstream — witness counting, eligibility filtering,
+selection — operates on flat numpy arrays keyed by those dense ids.
+The index bundles:
 
 - a shared :class:`~repro.graphs.csr.CSRGraph` adjacency per side,
 - per-side degree arrays and precomputed degree-*exponent* arrays
@@ -17,7 +17,9 @@ ids.  The index bundles:
 Interning order is *canonical* (:func:`~repro.core.ordering.node_sort_key`),
 so comparing dense ids is exactly comparing original ids under the
 package-wide canonical order — tie-breaks in array kernels reduce to
-integer ``min``/argsort and stay link-identical to the dict backend.
+integer ``min``/argsort and stay link-identical to the MapReduce
+formulation, which breaks the same ties by ``node_sort_key`` over
+original ids.
 :func:`canonical_order` computes that order with a numeric key when every
 id is a plain ``int``, and with ``repr`` strings otherwise.
 """

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Hashable
 import numpy as np
 
 from repro.core import kernels
-from repro.core.config import MatcherConfig, TiePolicy
+from repro.core.config import BACKENDS, MatcherConfig, TiePolicy
 from repro.core.kernels import ArrayScores, _segment_cross_product
 from repro.core.matcher import UserMatching
 from repro.core.result import MatchingResult, PhaseRecord
@@ -347,8 +347,8 @@ class IncrementalReconciler:
         User-Matching sweep).  The warm replay always runs on the array
         substrate; ``backend="native"`` runs its joins through the
         compiled kernels (resolved once per engine, csr fallback with a
-        warning), any other backend through the scipy join.  Links and
-        phases are the same either way.
+        warning), ``"csr"`` through the scipy join.  Links and phases
+        are the same either way.
     matcher : Matcher, optional
         A pre-built matcher instance.  A
         :class:`~repro.core.matcher.UserMatching` routes to the warm
@@ -929,7 +929,8 @@ class IncrementalReconciler:
         ReproError
             If the checkpoint is missing, truncated, pickled, of
             another format version (version-1 files must be rewritten),
-            or holds a dense id out of range.
+            records a backend that no longer exists, or holds a dense id
+            out of range.
         """
         from repro.core.links_io import decode_node_ids, load_checkpoint
 
@@ -939,6 +940,15 @@ class IncrementalReconciler:
                 f"unsupported checkpoint (mode={meta.get('mode')!r})"
             )
         cfg_meta = meta["config"]
+        backend = cfg_meta.get("backend", "csr")
+        if backend not in BACKENDS:
+            # Never resume silently on another backend: the caller must
+            # choose one and rebuild the state from a cold start.
+            raise ReproError(
+                f"checkpoint {str(path)!r} records backend {backend!r}, "
+                f"which is not one of {BACKENDS}; start a fresh engine "
+                "to rewrite it"
+            )
         config = MatcherConfig(
             threshold=cfg_meta["threshold"],
             iterations=cfg_meta["iterations"],
@@ -946,7 +956,7 @@ class IncrementalReconciler:
             use_degree_buckets=cfg_meta["use_degree_buckets"],
             min_bucket_exponent=cfg_meta["min_bucket_exponent"],
             tie_policy=TiePolicy(cfg_meta["tie_policy"]),
-            backend=cfg_meta.get("backend", "csr"),
+            backend=backend,
         )
         nodes1 = decode_node_ids(arrays["nodes1"])
         nodes2 = decode_node_ids(arrays["nodes2"])

@@ -16,17 +16,14 @@ Each (iteration, degree-bucket) pass is exactly four rounds:
 
 The driver joins round 3's winner set into round 4's input map-side (a
 broadcast join — the winner set is small), as a production implementation
-would.  Results are identical, link for link, to
-:class:`~repro.core.matcher.UserMatching`; tests enforce this.
+would.
 
-With ``MatcherConfig(backend="csr")`` the same four rounds run over a
-:class:`~repro.graphs.pair_index.GraphPairIndex`: adjacency comes from
-the shared CSR arrays and every shuffle key is a dense ``int`` — rounds
-1, 3 and 4 key by dense node id and round 2 keys candidate pairs by the
-packed ``v1 * n2 + v2`` integer instead of a tuple of arbitrary
-hashables, exactly what a production shuffle would serialize.  Because
-the interning order is canonical, integer tie-breaks coincide with
-``node_sort_key`` tie-breaks and the output stays link-identical.
+This is the repository's one literal transcription of the paper's
+algorithm: every round is recounted from scratch over original node ids
+with no interning, no carried state and no compiled kernel.  It is the
+oracle the tests hold :class:`~repro.core.matcher.UserMatching` to on
+both backends — links, seeds and every ``PhaseRecord`` field.
+``config.backend`` is validated and ignored: there is one path.
 """
 
 from __future__ import annotations
@@ -102,7 +99,10 @@ class MapReduceUserMatching:
         count — witnesses stay pre-prune, the candidate set post-prune,
         exactly like the sequential matcher.
 
-        Returns ``(new_links, candidates, witnesses_emitted)``.
+        Returns ``(new_links, candidates, witnesses_emitted)``:
+        ``candidates`` counts the pairs whose score reached the
+        threshold (after pruning), ``witnesses_emitted`` round 2's
+        mapped records (before it).
         """
         cfg = self.config
         linked_right = set(links.values())
@@ -189,109 +189,8 @@ class MapReduceUserMatching:
             MapReduceJob("right-best", map_by_right, reduce_right_best),
             r2,
         )
-        return dict(r4), len(r2), witnesses
-
-    # ------------------------------------------------------------------
-    def _match_round_csr(
-        self,
-        index,
-        links: dict[int, int],
-        min_degree: int,
-        prune=None,
-    ) -> tuple[dict[int, int], int, int]:
-        """One bucket pass over dense ids; all shuffle keys are ints.
-
-        Same four rounds as :meth:`_match_round`, but adjacency is read
-        from the shared CSR arrays and round 2's candidate-pair key is
-        the packed integer ``v1 * n2 + v2``.  *prune* takes dense ids
-        and is applied at the same point as the dict rounds'.
-        """
-        cfg = self.config
-        linked_right = set(links.values())
-        csr1, csr2 = index.csr1, index.csr2
-        deg1, deg2 = index.deg1, index.deg2
-        n2 = index.n2
-
-        # Round 1: join L with G1 adjacency (key: dense u2).
-        def map_expand_left(u1: int, u2: int):
-            for v1 in csr1.neighbors(u1).tolist():
-                if v1 not in links and deg1[v1] >= min_degree:
-                    yield (u2, v1)
-
-        def reduce_identity(key: int, values: list):
-            yield (key, values)
-
-        r1 = self.engine.run(
-            MapReduceJob("expand-left", map_expand_left, reduce_identity),
-            links.items(),
-        )
-
-        # Round 2: join with G2 adjacency; key: packed pair id.
-        def map_expand_right(u2: int, v1s: list):
-            for v2 in csr2.neighbors(u2).tolist():
-                if v2 not in linked_right and deg2[v2] >= min_degree:
-                    for v1 in v1s:
-                        yield (v1 * n2 + v2, 1)
-
-        def reduce_sum(key: int, values: list):
-            if prune is None or prune(key // n2, key % n2):
-                yield (key, int(sum(values)))
-
-        r2 = self.engine.run(
-            MapReduceJob(
-                "expand-right", map_expand_right, reduce_sum, sum_combiner
-            ),
-            r1,
-        )
-        witnesses = self.engine.history[-1].mapped_records
-
-        # Round 3: per-v1 argmax above threshold (key: dense v1).
-        # Canonical interning makes min() over dense ids the same
-        # tie-break as node_sort_key over original ids.
-        def map_by_left(pair: int, count: int):
-            if count >= cfg.threshold:
-                yield (pair // n2, (pair % n2, count))
-
-        def reduce_left_best(v1: int, values: list):
-            top = max(count for _, count in values)
-            winners = [v2 for v2, count in values if count == top]
-            if len(winners) == 1:
-                yield (v1 * n2 + winners[0], top)
-            elif cfg.tie_policy is TiePolicy.LOWEST_ID:
-                yield (v1 * n2 + min(winners), top)
-
-        r3 = self.engine.run(
-            MapReduceJob("left-best", map_by_left, reduce_left_best),
-            r2,
-        )
-        left_winners = {pair for pair, _ in r3}
-
-        # Round 4: per-v2 argmax over all candidates (key: dense v2).
-        def map_by_right(pair: int, count: int):
-            if count >= cfg.threshold:
-                yield (pair % n2, (pair // n2, count, pair in left_winners))
-
-        def reduce_right_best(v2: int, values: list):
-            top = max(count for _, count, _ in values)
-            winners = [
-                (v1, flagged)
-                for v1, count, flagged in values
-                if count == top
-            ]
-            if len(winners) == 1:
-                v1, flagged = winners[0]
-            elif cfg.tie_policy is TiePolicy.LOWEST_ID:
-                v1, flagged = min(winners)
-            else:
-                return
-            if flagged:
-                yield (v1, v2)
-
-        r4 = self.engine.run(
-            MapReduceJob("right-best", map_by_right, reduce_right_best),
-            r2,
-        )
-        return dict(r4), len(r2), witnesses
+        candidates = sum(1 for _, count in r2 if count >= cfg.threshold)
+        return dict(r4), candidates, witnesses
 
     # ------------------------------------------------------------------
     def run(
@@ -302,57 +201,26 @@ class MapReduceUserMatching:
         *,
         progress: ProgressCallback | None = None,
     ) -> MatchingResult:
-        """Run the MR formulation; link-identical to the sequential one."""
+        """Run the MR formulation; identical to the sequential sweep."""
         UserMatching._validate_seeds(g1, g2, seeds)
         reporter = ProgressReporter("mapreduce-user-matching", progress)
         cfg = self.config
-        index = None
-        if cfg.backend in ("csr", "native"):
-            from repro.graphs.pair_index import GraphPairIndex
-
-            index = GraphPairIndex(g1, g2)
-            seed_l, seed_r = index.intern_links(seeds)
-            dense_links: dict[int, int] = dict(
-                zip(seed_l.tolist(), seed_r.tolist())
-            )
         prune = None
         if cfg.candidate_pruning == "community":
             # One assignment per run, from the *initial* seeds — the
-            # same relation every other matcher backend consults.
-            from repro.graphs.communities import (
-                assign_communities,
-                assignment_for,
+            # same relation the sequential sweep consults.
+            from repro.graphs.communities import assignment_for
+            from repro.graphs.pair_index import GraphPairIndex
+
+            index = GraphPairIndex(g1, g2)
+            assignment = assignment_for(
+                g1, g2, seeds, frontier=cfg.pruning_frontier, index=index
             )
+            cmap1, cmap2 = assignment.community_maps(index)
+            del index
 
-            if index is not None:
-                assignment = assign_communities(
-                    index, seed_l, seed_r, frontier=cfg.pruning_frontier
-                )
-                comm1, comm2 = assignment.comm1, assignment.comm2
-
-                def prune(v1: int, v2: int) -> bool:
-                    return assignment.allowed_communities(
-                        int(comm1[v1]), int(comm2[v2])
-                    )
-
-            else:
-                from repro.graphs.pair_index import GraphPairIndex
-
-                tmp_index = GraphPairIndex(g1, g2)
-                assignment = assignment_for(
-                    g1,
-                    g2,
-                    seeds,
-                    frontier=cfg.pruning_frontier,
-                    index=tmp_index,
-                )
-                cmap1, cmap2 = assignment.community_maps(tmp_index)
-                del tmp_index
-
-                def prune(v1: Node, v2: Node) -> bool:
-                    return assignment.allowed_communities(
-                        cmap1[v1], cmap2[v2]
-                    )
+            def prune(v1: Node, v2: Node) -> bool:
+                return assignment.allowed_communities(cmap1[v1], cmap2[v2])
 
         links: dict[Node, Node] = dict(seeds)
         phases: list[PhaseRecord] = []
@@ -360,21 +228,9 @@ class MapReduceUserMatching:
             added_this_iteration = 0
             for j in self._reference.bucket_exponents(g1, g2):
                 min_degree = 1 << j
-                if index is not None:
-                    new_dense, candidates, witnesses = (
-                        self._match_round_csr(
-                            index, dense_links, min_degree, prune=prune
-                        )
-                    )
-                    dense_links.update(new_dense)
-                    new_links = {
-                        index.node1(v1): index.node2(v2)
-                        for v1, v2 in new_dense.items()
-                    }
-                else:
-                    new_links, candidates, witnesses = self._match_round(
-                        g1, g2, links, min_degree, prune=prune
-                    )
+                new_links, candidates, witnesses = self._match_round(
+                    g1, g2, links, min_degree, prune=prune
+                )
                 links.update(new_links)
                 added_this_iteration += len(new_links)
                 phases.append(

@@ -82,6 +82,13 @@ class TestNarayananShmatikov:
         ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
         assert len(strict.links) <= len(lax.links)
 
+    def test_tied_top_score_goes_to_the_canonical_smallest_id(self):
+        """At threshold 0 a tie is accepted; dict order must not pick."""
+        best = NarayananShmatikovMatcher._eccentric_best
+        assert best({"b": 2.0, "a": 2.0, "c": 1.0}, 0.0) == "a"
+        assert best({"a": 2.0, "b": 2.0, "c": 1.0}, 0.0) == "a"
+        assert best({"b": 2.0, "a": 2.0, "c": 1.0}, 0.5) is None
+
     def test_invalid_params(self):
         with pytest.raises(Exception):
             NarayananShmatikovMatcher(eccentricity_threshold=-1)

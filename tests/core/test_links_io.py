@@ -451,7 +451,53 @@ class TestLinkStoreFsync:
         store = LinkStore(tmp_path / "run.jsonl")
         assert store.fsync
         store.append_seeds({1: 10})
-        assert len(calls) == 1
+        # The log, then the directory entry the first append created.
+        assert len(calls) == 2
+
+    def test_first_append_fsyncs_file_then_directory(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import stat
+
+        from repro.core import links_io
+
+        events = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(kind)
+            real_fsync(fd)
+
+        monkeypatch.setattr(links_io.os, "fsync", fsync)
+        store = LinkStore(tmp_path / "run.jsonl")
+        store.append_seeds({1: 10})
+        assert events == ["file", "dir"]
+        store.append_links({2: 20})
+        store.append_links({3: 30}, round=2)
+        assert events == ["file", "dir", "file", "file"]
+        assert store.links() == {1: 10, 2: 20, 3: 30}
+
+    def test_existing_log_skips_directory_fsync(self, tmp_path, monkeypatch):
+        import os
+        import stat
+
+        from repro.core import links_io
+
+        path = tmp_path / "run.jsonl"
+        LinkStore(path).append_seeds({1: 10})
+        kinds = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            kinds.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(links_io.os, "fsync", fsync)
+        # A fresh store object over an existing log: nothing is created.
+        LinkStore(path).append_links({2: 20})
+        assert kinds == [False]
 
     def test_fsync_opt_out(self, tmp_path, monkeypatch):
         import os

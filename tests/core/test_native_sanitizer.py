@@ -17,9 +17,13 @@ or undefined behaviour inside a kernel aborts the run:
 - the witness-join oracle wall
   (``tests/properties/test_witness_join_oracle.py``: every join
   against the serial dict oracle, plain, pruned, reordered and split);
-- the three-way equivalence wall
+- the MapReduce oracle walls, which hold both backends to the
+  paper-literal MapReduce formulation on whole results
   (``tests/properties/test_native_equivalence.py``: registry sweep,
-  random graphs, sweep edge cases, the forced csr fallback);
+  random graphs, sweep edge cases, the forced csr fallback;
+  ``tests/properties/test_backend_equivalence.py``: every config knob
+  on random graphs, string ids; ``tests/mapreduce/test_matcher_mr.py``:
+  the config table on PA and G(n, p) pairs, whole phase records);
 - the join floor and the selection kernels of
   ``tests/core/test_native.py`` (``TestJoinFloor``,
   ``TestNativeSelection``, ``TestSelectionBoundary``).
@@ -160,6 +164,8 @@ sys.exit(pytest.main([
     "tests/properties/test_carried_table_equivalence.py",
     "tests/properties/test_witness_join_oracle.py",
     "tests/properties/test_native_equivalence.py",
+    "tests/properties/test_backend_equivalence.py",
+    "tests/mapreduce/test_matcher_mr.py",
     "tests/core/test_native.py::TestJoinFloor",
     "tests/core/test_native.py::TestNativeSelection",
     "tests/core/test_native.py::TestSelectionBoundary",

@@ -9,6 +9,7 @@ from repro.core.reconciler import (
     common_neighbor_candidates,
     degree_ratio_validator,
     normalized_witness_kernel,
+    witness_count_kernel,
 )
 from repro.core.result import MatchingResult, StageTiming
 from repro.errors import MatcherConfigError, MatcherRegistryError
@@ -249,14 +250,15 @@ class TestPrunedInterning:
         self, workload, backend, monkeypatch
     ):
         """Community pruning and the witness scorer share one
-        GraphPairIndex, and the links are those of the dict backend."""
+        GraphPairIndex, and the links are those of the dict-level
+        scorer."""
         import warnings
 
         from repro.graphs import pair_index
 
         pair, seeds = workload
         reference = Reconciler(
-            backend="dict", candidate_pruning="community"
+            scorer=witness_count_kernel, candidate_pruning="community"
         ).run(pair.g1, pair.g2, seeds)
         built = []
         original = pair_index.GraphPairIndex.__init__

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import MatcherConfig
 from repro.core.matcher import UserMatching
-from repro.core.reconciler import Reconciler
+from repro.core.reconciler import Reconciler, witness_count_kernel
 from repro.errors import MatcherConfigError
 from repro.evaluation.harness import compare_matchers, run_trial
 
@@ -22,8 +22,12 @@ class TestReconcilerCustomStages:
             assert isinstance(scores, dict)
             return select_mutual_best(scores, threshold)
 
+        # The dict-level scorer is the reference for the array scorer.
         ref = Reconciler(
-            threshold=2, rounds=2, selector=my_selector, backend="dict"
+            threshold=2,
+            rounds=2,
+            selector=my_selector,
+            scorer=witness_count_kernel,
         ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
         csr = Reconciler(
             threshold=2, rounds=2, selector=my_selector, backend="csr"
@@ -41,32 +45,41 @@ class TestReconcilerCustomStages:
             out[next(iter(g1.nodes()))] = "not-in-g2"
             return out
 
-        results = {}
-        for backend in ("dict", "csr"):
-            results[backend] = Reconciler(
+        ref = Reconciler(
+            threshold=2,
+            rounds=2,
+            seed_strategy=loose_seeds,
+            scorer=witness_count_kernel,
+        ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
+        for backend in ("csr", "native"):
+            got = Reconciler(
                 threshold=2,
                 rounds=2,
                 seed_strategy=loose_seeds,
                 backend=backend,
             ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
-        assert results["csr"].links == results["dict"].links
+            assert got.links == ref.links, backend
 
 
 class TestRunTrialBackend:
     def test_backend_applied_to_default_matcher(self, pa_pair, pa_seeds):
-        ref = run_trial(pa_pair, pa_seeds, backend="dict")
-        csr = run_trial(pa_pair, pa_seeds, backend="csr")
-        assert csr.result.links == ref.result.links
+        ref = run_trial(
+            pa_pair, pa_seeds, matcher="mapreduce-user-matching"
+        )
+        for backend in ("csr", "native"):
+            got = run_trial(pa_pair, pa_seeds, backend=backend)
+            assert got.result.links == ref.result.links, backend
+            assert got.result.phases == ref.result.phases, backend
 
     def test_backend_overrides_config(self, pa_pair, pa_seeds):
-        config = MatcherConfig(threshold=3, iterations=2, backend="dict")
+        config = MatcherConfig(threshold=3, iterations=2, backend="native")
         ref = run_trial(pa_pair, pa_seeds, config=config)
         csr = run_trial(pa_pair, pa_seeds, config=config, backend="csr")
         assert csr.result.links == ref.result.links
 
     def test_backend_forwarded_to_named_matcher(self, pa_pair, pa_seeds):
         ref = run_trial(
-            pa_pair, pa_seeds, matcher="common-neighbors", backend="dict"
+            pa_pair, pa_seeds, matcher="common-neighbors", backend="native"
         )
         csr = run_trial(
             pa_pair, pa_seeds, matcher="common-neighbors", backend="csr"
@@ -114,7 +127,7 @@ class TestCompareMatchersBackend:
 
     def test_backends_agree_across_registry_names(self, pa_pair, pa_seeds):
         names = ["user-matching", "common-neighbors", "degree-sequence"]
-        ref = compare_matchers(pa_pair, pa_seeds, names, backend="dict")
+        ref = compare_matchers(pa_pair, pa_seeds, names, backend="native")
         csr = compare_matchers(pa_pair, pa_seeds, names, backend="csr")
         for a, b in zip(ref, csr):
             assert a.result.links == b.result.links

@@ -1,12 +1,13 @@
 """``run_trial(deltas=...)``: the harness's streaming column."""
 
 import pytest
+from oracle_helpers import oracle_for
 
 from repro.core.config import MatcherConfig
-from repro.core.matcher import UserMatching
 from repro.evaluation.harness import run_trial
 from repro.generators.erdos_renyi import gnp_graph
 from repro.incremental import split_edge_stream
+from repro.mapreduce.matcher_mr import MapReduceUserMatching
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
 
@@ -39,9 +40,9 @@ class TestStreamingTrial:
             config=MatcherConfig(threshold=2),
             deltas=deltas,
         )
-        cold = UserMatching(
-            MatcherConfig(threshold=2, backend="dict")
-        ).run(pair.g1, pair.g2, seeds)
+        cold = MapReduceUserMatching(MatcherConfig(threshold=2)).run(
+            pair.g1, pair.g2, seeds
+        )
         assert trial.result.links == cold.links
 
     def test_streaming_columns_in_row(self, streamed):
@@ -80,11 +81,7 @@ class TestStreamingTrial:
             deltas=deltas,
         )
         assert trial.delta_outcomes[0].mode == "cold"
-        from repro.registry import get_matcher
-
-        cold = get_matcher("common-neighbors", backend="dict").run(
-            pair.g1, pair.g2, seeds
-        )
+        cold = oracle_for("common-neighbors").run(pair.g1, pair.g2, seeds)
         assert trial.result.links == cold.links
         assert "dirty_links" not in trial.row()
 

@@ -50,8 +50,8 @@ class TestDriverDeterminism:
         assert stable_rows(a) == stable_rows(b)
 
     def test_rows_identical_across_backends(self, driver, micro):
-        """The dict↔csr guarantee holds for whole driver rows."""
-        ref = driver(seed=7, backend="dict", **micro)
+        """The csr↔native guarantee holds for whole driver rows."""
+        ref = driver(seed=7, backend="native", **micro)
         csr = driver(seed=7, backend="csr", **micro)
         assert stable_rows(ref) == stable_rows(csr)
 

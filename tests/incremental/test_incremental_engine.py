@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from oracle_helpers import oracle_for
 
 from repro.core.config import MatcherConfig
 from repro.core.matcher import UserMatching
@@ -214,7 +215,7 @@ class TestColdFallback:
         )
         assert outcome.mode == "cold"
         assert outcome.dirty_links is None
-        cold = get_matcher(name, backend="dict").run(pair.g1, pair.g2, seeds)
+        cold = oracle_for(name).run(pair.g1, pair.g2, seeds)
         assert engine.result.links == cold.links
 
     def test_fallback_checkpoint_refused(self, tmp_path):

@@ -10,7 +10,7 @@ class TestRunBackend:
         seen = {}
         original = table2_rmat.run
 
-        def spy(seed=0, backend="dict"):
+        def spy(seed=0, backend="native"):
             seen.update({"seed": seed, "backend": backend})
             return original(
                 scales=(7, 8), edge_factor=4, seed=seed, backend=backend

@@ -2,12 +2,14 @@
 
 The incremental engine's contract: replaying any edge stream as ``k``
 deltas through :class:`~repro.incremental.engine.IncrementalReconciler`
-yields links **bit-identical** to one cold run on the final graphs —
-for every registry matcher, on both backends.  The
+yields a result **bit-identical** to one cold run of the matcher's
+paper-literal reference on the final graphs (see ``oracle_helpers``;
+the MapReduce formulation for User-Matching) — for every registry
+matcher, on both backends.  The
 warm engine earns this with exact score-table corrections; black-box
 matchers earn it by cold replay; either way the seam must never leak.
 
-The sweep below pins the full matrix (7 matchers × {dict, csr}) on a
+The sweep below pins the full matrix (7 matchers × {csr, native}) on a
 seeded PA workload, and hypothesis drives the warm
 engine through randomized G(n, p) streams — including removals, late
 seed confirmations, and brand-new nodes — under every matcher config
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_helpers import MATCHER_CONFIGS, assert_same_result, oracle_for
 
 from repro.core.config import MatcherConfig, TiePolicy
 from repro.core.matcher import UserMatching
@@ -37,22 +40,10 @@ from repro.incremental import (
     IncrementalReconciler,
     split_edge_stream,
 )
+from repro.mapreduce.matcher_mr import MapReduceUserMatching
 from repro.registry import get_matcher, matcher_names
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
-
-#: Registry-name -> extra config used in the all-matchers sweep (same
-#: recipe as the backend equivalence wall).
-MATCHER_CONFIGS: dict[str, dict] = {
-    "user-matching": {"threshold": 2, "iterations": 2},
-    "mapreduce-user-matching": {"threshold": 2, "iterations": 2},
-    "common-neighbors": {},
-    "reconciler": {"threshold": 2, "rounds": 2},
-    "degree-sequence": {},
-    "narayanan-shmatikov": {},
-    "structural-features": {},
-}
-
 
 def streamed_workload(n=200, m=4, s=0.6, link_prob=0.12, seed=0,
                       hold_fraction=0.25, num_deltas=3):
@@ -83,7 +74,7 @@ class TestRegistrySweep:
     def test_sweep_covers_the_whole_registry(self):
         assert sorted(MATCHER_CONFIGS) == matcher_names()
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("backend", ["csr", "native"])
     @pytest.mark.parametrize("name", sorted(MATCHER_CONFIGS))
     def test_stream_replay_matches_cold_run(self, name, backend):
         pair, seeds, base1, base2, deltas = streamed_workload(seed=41)
@@ -93,10 +84,8 @@ class TestRegistrySweep:
         engine.start(base1, base2, seeds)
         for delta in deltas:
             engine.apply(delta)
-        cold = get_matcher(name, backend=backend, **config).run(
-            pair.g1, pair.g2, seeds
-        )
-        assert engine.result.links == cold.links
+        cold = oracle_for(name, **config).run(pair.g1, pair.g2, seeds)
+        assert_same_result(engine.result, cold, name)
 
 
 @st.composite
@@ -177,13 +166,8 @@ class TestWarmEngineProperties:
         for delta in deltas:
             engine.apply(delta)
             assert_tables_match_fresh_start(engine)
-        # csr, not dict: the phase records carry the array backends'
-        # per-round witness accounting, which the dict table defers.
-        cold = UserMatching(
-            MatcherConfig(threshold=2, iterations=2, backend="csr")
-        ).run(pair.g1, pair.g2, seeds)
-        assert engine.result.links == cold.links
-        assert engine.result.phases == cold.phases
+        cold = MapReduceUserMatching(cfg).run(pair.g1, pair.g2, seeds)
+        assert_same_result(engine.result, cold)
 
     @given(gnp_stream())
     @settings(max_examples=8, deadline=None)
@@ -199,10 +183,10 @@ class TestWarmEngineProperties:
             engine.start(base1.copy(), base2.copy(), start_seeds)
             for delta in deltas:
                 engine.apply(delta)
-            cold = UserMatching(
-                MatcherConfig(backend="dict", **kwargs)
-            ).run(pair.g1, pair.g2, seeds)
-            assert engine.result.links == cold.links, kwargs
+            cold = MapReduceUserMatching(MatcherConfig(**kwargs)).run(
+                pair.g1, pair.g2, seeds
+            )
+            assert_same_result(engine.result, cold, kwargs)
 
     @given(gnp_stream(), st.integers(0, 100))
     @settings(max_examples=8, deadline=None)
@@ -228,10 +212,10 @@ class TestWarmEngineProperties:
                 added_edges2=[("fresh-a", anchor2), ("fresh-b", anchor2)],
             )
         )
-        cold = UserMatching(MatcherConfig(threshold=2, backend="dict")).run(
+        cold = MapReduceUserMatching(cfg).run(
             engine.g1, engine.g2, engine.seeds
         )
-        assert engine.result.links == cold.links
+        assert_same_result(engine.result, cold)
 
     def test_forced_compaction_every_delta(self):
         pair, seeds, base1, base2, deltas = streamed_workload(
@@ -241,10 +225,10 @@ class TestWarmEngineProperties:
         engine.start(base1, base2, seeds)
         for delta in deltas:
             engine.apply(delta)
-        cold = UserMatching(
-            MatcherConfig(threshold=2, backend="dict")
-        ).run(pair.g1, pair.g2, seeds)
-        assert engine.result.links == cold.links
+        cold = MapReduceUserMatching(MatcherConfig(threshold=2)).run(
+            pair.g1, pair.g2, seeds
+        )
+        assert_same_result(engine.result, cold)
 
 
 class TestRoundTables:

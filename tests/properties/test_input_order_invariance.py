@@ -14,6 +14,7 @@ import random
 import warnings
 
 import pytest
+from oracle_helpers import MATCHER_CONFIGS
 
 from repro.core.native import NativeFallbackWarning
 from repro.generators.preferential_attachment import (
@@ -23,17 +24,6 @@ from repro.graphs.graph import Graph
 from repro.registry import get_matcher, matcher_names
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
-
-#: Registry-name -> extra config (the sweep of the backend walls).
-MATCHER_CONFIGS: dict[str, dict] = {
-    "user-matching": {"threshold": 2, "iterations": 2},
-    "mapreduce-user-matching": {"threshold": 2, "iterations": 2},
-    "common-neighbors": {},
-    "reconciler": {"threshold": 2, "rounds": 2},
-    "degree-sequence": {},
-    "narayanan-shmatikov": {},
-    "structural-features": {},
-}
 
 
 def workload(n=220, m=4, s=0.6, link_prob=0.1, seed=17):
@@ -91,7 +81,7 @@ def test_sweep_covers_registry():
 
 
 @pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
-@pytest.mark.parametrize("backend", ["dict", "csr", "native"])
+@pytest.mark.parametrize("backend", ["csr", "native"])
 @pytest.mark.parametrize("name", sorted(MATCHER_CONFIGS))
 def test_result_independent_of_input_order(name, backend, perturbation):
     g1, g2, seeds = workload()

@@ -1,36 +1,24 @@
-"""Backend link-identity under candidate pruning, across the registry.
+"""Oracle identity under candidate pruning, across the registry.
 
 Pruning deliberately changes results versus ``candidate_pruning="none"``
 — the invariant it must keep instead is that the *backends agree with
-each other*: the community assignment is computed once from the union
-graph and the initial seeds, so dict, csr and native must land on
-exactly the same links under the same pruning mode, for every
-registered matcher and for serial and pooled execution alike.
+the reference*: the community assignment is computed once from the
+union graph and the initial seeds, so csr, native and the paper-literal
+reference (see ``oracle_helpers``) must land on exactly the same result
+under the same pruning mode, for every registered matcher.
 """
 
 import pytest
+from oracle_helpers import MATCHER_CONFIGS, assert_registry_matches_oracle
 
 from repro.core.config import MatcherConfig
 from repro.core.matcher import UserMatching
 from repro.generators.preferential_attachment import (
     preferential_attachment_graph,
 )
-from repro.registry import get_matcher, matcher_names
+from repro.registry import matcher_names
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
-
-#: Registry-name -> extra config (mirrors the unpruned backend wall in
-#: test_backend_equivalence.py so coverage tracks the registry).
-MATCHER_CONFIGS: dict[str, dict] = {
-    "user-matching": {"threshold": 2, "iterations": 2},
-    "mapreduce-user-matching": {"threshold": 2, "iterations": 2},
-    "common-neighbors": {},
-    "reconciler": {"threshold": 2, "rounds": 2},
-    "degree-sequence": {},
-    "narayanan-shmatikov": {},
-    "structural-features": {},
-}
-
 
 def workload(n=220, m=4, s=0.6, link_prob=0.1, seed=0):
     g = preferential_attachment_graph(n, m, seed=seed)
@@ -44,21 +32,18 @@ class TestPrunedRegistryWall:
         assert sorted(MATCHER_CONFIGS) == matcher_names()
 
     @pytest.mark.parametrize("name", sorted(MATCHER_CONFIGS))
-    def test_backends_link_identical_under_pruning(self, name):
+    @pytest.mark.parametrize("frontier", [0, 1])
+    def test_identical_to_oracle_under_pruning(self, name, frontier):
         pair, seeds = workload()
-        config = MATCHER_CONFIGS[name]
-        results = {
-            backend: get_matcher(
-                name,
-                backend=backend,
-                candidate_pruning="community",
-                **config,
-            ).run(pair.g1, pair.g2, seeds)
-            for backend in ("dict", "csr", "native")
-        }
-        assert results["csr"].links == results["dict"].links, name
-        assert results["native"].links == results["dict"].links, name
-        assert results["csr"].seeds == results["dict"].seeds
+        assert_registry_matches_oracle(
+            name,
+            pair.g1,
+            pair.g2,
+            seeds,
+            candidate_pruning="community",
+            pruning_frontier=frontier,
+            **MATCHER_CONFIGS[name],
+        )
 
 
 class TestPruningSemantics:

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.config import MatcherConfig
-from repro.core.matcher import UserMatching
 from repro.incremental import IncrementalReconciler
 from repro.incremental.delta import delta_to_payload
+from repro.mapreduce.matcher_mr import MapReduceUserMatching
 from repro.registry import get_matcher, matcher_names
 from repro.serving import ReconciliationService, ReplicaService
 
@@ -129,8 +129,8 @@ class TestRandomStreams:
         drain_sync(replica, batches=service.batches_done)
         assert replica.version == service.version
         assert replica.engine.links == engine.links
-        cold = UserMatching(
-            MatcherConfig(threshold=2, iterations=2, backend="dict")
+        cold = MapReduceUserMatching(
+            MatcherConfig(threshold=2, iterations=2)
         ).run(pair.g1, pair.g2, seeds)
         assert replica.engine.links == cold.links
 
@@ -167,7 +167,7 @@ class TestRandomStreams:
         replica = ReplicaService.follow(str(ckpt) + ".jsonl")
         assert replica.batches_done == split
         drain_sync(replica, batches=len(deltas))
-        cold = UserMatching(
-            MatcherConfig(threshold=2, backend="dict")
-        ).run(pair.g1, pair.g2, seeds)
+        cold = MapReduceUserMatching(MatcherConfig(threshold=2)).run(
+            pair.g1, pair.g2, seeds
+        )
         assert replica.engine.links == cold.links
