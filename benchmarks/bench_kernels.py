@@ -2,21 +2,18 @@
 
 These are the components whose cost the paper's complexity analysis talks
 about: witness counting (the join), mutual-best selection, the MapReduce
-engine, and the graph generators that feed every experiment.  Every
-dict-backend kernel is benchmarked next to its ``backend="csr"`` array
-twin on the same 3000-node preferential-attachment workload, so the JSON
+engine, and the graph generators that feed every experiment.  Each array
+kernel is benchmarked on ``backend="csr"`` (numpy/scipy) and, as its
+``_native`` twin, on the compiled kernels of :mod:`repro.core.native`,
+all on the same 3000-node preferential-attachment workload, so the JSON
 emitted by ``--benchmark-json`` (committed as ``BENCH_kernels.json``)
-records the dict-vs-csr trajectory over time; the acceptance floor is a
-3x witness-counting speedup, which the sparse-matmul join clears.
-
-The ``_native`` variants add the third backend column: the compiled
-join/selection kernels of :mod:`repro.core.native`, benchmarked on
-the same workload (floor: 2x witness join over the csr column).  On a
-machine without a C toolchain they skip — the committed JSON then
+records the csr-vs-native trajectory over time.  On a machine without a
+C toolchain the ``_native`` variants skip — the committed JSON then
 records the honest fallback picture rather than a silent gap.  The
 ``_native_thresholded`` join is the sweep's recount join: floored at
 ``min_count=2``, with its output rows recorded next to the unfloored
-join's (``extra_info["rows"]``).
+join's (``extra_info["rows"]``).  Unsuffixed benchmarks do not depend on
+the backend.
 """
 
 import numpy as np
@@ -25,11 +22,6 @@ import pytest
 from repro.core import kernels
 from repro.core.config import MatcherConfig
 from repro.core.matcher import UserMatching
-from repro.core.policy import select_mutual_best
-from repro.core.scoring import (
-    count_similarity_witnesses,
-    count_similarity_witnesses_arrays,
-)
 from repro.generators.erdos_renyi import gnp_graph
 from repro.generators.preferential_attachment import (
     preferential_attachment_graph,
@@ -63,14 +55,6 @@ def pair_index(workload):
     linked2[link_r] = True
     floor1, floor2 = index.eligibility(2)
     return index, link_l, link_r, ~linked1 & floor1, ~linked2 & floor2
-
-
-def test_bench_witness_counting(benchmark, workload):
-    pair, seeds = workload
-    scores, emitted = benchmark(
-        count_similarity_witnesses, pair.g1, pair.g2, seeds, 2
-    )
-    assert emitted > 0
 
 
 def test_bench_witness_counting_csr(benchmark, pair_index):
@@ -132,19 +116,9 @@ def test_bench_witness_counting_native_thresholded(
     assert emitted > 0
 
 
-def test_bench_mutual_best_selection(benchmark, workload):
-    pair, seeds = workload
-    scores, _ = count_similarity_witnesses(
-        pair.g1, pair.g2, seeds, min_degree=2
-    )
-    links = benchmark(select_mutual_best, scores, 2)
-    assert links
-
-
-def test_bench_mutual_best_selection_csr(benchmark, workload):
-    pair, seeds = workload
-    index = GraphPairIndex(pair.g1, pair.g2)
-    scores, _ = count_similarity_witnesses_arrays(index, seeds, min_degree=2)
+def test_bench_mutual_best_selection_csr(benchmark, pair_index):
+    index, link_l, link_r, elig1, elig2 = pair_index
+    scores, _ = kernels.count_witnesses(index, link_l, link_r, elig1, elig2)
     left, right, _cands = benchmark(
         kernels.select_mutual_best_arrays, scores, 2
     )
@@ -152,25 +126,17 @@ def test_bench_mutual_best_selection_csr(benchmark, workload):
 
 
 def test_bench_mutual_best_selection_native(
-    benchmark, workload, native_kernels
+    benchmark, pair_index, native_kernels
 ):
     """The compiled single-pass argmax selection."""
-    pair, seeds = workload
-    index = GraphPairIndex(pair.g1, pair.g2)
-    scores, _ = count_similarity_witnesses_arrays(
-        index, seeds, min_degree=2, native=native_kernels
+    index, link_l, link_r, elig1, elig2 = pair_index
+    scores, _ = kernels.count_witnesses(
+        index, link_l, link_r, elig1, elig2, native=native_kernels
     )
     left, right, _cands = benchmark(
         kernels.select_mutual_best_arrays, scores, 2
     )
     assert len(left)
-
-
-def test_bench_full_matcher(benchmark, workload):
-    pair, seeds = workload
-    matcher = UserMatching(MatcherConfig(threshold=2, iterations=1))
-    result = benchmark(matcher.run, pair.g1, pair.g2, seeds)
-    assert result.num_new_links > 0
 
 
 def test_bench_full_matcher_csr(benchmark, workload):

@@ -29,7 +29,7 @@ Noise tolerance:
   rounds, not a single sample.
 
 Backend columns: every benchmark name is classified by its backend
-suffix (``_csr``, ``_native``, else the dict baseline)
+suffix (``_csr``, ``_native``, else ``any``: backend-independent)
 and the delta table is grouped per backend with its own verdict line,
 so a regression in one backend's column cannot hide inside an
 improvement in another's.  Fresh benchmarks with no baseline entry yet
@@ -71,23 +71,23 @@ def load_means(path: str) -> dict[str, float]:
 
 
 #: Report order of the backend columns.
-BACKENDS = ("dict", "csr", "native")
+BACKENDS = ("any", "csr", "native")
 
 
 def backend_of(name: str) -> str:
     """Backend column a benchmark belongs to, from its name suffix.
 
-    Suffix convention of the bench suites: ``test_bench_foo`` is the
-    dict baseline, ``test_bench_foo_csr`` / ``_native`` are its
-    per-backend twins.  Parametrized variants keep their
-    ``[...]`` id out of the match.
+    Suffix convention of the bench suites: ``test_bench_foo_csr`` /
+    ``_native`` run one backend each; an unsuffixed ``test_bench_foo``
+    does not depend on the backend (column ``any``).  Parametrized
+    variants keep their ``[...]`` id out of the match.
     """
     stem = name.split("[", 1)[0].rstrip()
     if stem.endswith("_native"):
         return "native"
     if stem.endswith("_csr"):
         return "csr"
-    return "dict"
+    return "any"
 
 
 def floor_for(

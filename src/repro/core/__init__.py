@@ -36,7 +36,6 @@ from repro.core.native import (
 )
 from repro.core.ordering import node_sort_key
 from repro.core.pipeline import reconcile
-from repro.core.policy import select_mutual_best
 from repro.core.protocol import Matcher, ProgressCallback, ProgressEvent
 from repro.core.reconciler import (
     Reconciler,
@@ -44,7 +43,6 @@ from repro.core.reconciler import (
     degree_ratio_validator,
     normalized_witness_kernel,
     validated_seeds,
-    witness_count_kernel,
 )
 from repro.core.result import MatchingResult, PhaseRecord, StageTiming
 from repro.core.selectors import (
@@ -52,6 +50,7 @@ from repro.core.selectors import (
     get_selector,
     select_gale_shapley,
     select_greedy_top_score,
+    select_mutual_best,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "SELECTORS",
     "validated_seeds",
     "common_neighbor_candidates",
-    "witness_count_kernel",
     "normalized_witness_kernel",
     "degree_ratio_validator",
     "explain_pair",

@@ -1,10 +1,9 @@
 """Numpy array kernels for the ``backend="csr"`` execution paths.
 
-The MapReduce formulation (:mod:`repro.mapreduce.matcher_mr`) and the
-dict-level scorers of :mod:`repro.core.scoring` run the paper's dataflow
-over Python dict-of-dict score tables; these kernels run the *same*
-dataflow over flat ``int64`` arrays keyed by the dense node ids of a
-:class:`~repro.graphs.pair_index.GraphPairIndex`:
+The MapReduce formulation (:mod:`repro.mapreduce.matcher_mr`) runs the
+paper's dataflow over Python dict-of-dict score tables; these kernels run
+the *same* dataflow over flat ``int64`` arrays keyed by the dense node ids
+of a :class:`~repro.graphs.pair_index.GraphPairIndex`:
 
 - :func:`count_witnesses` — the witness count (Definition 1) as one
   sparse product ``B1 @ B2`` of the 0/1 link-incidence matrices, so
@@ -15,15 +14,15 @@ dataflow over flat ``int64`` arrays keyed by the dense node ids of a
   selection over flat ``(left, right, score)`` triples.  Because interning
   is canonical (dense-id order == :func:`~repro.core.ordering.node_sort_key`
   order), every tie-break is an integer comparison and the selected links
-  are identical to the dict-level selectors'.
+  are identical to the MapReduce formulation's.
 
-:class:`ArrayScores` is the boundary object: scoring stages can hand it
-to the named selectors in :mod:`repro.core.selectors` directly (they
-dispatch on its type), and ``to_dict()`` converts back to the dict-of-dict
-form for custom stages that want the old representation.
+:class:`ArrayScores` is the one score table: the named selectors in
+:mod:`repro.core.selectors` take it, ``from_dict()`` interns a custom
+scoring stage's dict-of-dict output into it, and ``to_dict()`` converts
+back for custom stages that want that representation.
 
 Scores here are integer witness counts, so the equivalence with the
-dict-level dataflow is exact, not approximate; the property suite
+MapReduce dataflow is exact, not approximate; the property suite
 asserts it link for link and phase for phase.
 
 ``backend="native"`` reuses this module end to end: every kernel accepts
@@ -443,12 +442,13 @@ def _segment_cross_product(
 class ArrayScores:
     """Flat similarity-score table over dense node ids.
 
-    The array twin of the dict-level ``scores[v1][v2]`` table: row
-    ``i`` says candidate pair ``(left[i], right[i])`` has ``score[i]``
-    witnesses.  Pairs are unique and every score is at least the
-    producer's floor: ``min_count`` for :func:`count_witnesses` (1,
-    every witnessed pair, by default), the selection threshold for the
-    sweep's carried table and its serial recount.
+    The one score table of the package: row ``i`` says candidate pair
+    ``(left[i], right[i])`` has ``score[i]`` witnesses (:meth:`from_dict`
+    and :meth:`to_dict` convert to and from ``scores[v1][v2]``).  Pairs
+    are unique and every score is at least the producer's floor:
+    ``min_count`` for :func:`count_witnesses` (1, every witnessed pair,
+    by default), the selection threshold for the sweep's carried table
+    and its serial recount.
 
     Attributes:
         index: the interning that defines the dense id spaces.
@@ -492,6 +492,37 @@ class ArrayScores:
             out.setdefault(ids1[v1], {})[ids2[v2]] = sc
         return out
 
+    @classmethod
+    def from_dict(
+        cls, index: GraphPairIndex, rows: "dict[Node, dict[Node, object]]"
+    ) -> "ArrayScores":
+        """Intern a ``scores[v1][v2]`` table over original ids.
+
+        The inverse of :meth:`to_dict`: rows come out in ascending
+        packed-key order, scores keep their Python type's dtype (a
+        degree-normalized scorer's floats stay floats).  This is how a
+        custom scoring stage's output enters the array pipeline.
+
+        Raises:
+            NodeNotFoundError: if a scored node is not in its graph.
+        """
+        dense1, dense2 = index.dense1, index.dense2
+        left: list[int] = []
+        right: list[int] = []
+        score: list[object] = []
+        for v1, row in rows.items():
+            d1 = dense1(v1)
+            for v2, sc in row.items():
+                left.append(d1)
+                right.append(dense2(v2))
+                score.append(sc)
+        if not score:
+            return cls(index, _EMPTY, _EMPTY, _EMPTY)
+        lt = np.asarray(left, dtype=np.int64)
+        rt = np.asarray(right, dtype=np.int64)
+        order = np.lexsort((rt, lt))
+        return cls(index, lt[order], rt[order], np.asarray(score)[order])
+
 
 def count_witnesses(
     index: GraphPairIndex,
@@ -506,8 +537,7 @@ def count_witnesses(
 ) -> tuple[ArrayScores, int]:
     """Count similarity witnesses for all eligible candidate pairs.
 
-    The CSR-join form of
-    :func:`repro.core.scoring.count_similarity_witnesses`: for every link
+    Definition 1 as a CSR join: for every link
     ``(u1, u2)`` the *eligible* neighbors of ``u1`` pair with the
     eligible neighbors of ``u2``, one witness per co-occurrence.
 
@@ -724,7 +754,7 @@ def select_mutual_best_arrays(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The paper's mutual-best rule over a flat score table.
 
-    Array twin of :func:`repro.core.policy.select_mutual_best` — a pair
+    The rule of the MapReduce formulation's rounds 3 and 4 — a pair
     is linked iff it is simultaneously its left node's and its right
     node's unique best (``SKIP``) or canonical-minimum best
     (``LOWEST_ID``) at or above *threshold*.

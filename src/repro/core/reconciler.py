@@ -11,7 +11,7 @@ pluggable stages, each an ordinary callable:
    paper's link join (the only pairs that can score), so a separate
    candidate pass would duplicate the dominant join cost.  Supply a
    callable (e.g. :func:`common_neighbor_candidates` composed with a
-   filter) to restrict or extend the candidate set.
+   filter) to restrict the candidate set.
 3. **scoring kernel** — ``scorer(g1, g2, links, candidates) ->
    scores[v1][v2]`` where ``candidates`` is the stage-2 output or
    ``None`` when no candidate stage is configured (default:
@@ -43,6 +43,9 @@ import math
 import time
 from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
 
+import numpy as np
+
+from repro.core import kernels
 from repro.core.config import (
     DEFAULT_BACKEND,
     TiePolicy,
@@ -52,19 +55,18 @@ from repro.core.config import (
 )
 from repro.core.kernels import ArrayScores
 from repro.core.matcher import UserMatching
+from repro.core.native import load_native_library
 from repro.core.protocol import ProgressCallback, ProgressReporter
 from repro.core.result import MatchingResult, PhaseRecord, StageTiming
-from repro.core.scoring import (
-    count_similarity_witnesses,
-    count_similarity_witnesses_arrays,
-)
 from repro.core.selectors import SELECTORS, Selector, get_selector
 from repro.errors import MatcherConfigError
+from repro.graphs.communities import assignment_for
 from repro.graphs.graph import Graph
+from repro.graphs.pair_index import GraphPairIndex
 from repro.registry import register_matcher
 
 if TYPE_CHECKING:
-    from repro.graphs.pair_index import GraphPairIndex
+    from repro.core.native import NativeKernels
 
 Node = Hashable
 
@@ -115,91 +117,6 @@ def common_neighbor_candidates(
                 continue
             out.setdefault(v1, set()).update(right)
     return out
-
-
-def witness_count_kernel(
-    g1: Graph,
-    g2: Graph,
-    links: dict[Node, Node],
-    candidates: "dict[Node, set[Node]] | None" = None,
-) -> dict[Node, dict[Node, float]]:
-    """Default scoring kernel: similarity-witness counts (Definition 1).
-
-    Batch-computed with the join of
-    :func:`~repro.core.scoring.count_similarity_witnesses`; with a
-    candidate stage configured, scores are restricted to the proposed
-    pairs (``candidates=None`` keeps the kernel's native join).
-    """
-    scores, _emitted = count_similarity_witnesses(g1, g2, links)
-    if candidates is None:
-        return scores
-    out: dict[Node, dict[Node, float]] = {}
-    for v1, cset in candidates.items():
-        row = scores.get(v1)
-        if not row:
-            continue
-        kept = {v2: sc for v2, sc in row.items() if v2 in cset}
-        if kept:
-            out[v1] = kept
-    return out
-
-
-def _csr_witness_scorer(
-    g1: Graph,
-    g2: Graph,
-    use_native: bool = False,
-    index: "GraphPairIndex | None" = None,
-) -> ScoringKernel:
-    """Per-run witness scorer over one shared dense interning.
-
-    Scores over *index* when given (the community pruner's), else builds
-    the :class:`~repro.graphs.pair_index.GraphPairIndex` lazily on the
-    first scoring round; either way every round reuses it — interning
-    is paid once per reconciliation, as the complexity argument
-    assumes.  Without a candidate stage the flat
-    :class:`~repro.core.kernels.ArrayScores` table flows straight into
-    the selectors; with one, the scores are restricted through the dict
-    view exactly like :func:`witness_count_kernel`.  With *use_native*
-    (``backend="native"``) the compiled kernels of
-    :mod:`repro.core.native` are resolved once alongside the index and
-    plugged into every round — falling back to the csr kernels, with
-    one warning, when no toolchain is available.
-    """
-    from repro.graphs.pair_index import GraphPairIndex
-
-    state: dict[str, object] = {"index": index}
-
-    def score(
-        graph1: Graph,
-        graph2: Graph,
-        links: dict[Node, Node],
-        candidates: "dict[Node, set[Node]] | None" = None,
-    ) -> object:
-        index = state.get("index")
-        if index is None:
-            index = GraphPairIndex(g1, g2)
-            state["index"] = index
-        if use_native and "native" not in state:
-            from repro.core.native import load_native_library
-
-            state["native"] = load_native_library()
-        scores, _emitted = count_similarity_witnesses_arrays(
-            index, links, native=state.get("native")
-        )
-        if candidates is None:
-            return scores
-        out: dict[Node, dict[Node, float]] = {}
-        for v1, row in scores.to_dict().items():
-            cset = candidates.get(v1)
-            if not cset:
-                continue
-            kept = {v2: sc for v2, sc in row.items() if v2 in cset}
-            if kept:
-                out[v1] = kept
-        return out
-
-    score.__name__ = "csr_witness_scorer"
-    return score
 
 
 def normalized_witness_kernel(
@@ -271,6 +188,46 @@ def degree_ratio_validator(max_ratio: float = 3.0) -> Validator:
 
 
 # ----------------------------------------------------------------------
+# The built-in scoring stage
+# ----------------------------------------------------------------------
+def _link_arrays(
+    index: GraphPairIndex, links: dict[Node, Node]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Interned links and the free-node masks of one scoring round.
+
+    A link whose right endpoint is not in ``g2`` (a custom seed strategy
+    may produce one) blocks its left endpoint but joins nothing, as in
+    round 1 of the MapReduce formulation.
+    """
+    free1 = np.ones(index.n1, dtype=bool)
+    free2 = np.ones(index.n2, dtype=bool)
+    joined = {v1: v2 for v1, v2 in links.items() if index.has2(v2)}
+    for v1 in links.keys() - joined.keys():
+        free1[index.dense1(v1)] = False
+    link_l, link_r = index.intern_links(joined)
+    free1[link_l] = False
+    free2[link_r] = False
+    return link_l, link_r, free1, free2
+
+
+def _proposed(
+    scores: ArrayScores, candidates: "dict[Node, set[Node]]"
+) -> np.ndarray:
+    """Row mask of the scored pairs a candidate stage proposed."""
+    index = scores.index
+    dense1, dense2, n2 = index.dense1, index.dense2, index.n2
+    keys = np.fromiter(
+        (
+            dense1(v1) * n2 + dense2(v2)
+            for v1, cset in candidates.items()
+            for v2 in cset
+        ),
+        dtype=np.int64,
+    )
+    return np.isin(scores.left.astype(np.int64) * n2 + scores.right, keys)
+
+
+# ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
 @register_matcher(
@@ -291,6 +248,16 @@ class Reconciler:
         result = pipeline.run(g1, g2, seeds, progress=print)
         result.timings     # per-stage wall-clock records
 
+    Every run interns ``(g1, g2)`` once into a
+    :class:`~repro.graphs.pair_index.GraphPairIndex`, and every round's
+    scores live in one :class:`~repro.core.kernels.ArrayScores` table
+    over it: the candidate restriction and the community filter are
+    row masks over that table, and the named selectors read it
+    directly.  The default pipeline is link- and phase-identical to
+    :class:`~repro.mapreduce.matcher_mr.MapReduceUserMatching` with
+    ``iterations=rounds``, ``use_degree_buckets=False`` and
+    ``min_bucket_exponent=0``.
+
     Parameters
     ----------
     threshold : int or float
@@ -307,43 +274,53 @@ class Reconciler:
     candidates : callable, optional
         Stage 2 hook; ``None`` (default) fuses candidate enumeration
         into the kernel (the shipped kernels natively enumerate the
-        link join), avoiding a duplicate join pass.
+        link join), avoiding a duplicate join pass.  With the built-in
+        scorer the proposed pairs mask the witness table; a custom
+        scorer receives them and restricts its own output.
     scorer : callable, optional
-        Stage 3 hook (default: witness counts).
+        Stage 3 hook.  ``None`` (default) counts similarity witnesses
+        (Definition 1) with :func:`~repro.core.kernels.count_witnesses`
+        over the run's index.  A custom scorer returns the documented
+        ``scores[v1][v2]`` dict, which
+        :meth:`~repro.core.kernels.ArrayScores.from_dict` interns (a
+        scored node missing from its graph raises
+        :class:`~repro.errors.NodeNotFoundError`).  The attribute keeps
+        what was passed: ``None`` means the built-in scorer runs.
     selector : str or callable
         Stage 4 — a policy name (``"mutual-best"``, ``"greedy"``,
         ``"gale-shapley"``) or a callable with the selector signature.
+        The named selectors take the table; a callable gets its
+        ``to_dict()`` view.
     validators : sequence of callable
         Stage 5 — post-match hooks, applied in order; each receives
         ``(g1, g2, links, seeds)`` and returns the links to keep
         (seeds must be preserved).
     backend : {"csr", "native"}
         Defaults to :data:`~repro.core.config.DEFAULT_BACKEND`
-        (``"native"``).  The *default* scoring stage interns both
-        graphs once per run and produces the flat
-        :class:`~repro.core.kernels.ArrayScores` table; the named
-        selectors dispatch to the vectorized kernels on it.
-        ``"native"`` additionally routes the join and selection hot
-        loops through the compiled kernels of
-        :mod:`repro.core.native`, degrading to ``"csr"`` with a warning
-        when no C toolchain is available; links are identical either
-        way.  A custom ``scorer`` takes precedence over the backend
-        choice; a custom ``candidates`` stage keeps its dict-level
-        filtering semantics.  Passing ``scorer=witness_count_kernel``
-        runs the same witness count over Python dicts keyed by
-        original node ids, with identical links.
+        (``"native"``).  ``"native"`` routes the built-in scorer's join
+        and the named selectors' hot loops through the compiled kernels
+        of :mod:`repro.core.native`, degrading to ``"csr"`` with a
+        warning when no C toolchain is available; links are identical
+        either way.  A custom scorer's table is selected by the numpy
+        kernels.
     candidate_pruning : {"none", "community"}
         ``"community"`` partitions the union graph once per run
         (:mod:`repro.graphs.communities`, from the *initial* links the
         seed strategy produced) and drops scored pairs whose
         communities are further than *pruning_frontier* hops apart —
-        the same filter, applied between the scoring and selection
-        stages, on every backend and on custom scorers, so links stay
-        identical across scorers under pruning.  Pruning changes
-        links versus ``"none"``; that cost is measured, not hidden.
+        one row mask between the scoring and selection stages, for the
+        built-in and custom scorers alike.  Pruning changes links
+        versus ``"none"``; that cost is measured, not hidden.
     pruning_frontier : int
         Ring radius for ``candidate_pruning="community"`` (0 = same
         community only).  Ignored under ``"none"``.
+
+    Each round's :class:`~repro.core.result.PhaseRecord` has
+    ``bucket_exponent=None`` and ``min_degree=1``.  ``candidates``
+    counts the pairs at or above ``threshold`` after the candidate
+    restriction and the pruning.  ``witnesses_emitted`` is the built-in
+    join's ``Σ a_k · b_k`` before pruning; for a custom scorer it is the
+    total score of the table it returned.
     """
 
     def __init__(
@@ -381,8 +358,7 @@ class Reconciler:
         self.pruning_frontier = validate_pruning_frontier(pruning_frontier)
         self.seed_strategy = seed_strategy or validated_seeds
         self.candidates = candidates
-        self._default_scorer = scorer is None
-        self.scorer = scorer or witness_count_kernel
+        self.scorer = scorer
         self.selector = (
             get_selector(selector)
             if isinstance(selector, str)
@@ -391,59 +367,38 @@ class Reconciler:
         self.validators = tuple(validators)
 
     # ------------------------------------------------------------------
-    def _build_pruner(
+    def _intern(
+        self, g1: Graph, g2: Graph
+    ) -> "tuple[GraphPairIndex, NativeKernels | None]":
+        """The run's index, and the compiled kernels the built-in
+        scorer uses under ``backend="native"`` (resolved once)."""
+        native = None
+        if self.scorer is None and self.backend == "native":
+            native = load_native_library()
+        return GraphPairIndex(g1, g2), native
+
+    def _score(
         self,
+        index: GraphPairIndex,
+        native: "NativeKernels | None",
         g1: Graph,
         g2: Graph,
-        start_links: dict[Node, Node],
-    ) -> "tuple[Callable[[object], object], GraphPairIndex]":
-        """Community filter closure, built once from the initial links.
-
-        The returned callable accepts either score shape — the flat
-        :class:`~repro.core.kernels.ArrayScores` table or the nested
-        dict — and applies the identical allowed-pair relation to both,
-        which is what keeps the default scorer and custom scorers
-        link-identical to each other under pruning.  It comes with the
-        :class:`~repro.graphs.pair_index.GraphPairIndex` the assignment
-        was built on, which the csr and native scorers reuse.
-        """
-        from repro.core import kernels
-        from repro.graphs.communities import assignment_for
-        from repro.graphs.pair_index import GraphPairIndex
-
-        index = GraphPairIndex(g1, g2)
-        assignment = assignment_for(
-            g1,
-            g2,
-            start_links,
-            frontier=self.pruning_frontier,
-            index=index,
+        links: dict[Node, Node],
+        candidates: "dict[Node, set[Node]] | None",
+    ) -> tuple[ArrayScores, int]:
+        """One scoring stage: the round's table and its witness count."""
+        if self.scorer is not None:
+            rows = self.scorer(g1, g2, links, candidates)
+            scores = ArrayScores.from_dict(index, rows)
+            return scores, scores.total_score()
+        scores, emitted = kernels.count_witnesses(
+            index, *_link_arrays(index, links), native=native
         )
-        cmap1, cmap2 = assignment.community_maps(index)
-
-        def prune(scores: object) -> object:
-            if isinstance(scores, ArrayScores):
-                # Dense ids agree with the assignment's: interning is
-                # deterministic in graph insertion order.
-                return kernels.prune_scores(
-                    scores,
-                    assignment.allowed_mask(scores.left, scores.right),
-                )
-            out: dict[Node, dict[Node, float]] = {}
-            for v1, row in scores.items():  # type: ignore[attr-defined]
-                c1 = cmap1.get(v1, -1)
-                kept = {
-                    v2: sc
-                    for v2, sc in row.items()
-                    if assignment.allowed_communities(
-                        c1, cmap2.get(v2, -1)
-                    )
-                }
-                if kept:
-                    out[v1] = kept
-            return out
-
-        return prune, index
+        if candidates is not None:
+            scores = kernels.prune_scores(
+                scores, _proposed(scores, candidates)
+            )
+        return scores, emitted
 
     # ------------------------------------------------------------------
     def run(
@@ -492,25 +447,28 @@ class Reconciler:
         links: dict[Node, Node] = dict(start_links)
         reporter.emit("seeds", links_total=len(links), links_added=0)
 
-        prune: "Callable[[object], object] | None" = None
-        index: "GraphPairIndex | None" = None
+        index, native = timed("index", 0, self._intern, g1, g2)
+        reporter.emit("index", links_total=len(links), links_added=0)
+        assignment = None
         if self.candidate_pruning == "community":
-            prune, index = timed(
-                "prune-setup", 0, self._build_pruner, g1, g2, start_links
+            assignment = timed(
+                "prune-setup",
+                0,
+                assignment_for,
+                g1,
+                g2,
+                start_links,
+                self.pruning_frontier,
+                index,
             )
             reporter.emit(
                 "prune-setup", links_total=len(links), links_added=0
             )
-
-        scorer = self.scorer
-        if self._default_scorer:
-            scorer = _csr_witness_scorer(
-                g1, g2, use_native=self.backend == "native", index=index
-            )
-        del index  # held by the scorer, if it uses one
+        named = self.selector in SELECTORS.values()
 
         phases: list[PhaseRecord] = []
         for rnd in range(1, self.rounds + 1):
+            cands = None  # fused: the kernel enumerates its own join
             if self.candidates is not None:
                 cands = timed(
                     "candidates", rnd, self.candidates, g1, g2, links
@@ -518,26 +476,23 @@ class Reconciler:
                 reporter.emit(
                     "candidates", links_total=len(links), links_added=0
                 )
-            else:
-                cands = None  # fused: the kernel enumerates its own join
-            scores = timed("score", rnd, scorer, g1, g2, links, cands)
+            scores, emitted = timed(
+                "score", rnd, self._score, index, native, g1, g2, links, cands
+            )
             reporter.emit("score", links_total=len(links), links_added=0)
-            if prune is not None:
-                scores = timed("prune", rnd, prune, scores)
+            if assignment is not None:
+                keep = assignment.allowed_mask(scores.left, scores.right)
+                scores = timed(
+                    "prune", rnd, kernels.prune_scores, scores, keep
+                )
                 reporter.emit(
                     "prune", links_total=len(links), links_added=0
                 )
-            if isinstance(scores, ArrayScores) and (
-                self.selector not in SELECTORS.values()
-            ):
-                # Only the named selectors dispatch on the flat table; a
-                # custom selector callable gets the documented dict shape.
-                scores = scores.to_dict()
             new_links = timed(
                 "select",
                 rnd,
                 self.selector,
-                scores,
+                scores if named else scores.to_dict(),
                 self.threshold,
                 self.tie_policy,
             )
@@ -552,25 +507,15 @@ class Reconciler:
                 accepted[v1] = v2
                 linked_right.add(v2)
             links.update(accepted)
-            if isinstance(scores, ArrayScores):
-                scored_pairs = scores.num_pairs
-                witnesses = scores.total_score()
-            else:
-                scored_pairs = sum(len(row) for row in scores.values())
-                witnesses = int(
-                    sum(
-                        sc
-                        for row in scores.values()
-                        for sc in row.values()
-                    )
-                )
             phases.append(
                 PhaseRecord(
                     iteration=rnd,
                     bucket_exponent=None,
                     min_degree=1,
-                    candidates=scored_pairs,
-                    witnesses_emitted=witnesses,
+                    candidates=int(
+                        np.count_nonzero(scores.score >= self.threshold)
+                    ),
+                    witnesses_emitted=emitted,
                     links_added=len(accepted),
                 )
             )

@@ -4,13 +4,12 @@ Every selector shares one signature::
 
     selector(scores, threshold, tie_policy=TiePolicy.SKIP) -> dict[v1, v2]
 
-where ``scores[v1][v2]`` is the (nonzero) similarity score of candidate
-pair ``(v1, v2)``.  The output is guaranteed one-to-one.  Three policies
-ship:
+where ``scores`` is the flat :class:`~repro.core.kernels.ArrayScores`
+table of candidate-pair scores.  The output, over original node ids, is
+guaranteed one-to-one.  Three policies ship:
 
 - ``"mutual-best"`` — the paper's rule (a pair links iff it is the best
-  for *both* endpoints); precise but abstains under contention.  See
-  :func:`repro.core.policy.select_mutual_best`.
+  for *both* endpoints); precise but abstains under contention.
 - ``"greedy"`` — sort all pairs by score and take them greedily, skipping
   used endpoints.  Maximizes matched volume per round at some precision
   cost; the classic weighted-matching heuristic.
@@ -23,12 +22,8 @@ ship:
 Exact score ties are broken by the canonical
 :func:`~repro.core.ordering.node_sort_key` in the greedy and stable
 selectors (their sequential nature needs *some* deterministic order, so
-``TiePolicy.SKIP`` only affects ``"mutual-best"``).
-
-Every selector also accepts the flat
-:class:`~repro.core.kernels.ArrayScores` table produced by the csr
-backend; mutual-best and greedy route to the vectorized kernels, and all
-three return links over original node ids either way.
+``TiePolicy.SKIP`` only affects ``"mutual-best"``).  Interning is
+canonical, so on the table that order is the dense-id order.
 """
 
 from __future__ import annotations
@@ -36,17 +31,42 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 from repro.core.config import TiePolicy
+from repro.core.kernels import (
+    ArrayScores,
+    select_greedy_arrays,
+    select_mutual_best_arrays,
+)
 from repro.core.ordering import node_sort_key
-from repro.core.policy import select_mutual_best
 from repro.errors import MatcherRegistryError
 
 Node = Hashable
 Selector = Callable[..., "dict[Node, Node]"]
 
 
+def select_mutual_best(
+    scores: ArrayScores,
+    threshold: int | float,
+    tie_policy: TiePolicy = TiePolicy.SKIP,
+) -> dict[Node, Node]:
+    """The paper's mutual-best rule.
+
+    From the pseudocode: *"If (u, v) is the pair with highest score in
+    which either u or v appear and the score is above T, add (u, v) to
+    L."*  A pair is emitted iff it is simultaneously the best candidate
+    for its left node and for its right node, and scores at least
+    ``T``; under ``SKIP`` a tied best abstains, under ``LOWEST_ID`` the
+    canonically smallest wins.  Two emitted pairs never share an
+    endpoint.  See :func:`~repro.core.kernels.select_mutual_best_arrays`.
+    """
+    left, right, _candidates = select_mutual_best_arrays(
+        scores, threshold, tie_policy
+    )
+    return scores.index.export_links(left, right)
+
+
 def select_greedy_top_score(
-    scores: dict[Node, dict[Node, int]],
-    threshold: int,
+    scores: ArrayScores,
+    threshold: int | float,
     tie_policy: TiePolicy = TiePolicy.SKIP,
 ) -> dict[Node, Node]:
     """Greedy maximum-score selection.
@@ -60,33 +80,13 @@ def select_greedy_top_score(
     order already resolves ties deterministically.
     """
     del tie_policy  # greedy order is already deterministic under ties
-    from repro.core.kernels import ArrayScores, select_greedy_arrays
-
-    if isinstance(scores, ArrayScores):
-        left, right = select_greedy_arrays(scores, threshold)
-        return scores.index.export_links(left, right)
-    ranked = sorted(
-        (
-            (v1, v2, sc)
-            for v1, row in scores.items()
-            for v2, sc in row.items()
-            if sc >= threshold
-        ),
-        key=lambda t: (-t[2], node_sort_key(t[0]), node_sort_key(t[1])),
-    )
-    out: dict[Node, Node] = {}
-    used_right: set[Node] = set()
-    for v1, v2, _sc in ranked:
-        if v1 in out or v2 in used_right:
-            continue
-        out[v1] = v2
-        used_right.add(v2)
-    return out
+    left, right = select_greedy_arrays(scores, threshold)
+    return scores.index.export_links(left, right)
 
 
 def select_gale_shapley(
-    scores: dict[Node, dict[Node, int]],
-    threshold: int,
+    scores: ArrayScores,
+    threshold: int | float,
     tie_policy: TiePolicy = TiePolicy.SKIP,
 ) -> dict[Node, Node]:
     """Stable (deferred-acceptance) selection over the score table.
@@ -100,15 +100,11 @@ def select_gale_shapley(
     acceptances break exact ties by the canonical node order.
     """
     del tie_policy  # deferred acceptance resolves ties deterministically
-    from repro.core.kernels import ArrayScores
-
-    if isinstance(scores, ArrayScores):
-        # Deferred acceptance is proposal-sequential; run it over the
-        # dict view (scores are identical, so the links are too).
-        scores = scores.to_dict()
-    # Preference lists: descending score, canonical order within a tie.
+    # Deferred acceptance is proposal-sequential; it runs over the dict
+    # view of the table.  Preference lists: descending score, canonical
+    # order within a tie.
     prefs: dict[Node, list[tuple[int, Node]]] = {}
-    for v1, row in scores.items():
+    for v1, row in scores.to_dict().items():
         ranked = sorted(
             ((sc, v2) for v2, sc in row.items() if sc >= threshold),
             key=lambda t: (-t[0], node_sort_key(t[1])),

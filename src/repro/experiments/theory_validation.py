@@ -10,7 +10,7 @@ fraction of wrong pairs that would beat the paper's threshold.
 
 from __future__ import annotations
 
-from repro.core.scoring import witness_score
+from repro.core.diagnostics import explain_pair
 from repro.experiments.common import ExperimentResult
 from repro.generators.erdos_renyi import gnp_graph
 from repro.sampling.edge_sampling import independent_copies
@@ -44,9 +44,13 @@ def run(
     for _ in range(sample_pairs):
         v = nodes[rng.randrange(len(nodes))]
         w = nodes[rng.randrange(len(nodes))]
-        correct_scores.append(witness_score(pair.g1, pair.g2, seeds, v, v))
+        correct_scores.append(
+            explain_pair(pair.g1, pair.g2, seeds, v, v).score
+        )
         if w != v:
-            wrong_scores.append(witness_score(pair.g1, pair.g2, seeds, v, w))
+            wrong_scores.append(
+                explain_pair(pair.g1, pair.g2, seeds, v, w).score
+            )
     result = ExperimentResult(
         name="theory-validation",
         description=(

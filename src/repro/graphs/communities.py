@@ -213,8 +213,8 @@ class CommunityAssignment:
     Built once per reconciliation from the union graph and the *initial*
     seed links; every pruning-aware matcher consults the same
     assignment, so the filter — and therefore the links — are identical
-    across the array sweep, the MapReduce formulation and dict-level
-    custom scorers.
+    across the array sweep, the Reconciler and the MapReduce
+    formulation.
 
     Attributes:
         comm1: ``int64[n1]`` community id per dense ``g1`` id
@@ -308,8 +308,7 @@ class CommunityAssignment:
     ) -> tuple[dict[Node, int], dict[Node, int]]:
         """Original-id -> community dicts for the original-id paths.
 
-        The MapReduce formulation and the Reconciler's pruning of
-        dict-level custom scorers look communities up by node id.
+        The MapReduce formulation looks communities up by node id.
         """
         return (
             dict(zip(index.csr1.node_ids, self.comm1.tolist())),

@@ -368,14 +368,24 @@ class ReconciliationService:
     def _replay_log_tail(
         engine: IncrementalReconciler, store: LinkStore, batches_done: int
     ) -> int:
-        """Apply every logged delta past *batches_done*; return count."""
+        """Apply every logged delta past *batches_done*; return count.
+
+        Raises :class:`ReproError`, as the replica's stream does, on a
+        delta with a non-integer batch, a batch that does not continue
+        the checkpoint, or no payload.
+        """
         expected = batches_done + 1
         replayed = 0
         for event in store.events():
             if event.get("type") != "delta":
                 continue
             batch = event.get("batch")
-            if not isinstance(batch, int) or batch <= batches_done:
+            if not isinstance(batch, int) or isinstance(batch, bool):
+                raise ReproError(
+                    f"serving log {store.path}: delta event with "
+                    f"non-integer batch {batch!r}"
+                )
+            if batch <= batches_done:
                 continue
             if batch != expected:
                 raise ReproError(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracle_helpers import as_table, witness_join_oracle
 
 from repro.core import kernels
 from repro.core.config import TiePolicy
@@ -12,13 +13,8 @@ from repro.core.kernels import (
     select_greedy_arrays,
     select_mutual_best_arrays,
 )
-from repro.core.policy import select_mutual_best
-from repro.core.scoring import (
-    count_similarity_witnesses,
-    count_similarity_witnesses_arrays,
-)
-from repro.core.selectors import select_greedy_top_score
-from repro.errors import KernelInputError
+from repro.core.selectors import select_greedy_top_score, select_mutual_best
+from repro.errors import KernelInputError, NodeNotFoundError
 from repro.graphs.graph import Graph
 from repro.graphs.pair_index import GraphPairIndex
 
@@ -39,12 +35,15 @@ def join_handle(join: str):
 JOINS = ["sparse", "native"]
 
 
-def as_dict(scores: ArrayScores) -> dict:
-    return {v1: dict(row) for v1, row in scores.to_dict().items()}
-
-
-def reference_dict(scores: dict) -> dict:
-    return {v1: dict(row) for v1, row in scores.items()}
+def seed_round(index, links, min_degree=1):
+    """One scoring round's join inputs: unlinked, at least *min_degree*."""
+    link_l, link_r = index.intern_links(links)
+    linked1 = np.zeros(index.n1, dtype=bool)
+    linked2 = np.zeros(index.n2, dtype=bool)
+    linked1[link_l] = True
+    linked2[link_r] = True
+    floor1, floor2 = index.eligibility(min_degree)
+    return link_l, link_r, ~linked1 & floor1, ~linked2 & floor2
 
 
 class TestSegmentedGather:
@@ -72,55 +71,17 @@ class TestSegmentedGather:
 
 class TestCountWitnesses:
     @pytest.mark.parametrize("join", JOINS)
-    def test_matches_dict_kernel(self, pa_pair, pa_seeds, join):
+    def test_matches_oracle(self, pa_pair, pa_seeds, join):
         native = join_handle(join)
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
         for min_degree in (1, 2, 4):
-            expected, emitted = count_similarity_witnesses(
-                pa_pair.g1, pa_pair.g2, pa_seeds, min_degree
-            )
-            link_l, link_r = index.intern_links(pa_seeds)
-            linked1 = np.zeros(index.n1, dtype=bool)
-            linked2 = np.zeros(index.n2, dtype=bool)
-            linked1[link_l] = True
-            linked2[link_r] = True
-            floor1, floor2 = index.eligibility(min_degree)
+            args = seed_round(index, pa_seeds, min_degree)
+            expected, emitted = witness_join_oracle(index, *args)
             scores, got_emitted = count_witnesses(
-                index,
-                link_l,
-                link_r,
-                ~linked1 & floor1,
-                ~linked2 & floor2,
-                native=native,
+                index, *args, native=native
             )
             assert got_emitted == emitted
-            assert as_dict(scores) == reference_dict(expected)
-
-    def test_scoring_bridge_matches(self, pa_pair, pa_seeds):
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        expected, emitted = count_similarity_witnesses(
-            pa_pair.g1, pa_pair.g2, pa_seeds, 2
-        )
-        scores, got = count_similarity_witnesses_arrays(
-            index, pa_seeds, min_degree=2
-        )
-        assert got == emitted
-        assert as_dict(scores) == reference_dict(expected)
-
-    def test_bridge_tolerates_missing_right_endpoint(self, pa_pair):
-        """Parity with the dict kernel's `if not g2_has(u2)` guard."""
-        links = dict(list(pa_pair.identity.items())[:30])
-        broken_left = next(iter(links))
-        links[broken_left] = "not-in-g2"
-        expected, emitted = count_similarity_witnesses(
-            pa_pair.g1, pa_pair.g2, links, 2
-        )
-        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        scores, got = count_similarity_witnesses_arrays(
-            index, links, min_degree=2
-        )
-        assert got == emitted
-        assert as_dict(scores) == reference_dict(expected)
+            assert as_table(scores) == expected
 
     def test_no_links(self, pa_pair):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
@@ -195,8 +156,38 @@ class TestMaskValidation:
 
 def _scores_fixture(pa_pair, pa_seeds):
     index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-    scores, _ = count_similarity_witnesses_arrays(index, pa_seeds)
+    scores, _ = count_witnesses(index, *seed_round(index, pa_seeds))
     return scores
+
+
+def mutual_best_by_definition(scores, threshold, tie_policy):
+    """Pairs that are the best of their row and of their column.
+
+    Under SKIP a tied best abstains; under LOWEST_ID the smallest id of
+    the tied bests wins (dense ids are in canonical order).
+    """
+    rows: dict = {}
+    cols: dict = {}
+    for v1, v2, sc in zip(
+        scores.left.tolist(), scores.right.tolist(), scores.score.tolist()
+    ):
+        if sc >= threshold:
+            rows.setdefault(v1, []).append((sc, v2))
+            cols.setdefault(v2, []).append((sc, v1))
+
+    def best(options):
+        top = max(sc for sc, _ in options)
+        winners = sorted(other for sc, other in options if sc == top)
+        if len(winners) > 1 and tie_policy is TiePolicy.SKIP:
+            return None
+        return winners[0]
+
+    col_best = {v2: best(options) for v2, options in cols.items()}
+    return {
+        v1: v2
+        for v1, options in rows.items()
+        if (v2 := best(options)) is not None and col_best[v2] == v1
+    }
 
 
 class TestArraySelection:
@@ -204,31 +195,43 @@ class TestArraySelection:
         "tie_policy", [TiePolicy.SKIP, TiePolicy.LOWEST_ID]
     )
     @pytest.mark.parametrize("threshold", [1, 2, 3])
-    def test_mutual_best_matches_dict_policy(
+    def test_mutual_best_matches_definition(
         self, pa_pair, pa_seeds, threshold, tie_policy
     ):
         scores = _scores_fixture(pa_pair, pa_seeds)
-        expected = select_mutual_best(scores.to_dict(), threshold, tie_policy)
-        left, right, _cands = select_mutual_best_arrays(
+        expected = mutual_best_by_definition(scores, threshold, tie_policy)
+        left, right, cands = select_mutual_best_arrays(
             scores, threshold, tie_policy
         )
-        assert scores.index.export_links(left, right) == expected
-
-    def test_mutual_best_dispatch_on_array_scores(self, pa_pair, pa_seeds):
-        """policy.select_mutual_best accepts the flat table directly."""
-        scores = _scores_fixture(pa_pair, pa_seeds)
-        assert select_mutual_best(scores, 2) == select_mutual_best(
-            scores.to_dict(), 2
-        )
+        assert dict(zip(left.tolist(), right.tolist())) == expected
+        assert cands == int((scores.score >= threshold).sum())
+        assert select_mutual_best(
+            scores, threshold, tie_policy
+        ) == scores.index.export_links(left, right)
 
     @pytest.mark.parametrize("threshold", [1, 2, 3])
-    def test_greedy_matches_dict_selector(self, pa_pair, pa_seeds, threshold):
+    def test_greedy_takes_pairs_in_rank_order(
+        self, pa_pair, pa_seeds, threshold
+    ):
         scores = _scores_fixture(pa_pair, pa_seeds)
-        expected = select_greedy_top_score(scores.to_dict(), threshold)
+        ranked = sorted(
+            (-sc, v1, v2)
+            for v1, v2, sc in zip(
+                scores.left.tolist(),
+                scores.right.tolist(),
+                scores.score.tolist(),
+            )
+            if sc >= threshold
+        )
+        expected: dict = {}
+        for _neg, v1, v2 in ranked:
+            if v1 not in expected and v2 not in expected.values():
+                expected[v1] = v2
         left, right = select_greedy_arrays(scores, threshold)
-        assert scores.index.export_links(left, right) == expected
-        # ... and via the dispatching selector entry point.
-        assert select_greedy_top_score(scores, threshold) == expected
+        assert dict(zip(left.tolist(), right.tolist())) == expected
+        assert select_greedy_top_score(
+            scores, threshold
+        ) == scores.index.export_links(left, right)
 
     def test_skip_drops_tied_groups(self):
         g1 = Graph.from_edges([(0, 1), (0, 2), (3, 1), (3, 2)])
@@ -265,6 +268,46 @@ class TestArraySelection:
         scores = _scores_fixture(pa_pair, pa_seeds)
         assert scores.num_pairs == len(scores.score)
         assert scores.total_score() == int(scores.score.sum())
+
+
+class TestFromDict:
+    """A custom scorer's ``scores[v1][v2]`` enters as one table."""
+
+    def test_round_trips_through_to_dict(self, pa_pair, pa_seeds):
+        scores = _scores_fixture(pa_pair, pa_seeds)
+        again = ArrayScores.from_dict(scores.index, scores.to_dict())
+        assert again.to_dict() == scores.to_dict()
+        assert as_table(again) == as_table(scores)
+
+    def test_rows_in_ascending_key_order(self):
+        g = Graph.from_edges([(0, 1), (1, 2)])
+        index = GraphPairIndex(g, g.copy())
+        scores = ArrayScores.from_dict(index, {2: {1: 3, 0: 1}, 0: {2: 2}})
+        packed = scores.left * index.n2 + scores.right
+        assert bool(np.all(np.diff(packed) > 0))
+        assert scores.to_dict() == {0: {2: 2}, 2: {0: 1, 1: 3}}
+
+    def test_float_scores_stay_floats(self):
+        g = Graph.from_edges([(0, 1)])
+        index = GraphPairIndex(g, g.copy())
+        scores = ArrayScores.from_dict(index, {0: {1: 0.5}})
+        assert scores.score.dtype == np.float64
+        assert scores.to_dict() == {0: {1: 0.5}}
+
+    def test_empty(self):
+        g = Graph.from_edges([(0, 1)])
+        index = GraphPairIndex(g, g.copy())
+        assert ArrayScores.from_dict(index, {}).num_pairs == 0
+        assert ArrayScores.from_dict(index, {0: {}}).num_pairs == 0
+
+    @pytest.mark.parametrize(
+        "rows", [{0: {"ghost": 5}}, {"ghost": {0: 5}}]
+    )
+    def test_node_outside_its_graph_refused(self, rows):
+        g = Graph.from_edges([(0, 1), (1, 2)])
+        index = GraphPairIndex(g, g.copy())
+        with pytest.raises(NodeNotFoundError, match="ghost"):
+            ArrayScores.from_dict(index, rows)
 
 
 def canonical_table(scores: ArrayScores):

@@ -1,7 +1,7 @@
 """Unit tests for the compiled kernels behind ``backend="native"``.
 
 Two families live here: exactness of each C kernel against its
-reference (the witness join against the dict oracle across all four
+reference (the witness join against the nested-loop oracle across all four
 index-dtype variants; mutual-best under both tie policies and greedy
 scan against their numpy twins), and the load/fallback machinery
 (module-level cache, kill switch, broken compiler, the load-time
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_helpers import as_table, witness_join_oracle
 
 from repro.core import kernels, native
 from repro.core.config import MatcherConfig, TiePolicy
@@ -33,7 +34,6 @@ from repro.core.native import (
     native_available,
 )
 from repro.core.matcher import UserMatching
-from repro.core.scoring import count_similarity_witnesses
 from repro.errors import KernelInputError
 from repro.graphs.graph import Graph
 from repro.generators.preferential_attachment import (
@@ -89,16 +89,15 @@ def canon(scores: ArrayScores):
 
 
 class TestWitnessJoin:
-    def _both(self, pair, index, links, native_handle):
-        """Native join == the dict oracle, rows in canonical order."""
-        ref, ref_emitted = count_similarity_witnesses(
-            pair.g1, pair.g2, links, 2
-        )
+    def _both(self, index, links, native_handle):
+        """Native join == the nested-loop oracle, rows in canonical order."""
+        args = linked_masks(index, links)
+        ref, ref_emitted = witness_join_oracle(index, *args)
         nat, nat_emitted = count_witnesses(
-            index, *linked_masks(index, links), native=native_handle
+            index, *args, native=native_handle
         )
         assert nat_emitted == ref_emitted
-        assert nat.to_dict() == {v1: dict(row) for v1, row in ref.items()}
+        assert as_table(nat) == ref
         packed = nat.left.astype(np.int64) * index.n2 + nat.right
         assert bool(np.all(np.diff(packed) > 0))
         assert nat.native is native_handle
@@ -106,7 +105,7 @@ class TestWitnessJoin:
 
     def test_matches_dict_on_pa_workload(self, pa_pair, pa_seeds, nk):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        self._both(pa_pair, index, pa_seeds, nk)
+        self._both(index, pa_seeds, nk)
 
     @pytest.mark.parametrize("wide1", [False, True])
     @pytest.mark.parametrize("wide2", [False, True])
@@ -118,7 +117,7 @@ class TestWitnessJoin:
             index.csr1.indices = index.csr1.indices.astype(np.int64)
         if wide2:
             index.csr2.indices = index.csr2.indices.astype(np.int64)
-        self._both(pa_pair, index, pa_seeds, nk)
+        self._both(index, pa_seeds, nk)
 
     def test_empty_links(self, pa_pair, nk):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)

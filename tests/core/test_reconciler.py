@@ -1,6 +1,7 @@
 """Tests for the composable Reconciler pipeline."""
 
 import pytest
+from oracle_helpers import assert_same_result, fallback_guard, oracle_for
 
 from repro.baselines.common_neighbors import CommonNeighborsMatcher
 from repro.core.config import TiePolicy
@@ -9,10 +10,13 @@ from repro.core.reconciler import (
     common_neighbor_candidates,
     degree_ratio_validator,
     normalized_witness_kernel,
-    witness_count_kernel,
 )
 from repro.core.result import MatchingResult, StageTiming
-from repro.errors import MatcherConfigError, MatcherRegistryError
+from repro.errors import (
+    MatcherConfigError,
+    MatcherRegistryError,
+    NodeNotFoundError,
+)
 from repro.generators.preferential_attachment import (
     preferential_attachment_graph,
 )
@@ -250,15 +254,12 @@ class TestPrunedInterning:
         self, workload, backend, monkeypatch
     ):
         """Community pruning and the witness scorer share one
-        GraphPairIndex, and the links are those of the dict-level
-        scorer."""
-        import warnings
-
+        GraphPairIndex, and the result is the MapReduce oracle's."""
         from repro.graphs import pair_index
 
         pair, seeds = workload
-        reference = Reconciler(
-            scorer=witness_count_kernel, candidate_pruning="community"
+        reference = oracle_for(
+            "reconciler", candidate_pruning="community"
         ).run(pair.g1, pair.g2, seeds)
         built = []
         original = pair_index.GraphPairIndex.__init__
@@ -270,12 +271,92 @@ class TestPrunedInterning:
         monkeypatch.setattr(
             pair_index.GraphPairIndex, "__init__", counting_init
         )
-        with warnings.catch_warnings():
-            # A machine without a C toolchain runs native as csr.
-            warnings.simplefilter("ignore")
+        with fallback_guard(backend):
             result = Reconciler(
                 backend=backend, candidate_pruning="community"
             ).run(pair.g1, pair.g2, seeds)
         assert built == [pair_index.GraphPairIndex]
-        assert result.links == reference.links
-        assert result.phases == reference.phases
+        assert_same_result(result, reference, backend)
+
+
+class TestOracle:
+    """The default pipeline is the unbucketed MapReduce formulation."""
+
+    @pytest.mark.parametrize("backend", ["csr", "native"])
+    @pytest.mark.parametrize("pruning", ["none", "community"])
+    @pytest.mark.parametrize("tie_policy", list(TiePolicy))
+    def test_identical_to_mapreduce(
+        self, workload, backend, pruning, tie_policy
+    ):
+        pair, seeds = workload
+        config = dict(
+            threshold=2,
+            rounds=3,
+            tie_policy=tie_policy,
+            candidate_pruning=pruning,
+        )
+        reference = oracle_for("reconciler", **config).run(
+            pair.g1, pair.g2, seeds
+        )
+        with fallback_guard(backend):
+            result = Reconciler(backend=backend, **config).run(
+                pair.g1, pair.g2, seeds
+            )
+        assert_same_result(result, reference, (backend, pruning))
+        assert len(result.links) > len(seeds)
+
+    def test_phase_records_follow_their_definition(self, workload):
+        """candidates: pairs at or above T after pruning; witnesses:
+        the join's expansion before it."""
+        pair, seeds = workload
+        plain = Reconciler(rounds=1).run(pair.g1, pair.g2, seeds)
+        pruned = Reconciler(rounds=1, candidate_pruning="community").run(
+            pair.g1, pair.g2, seeds
+        )
+        (a,), (b,) = plain.phases, pruned.phases
+        assert b.witnesses_emitted == a.witnesses_emitted
+        assert b.candidates <= a.candidates
+        assert a.candidates <= a.witnesses_emitted
+
+    def test_custom_scorer_reports_its_total_score(self, workload):
+        pair, seeds = workload
+        rows = {}
+
+        def scorer(g1, g2, links, candidates=None):
+            rows.clear()
+            rows.update(normalized_witness_kernel(g1, g2, links))
+            return rows
+
+        result = Reconciler(threshold=1, rounds=1, scorer=scorer).run(
+            pair.g1, pair.g2, seeds
+        )
+        (phase,) = result.phases
+        total = sum(sc for row in rows.values() for sc in row.values())
+        assert phase.witnesses_emitted == int(total)
+        assert phase.candidates == sum(
+            sc >= 1 for row in rows.values() for sc in row.values()
+        )
+
+
+class TestScorerAttribute:
+    def test_builtin_scorer_is_none(self):
+        assert Reconciler().scorer is None
+
+    def test_custom_scorer_is_kept(self):
+        pipeline = Reconciler(scorer=normalized_witness_kernel)
+        assert pipeline.scorer is normalized_witness_kernel
+
+
+class TestScoredNodesMustExist:
+    @pytest.mark.parametrize(
+        "rows", [{2: {"ghost": 5}}, {"ghost": {2: 5}}]
+    )
+    def test_ghost_node_refused(self, rows):
+        """A custom scorer may not link a node its graph lacks."""
+        g1 = Graph.from_edges([(1, 2), (2, 3)])
+
+        def ghostly(g1, g2, links, candidates=None):
+            return rows
+
+        with pytest.raises(NodeNotFoundError, match="ghost"):
+            Reconciler(scorer=ghostly).run(g1, g1.copy(), {1: 1})

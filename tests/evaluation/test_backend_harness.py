@@ -1,56 +1,58 @@
 """Backend plumbing through the trial harness and compare_matchers."""
 
 import pytest
+from oracle_helpers import oracle_for
 
 from repro.core.config import MatcherConfig
+from repro.core.kernels import ArrayScores
 from repro.core.matcher import UserMatching
-from repro.core.reconciler import Reconciler, witness_count_kernel
+from repro.core.reconciler import Reconciler
+from repro.core.selectors import select_mutual_best
 from repro.errors import MatcherConfigError
 from repro.evaluation.harness import compare_matchers, run_trial
+from repro.graphs.pair_index import GraphPairIndex
 
 
 class TestReconcilerCustomStages:
     def test_custom_selector_gets_dict_scores_on_csr(self, pa_pair, pa_seeds):
         """A custom selector sees the documented dict table shape."""
-
-        from repro.core.policy import select_mutual_best
-
         seen_types = []
 
         def my_selector(scores, threshold, tie_policy=None):
             seen_types.append(type(scores))
             assert isinstance(scores, dict)
-            return select_mutual_best(scores, threshold)
+            return select_mutual_best(
+                ArrayScores.from_dict(index, scores), threshold
+            )
 
-        # The dict-level scorer is the reference for the array scorer.
-        ref = Reconciler(
-            threshold=2,
-            rounds=2,
-            selector=my_selector,
-            scorer=witness_count_kernel,
-        ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
+        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
+        ref = oracle_for("reconciler", threshold=2, rounds=2).run(
+            pa_pair.g1, pa_pair.g2, pa_seeds
+        )
         csr = Reconciler(
             threshold=2, rounds=2, selector=my_selector, backend="csr"
         ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
         assert csr.links == ref.links
-        assert all(t is dict for t in seen_types)
+        assert seen_types and all(t is dict for t in seen_types)
 
     def test_seed_strategy_with_missing_right_endpoint(
         self, pa_pair, pa_seeds
     ):
-        """The csr scorer tolerates links pointing outside g2."""
+        """A link pointing outside g2 blocks its left node and joins
+        nothing: the run equals the oracle's on g1 without that node."""
+        lost = next(iter(pa_pair.g1.nodes()))
 
         def loose_seeds(g1, g2, seeds):
             out = dict(seeds)
-            out[next(iter(g1.nodes()))] = "not-in-g2"
+            out[lost] = "not-in-g2"
             return out
 
-        ref = Reconciler(
-            threshold=2,
-            rounds=2,
-            seed_strategy=loose_seeds,
-            scorer=witness_count_kernel,
-        ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
+        g1 = pa_pair.g1.copy()
+        g1.remove_node(lost)
+        seeds = {v1: v2 for v1, v2 in pa_seeds.items() if v1 != lost}
+        ref = oracle_for("reconciler", threshold=2, rounds=2).run(
+            g1, pa_pair.g2, seeds
+        )
         for backend in ("csr", "native"):
             got = Reconciler(
                 threshold=2,
@@ -58,7 +60,8 @@ class TestReconcilerCustomStages:
                 seed_strategy=loose_seeds,
                 backend=backend,
             ).run(pa_pair.g1, pa_pair.g2, pa_seeds)
-            assert got.links == ref.links, backend
+            assert got.links == {**ref.links, lost: "not-in-g2"}, backend
+            assert got.phases == ref.phases, backend
 
 
 class TestRunTrialBackend:

@@ -10,8 +10,12 @@ the same way:
 
 - ``common-neighbors`` is a User-Matching configuration, so its
   reference is the MapReduce formulation under that configuration;
-- the ``reconciler``'s default array scorer is held to the dict-level
-  :func:`~repro.core.reconciler.witness_count_kernel` over original ids;
+- the ``reconciler``'s default pipeline (witness counts, mutual-best)
+  is the unbucketed User-Matching configuration, so its reference is the
+  MapReduce formulation with ``use_degree_buckets=False`` and
+  ``min_bucket_exponent=0``; the MapReduce formulation has no greedy or
+  stable selection, so under those selectors the reference is the same
+  selector over :func:`definition_one_scorer`;
 - the MapReduce formulation and the narayanan-shmatikov,
   structural-features and degree-sequence baselines have one path that
   ignores ``backend``, so each is its own reference.
@@ -19,6 +23,10 @@ the same way:
 Under ``REPRO_NATIVE_DISABLE=1`` (or with no C toolchain) the native
 runs are csr fallback runs and the wall still holds them to the
 reference.
+
+:func:`witness_join_oracle` is the kernel-level reference: Definition 1
+spelled out as nested loops over the CSR rows, for the tests that hold
+:func:`~repro.core.kernels.count_witnesses` (scipy and compiled) to it.
 """
 
 from __future__ import annotations
@@ -26,12 +34,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import warnings
+from collections import Counter
 
 from repro.baselines.common_neighbors import CommonNeighborsMatcher
 from repro.core.config import BACKENDS, MatcherConfig
 from repro.core.matcher import UserMatching
 from repro.core.native import NativeFallbackWarning, native_available
-from repro.core.reconciler import Reconciler, witness_count_kernel
+from repro.core.reconciler import Reconciler
 from repro.mapreduce.matcher_mr import MapReduceUserMatching
 from repro.registry import get_matcher
 
@@ -55,8 +64,105 @@ def oracle_for(name: str, **config):
     if name == "common-neighbors":
         return MapReduceUserMatching(CommonNeighborsMatcher(**config).config)
     if name == "reconciler":
-        return Reconciler(scorer=witness_count_kernel, **config)
+        return reconciler_oracle(**config)
     return get_matcher(name, **config)
+
+
+def reconciler_oracle(
+    *,
+    threshold=2,
+    rounds=3,
+    selector="mutual-best",
+    **config,
+):
+    """The reference of a ``Reconciler`` with the built-in scorer.
+
+    Under mutual-best that is the MapReduce formulation with one
+    pseudo-bucket of floor 1 per iteration (*config* carries the tie
+    policy and the pruning knobs through); under another named
+    selector, that selector over :func:`definition_one_scorer`.
+    """
+    if selector == "mutual-best":
+        return MapReduceUserMatching(
+            MatcherConfig(
+                threshold=threshold,
+                iterations=rounds,
+                use_degree_buckets=False,
+                min_bucket_exponent=0,
+                **config,
+            )
+        )
+    return Reconciler(
+        threshold=threshold,
+        rounds=rounds,
+        selector=selector,
+        scorer=definition_one_scorer,
+        **config,
+    )
+
+
+def definition_one_scorer(g1, g2, links, candidates=None):
+    """Definition 1 over original ids, as a custom Reconciler scorer.
+
+    Every link ``(u1, u2)`` whose image is in ``g2`` adds one witness to
+    each pair of unlinked neighbors ``(v1, v2)``; *candidates*, when
+    given, restricts the pairs.  Each witness lands in one count, so
+    the table's total score is the join's ``Σ a_k · b_k``.
+    """
+    linked_right = set(links.values())
+    rows: dict = {}
+    for u1, u2 in links.items():
+        if not g2.has_node(u2):
+            continue
+        for v1 in g1.neighbors(u1):
+            if v1 in links:
+                continue
+            for v2 in g2.neighbors(u2):
+                if v2 in linked_right or (
+                    candidates is not None
+                    and v2 not in candidates.get(v1, ())
+                ):
+                    continue
+                row = rows.setdefault(v1, {})
+                row[v2] = row.get(v2, 0) + 1
+    return rows
+
+
+def witness_join_oracle(
+    index, link_l, link_r, eligible1, eligible2, min_count=1, allowed=None
+):
+    """Literal witness enumeration over the CSR neighbor rows.
+
+    Returns ``({(v1, v2): count}, emitted)`` over dense ids: the pairs
+    scoring at least *min_count* (and passing *allowed*, when given)
+    and the full expansion ``Σ a_k · b_k``.
+    """
+    ip1, ix1 = index.csr1.indptr, index.csr1.indices
+    ip2, ix2 = index.csr2.indptr, index.csr2.indices
+    counts: Counter = Counter()
+    emitted = 0
+    for u1, u2 in zip(link_l.tolist(), link_r.tolist()):
+        near1 = [v for v in ix1[ip1[u1]:ip1[u1 + 1]].tolist() if eligible1[v]]
+        near2 = [v for v in ix2[ip2[u2]:ip2[u2 + 1]].tolist() if eligible2[v]]
+        emitted += len(near1) * len(near2)
+        for v1 in near1:
+            for v2 in near2:
+                counts[(v1, v2)] += 1
+    table = {
+        pair: c
+        for pair, c in counts.items()
+        if c >= min_count and (allowed is None or allowed(*pair))
+    }
+    return table, emitted
+
+
+def as_table(scores):
+    """``{(v1, v2): count}`` of an ``ArrayScores``, pairs checked unique."""
+    left = scores.left.tolist()
+    right = scores.right.tolist()
+    table = dict(zip(zip(left, right), scores.score.tolist()))
+    assert len(table) == scores.num_pairs, "duplicate pairs in the table"
+    return table
 
 
 @contextlib.contextmanager

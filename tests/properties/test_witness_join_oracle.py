@@ -4,8 +4,8 @@ Every array-backend round scores its candidates through
 :func:`repro.core.kernels.count_witnesses`: for each link ``(u1, u2)``
 every eligible neighbor ``v1`` of ``u1`` pairs with every eligible
 neighbor ``v2`` of ``u2``, one similarity witness per co-occurrence.
-The oracle here spells that definition out as nested Python loops over
-the CSR rows and compares, for both implementations behind the
+The oracle (``oracle_helpers.witness_join_oracle``) spells that
+definition out as nested Python loops over the CSR rows and compares, for both implementations behind the
 signature (the scipy sparse join and the compiled row-major join):
 
 - the table itself, as an order-free ``{(v1, v2): count}`` map, with
@@ -24,7 +24,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracle_helpers import as_table
+from oracle_helpers import witness_join_oracle as oracle
 
+from repro.core.diagnostics import explain_pair
 from repro.core.kernels import count_witnesses
 from repro.core.native import load_native_library
 from repro.generators.affiliation import affiliation_graph
@@ -35,6 +38,7 @@ from repro.generators.preferential_attachment import (
 from repro.generators.rmat import rmat_graph
 from repro.generators.small_world import watts_strogatz_graph
 from repro.graphs.communities import assign_communities
+from repro.graphs.graph import Graph
 from repro.graphs.pair_index import GraphPairIndex
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
@@ -85,37 +89,6 @@ def kernel(name):
     if handle is None:
         pytest.skip("no C toolchain in this environment")
     return handle
-
-
-def oracle(index, link_l, link_r, eligible1, eligible2, min_count,
-           allowed=None):
-    """Literal witness enumeration over the CSR neighbor rows."""
-    ip1, ix1 = index.csr1.indptr, index.csr1.indices
-    ip2, ix2 = index.csr2.indptr, index.csr2.indices
-    counts: Counter = Counter()
-    emitted = 0
-    for u1, u2 in zip(link_l.tolist(), link_r.tolist()):
-        near1 = [v for v in ix1[ip1[u1]:ip1[u1 + 1]].tolist() if eligible1[v]]
-        near2 = [v for v in ix2[ip2[u2]:ip2[u2 + 1]].tolist() if eligible2[v]]
-        emitted += len(near1) * len(near2)
-        for v1 in near1:
-            for v2 in near2:
-                counts[(v1, v2)] += 1
-    table = {
-        pair: c
-        for pair, c in counts.items()
-        if c >= min_count and (allowed is None or allowed(*pair))
-    }
-    return table, emitted
-
-
-def as_table(scores):
-    """``{(v1, v2): count}`` with the uniqueness and floor checked."""
-    left = scores.left.tolist()
-    right = scores.right.tolist()
-    table = dict(zip(zip(left, right), scores.score.tolist()))
-    assert len(table) == scores.num_pairs, "duplicate pairs in the table"
-    return table
 
 
 def allowed_rule(assignment):
@@ -242,3 +215,68 @@ def test_split_links_sum_to_the_whole(family, kernel_name):
         emitted += part_emitted
     assert emitted == whole_emitted
     assert dict(total) == as_table(whole)
+
+
+def two_triangles():
+    """Two identical triangles with an extra pendant, same ids."""
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    return GraphPairIndex(Graph.from_edges(edges), Graph.from_edges(edges))
+
+
+def round_of(index, links, min_degree=1):
+    """One scoring round's inputs: unlinked, at least *min_degree*."""
+    link_l, link_r = index.intern_links(links)
+    eligible1, eligible2 = index.eligibility(min_degree)
+    eligible1, eligible2 = eligible1.copy(), eligible2.copy()
+    eligible1[link_l] = False
+    eligible2[link_r] = False
+    return link_l, link_r, eligible1, eligible2
+
+
+@pytest.mark.parametrize("kernel_name", ["csr", "native"])
+class TestDefinitionOne:
+    """Hand-checked rounds: the table over original ids, by example."""
+
+    def scores(self, kernel_name, index, links, min_degree=1):
+        args = round_of(index, links, min_degree)
+        scores, emitted = count_witnesses(
+            index, *args, native=kernel(kernel_name)
+        )
+        assert (as_table(scores), emitted) == oracle(index, *args)
+        return scores.to_dict(), emitted
+
+    def test_one_link_scores_each_neighbor_pair(self, kernel_name):
+        table, emitted = self.scores(kernel_name, two_triangles(), {0: 0})
+        assert table == {1: {1: 1, 2: 1}, 2: {1: 1, 2: 1}}
+        assert emitted == 4
+
+    def test_scores_match_explained_pairs(self, kernel_name, pa_pair,
+                                          pa_seeds):
+        index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
+        table, _ = self.scores(kernel_name, index, pa_seeds)
+        checked = 0
+        for v1, row in list(table.items())[:20]:
+            for v2, sc in list(row.items())[:5]:
+                assert sc == explain_pair(
+                    pa_pair.g1, pa_pair.g2, pa_seeds, v1, v2
+                ).score
+                checked += 1
+        assert checked > 0
+
+    def test_linked_nodes_are_not_candidates(self, kernel_name):
+        table, _ = self.scores(kernel_name, two_triangles(), {0: 0, 2: 2})
+        assert 0 not in table and 2 not in table
+        for row in table.values():
+            assert 0 not in row and 2 not in row
+
+    def test_min_degree_filter(self, kernel_name):
+        # Node 3 has degree 1: below the floor of 2 on both sides.
+        table, _ = self.scores(kernel_name, two_triangles(), {2: 2}, 2)
+        assert table == {0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}}
+
+    def test_empty_links(self, kernel_name):
+        assert self.scores(kernel_name, two_triangles(), {}) == ({}, 0)
+
+    def test_emitted_equals_total_score(self, kernel_name):
+        table, emitted = self.scores(kernel_name, two_triangles(), {0: 0, 1: 1})
+        assert emitted == sum(sum(row.values()) for row in table.values())

@@ -80,7 +80,7 @@ class TestCompare:
 
 class TestBackendColumns:
     def test_suffix_classification(self, gate):
-        assert gate.backend_of("m.py::test_bench_join") == "dict"
+        assert gate.backend_of("m.py::test_bench_join") == "any"
         assert gate.backend_of("m.py::test_bench_join_csr") == "csr"
         assert gate.backend_of("m.py::test_bench_join_native") == "native"
 
@@ -107,7 +107,8 @@ class TestBackendColumns:
         out = capsys.readouterr().out
         assert "backend native: REGRESSION (1 of 1)" in out
         assert "backend csr: ok (1 benchmarks)" in out
-        assert "backend dict: ok (1 benchmarks)" in out
+        assert "backend any: ok (1 benchmarks)" in out
+        assert "backend dict" not in out
 
     def test_new_backend_column_skipped_with_note(
         self, gate, tmp_path, capsys

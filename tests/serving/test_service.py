@@ -268,6 +268,30 @@ class TestDurabilityAndResume:
         with pytest.raises(ReproError, match="batch"):
             ReconciliationService.resume(path)
 
+    @pytest.mark.parametrize("bogus", ["2", None, True, 2.0])
+    def test_resume_refuses_non_integer_batch(
+        self, tmp_path, workload, bogus
+    ):
+        """Resume refuses the log the replica's stream refuses."""
+        pair, seeds, deltas = workload
+        path = tmp_path / "serve.npz"
+
+        async def go():
+            engine = make_engine(pair, seeds)
+            service = ReconciliationService(engine, checkpoint_path=path)
+            await service.start()
+            await service.submit(deltas[0])
+            await service.close()
+
+        asyncio.run(go())
+        with open(tmp_path / "serve.npz.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(
+                json.dumps({"type": "delta", "batch": bogus, "payload": {}})
+                + "\n"
+            )
+        with pytest.raises(ReproError, match="non-integer batch"):
+            ReconciliationService.resume(path)
+
     def test_checkpoint_every_bounds_log_tail(self, tmp_path, workload):
         pair, seeds, deltas = workload
         path = tmp_path / "serve.npz"

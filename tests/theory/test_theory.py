@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.core.scoring import witness_score
+from repro.core.diagnostics import explain_pair
 from repro.generators.erdos_renyi import gnp_graph
 from repro.sampling.edge_sampling import independent_copies
 from repro.seeds.generators import sample_seeds
@@ -98,7 +98,7 @@ class TestEmpiricalValidation:
         n, p, s, l, pair, seeds = er_setup
         expected = er_expected_witnesses_correct(n, p, s, l)
         sample = [
-            witness_score(pair.g1, pair.g2, seeds, v, v)
+            explain_pair(pair.g1, pair.g2, seeds, v, v).score
             for v in range(0, n, 7)
             if v not in seeds
         ]
@@ -108,11 +108,11 @@ class TestEmpiricalValidation:
     def test_wrong_pair_witness_mean_below_correct(self, er_setup):
         n, p, s, l, pair, seeds = er_setup
         wrong = [
-            witness_score(pair.g1, pair.g2, seeds, v, (v + 1) % n)
+            explain_pair(pair.g1, pair.g2, seeds, v, (v + 1) % n).score
             for v in range(0, n, 7)
         ]
         correct = [
-            witness_score(pair.g1, pair.g2, seeds, v, v)
+            explain_pair(pair.g1, pair.g2, seeds, v, v).score
             for v in range(0, n, 7)
         ]
         assert sum(wrong) < 0.4 * sum(correct)
