@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracle_helpers import as_table, witness_join_oracle
+from oracle_helpers import as_table, round_inputs, witness_join_oracle
 
 from repro.core import kernels
 from repro.core.config import TiePolicy
@@ -35,17 +35,6 @@ def join_handle(join: str):
 JOINS = ["sparse", "native"]
 
 
-def seed_round(index, links, min_degree=1):
-    """One scoring round's join inputs: unlinked, at least *min_degree*."""
-    link_l, link_r = index.intern_links(links)
-    linked1 = np.zeros(index.n1, dtype=bool)
-    linked2 = np.zeros(index.n2, dtype=bool)
-    linked1[link_l] = True
-    linked2[link_r] = True
-    floor1, floor2 = index.eligibility(min_degree)
-    return link_l, link_r, ~linked1 & floor1, ~linked2 & floor2
-
-
 class TestSegmentedGather:
     def test_concatenates_slices(self):
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -75,7 +64,7 @@ class TestCountWitnesses:
         native = join_handle(join)
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
         for min_degree in (1, 2, 4):
-            args = seed_round(index, pa_seeds, min_degree)
+            args = round_inputs(index, pa_seeds, min_degree)
             expected, emitted = witness_join_oracle(index, *args)
             scores, got_emitted = count_witnesses(
                 index, *args, native=native
@@ -156,7 +145,7 @@ class TestMaskValidation:
 
 def _scores_fixture(pa_pair, pa_seeds):
     index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-    scores, _ = count_witnesses(index, *seed_round(index, pa_seeds))
+    scores, _ = count_witnesses(index, *round_inputs(index, pa_seeds))
     return scores
 
 

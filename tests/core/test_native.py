@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_helpers import as_table, witness_join_oracle
+from oracle_helpers import as_table, round_inputs, witness_join_oracle
 
 from repro.core import kernels, native
 from repro.core.config import MatcherConfig, TiePolicy
@@ -66,16 +66,6 @@ def fresh_cache():
     _reset_native_cache()
 
 
-def linked_masks(index, links):
-    link_l, link_r = index.intern_links(links)
-    linked1 = np.zeros(index.n1, dtype=bool)
-    linked2 = np.zeros(index.n2, dtype=bool)
-    linked1[link_l] = True
-    linked2[link_r] = True
-    floor1, floor2 = index.eligibility(2)
-    return link_l, link_r, ~linked1 & floor1, ~linked2 & floor2
-
-
 def table(scores: ArrayScores):
     return (scores.left.tolist(), scores.right.tolist(),
             scores.score.tolist())
@@ -91,7 +81,7 @@ def canon(scores: ArrayScores):
 class TestWitnessJoin:
     def _both(self, index, links, native_handle):
         """Native join == the nested-loop oracle, rows in canonical order."""
-        args = linked_masks(index, links)
+        args = round_inputs(index, links, 2)
         ref, ref_emitted = witness_join_oracle(index, *args)
         nat, nat_emitted = count_witnesses(
             index, *args, native=native_handle
@@ -153,7 +143,7 @@ class TestWitnessJoin:
         output columns that big graphs would select.
         """
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        args = linked_masks(index, pa_seeds)
+        args = round_inputs(index, pa_seeds, 2)
         narrow, narrow_emitted = count_witnesses(index, *args, native=nk)
         assert narrow.left.dtype == np.int32
         monkeypatch.setattr(native, "_NATIVE_OUT32_MAX", -1)
@@ -164,7 +154,7 @@ class TestWitnessJoin:
 
     def test_raw_join_keys_ascending(self, pa_pair, pa_seeds, nk):
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-        link_l, link_r, elig1, elig2 = linked_masks(index, pa_seeds)
+        link_l, link_r, elig1, elig2 = round_inputs(index, pa_seeds, 2)
         left, right, counts, emitted = nk.witness_join(
             index.csr1.indptr,
             index.csr1.indices,
@@ -433,7 +423,7 @@ class TestJoinFloor:
 
 def _random_scores(pa_pair, pa_seeds, nk):
     index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
-    args = linked_masks(index, pa_seeds)
+    args = round_inputs(index, pa_seeds, 2)
     scores, _ = count_witnesses(index, *args, native=nk)
     return scores
 
@@ -507,7 +497,7 @@ class TestNativeSelection:
         """A table floored at the threshold reaches C without a copy."""
         index = GraphPairIndex(pa_pair.g1, pa_pair.g2)
         scores, _ = count_witnesses(
-            index, *linked_masks(index, pa_seeds), native=nk, min_count=2
+            index, *round_inputs(index, pa_seeds, 2), native=nk, min_count=2
         )
         assert scores.left.dtype == np.int32 and scores.num_pairs
         with mock.patch.object(nk, "mutual_best", wraps=nk.mutual_best) as spy:

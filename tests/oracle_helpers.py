@@ -156,6 +156,20 @@ def witness_join_oracle(
     return table, emitted
 
 
+def round_inputs(index, links, min_degree=1):
+    """One scoring round's join inputs for :func:`witness_join_oracle`.
+
+    ``(link_l, link_r, eligible1, eligible2)``: the interned *links* and
+    the masks of nodes that are unlinked and at least *min_degree*.
+    """
+    link_l, link_r = index.intern_links(links)
+    eligible1, eligible2 = index.eligibility(min_degree)
+    eligible1, eligible2 = eligible1.copy(), eligible2.copy()
+    eligible1[link_l] = False
+    eligible2[link_r] = False
+    return link_l, link_r, eligible1, eligible2
+
+
 def as_table(scores):
     """``{(v1, v2): count}`` of an ``ArrayScores``, pairs checked unique."""
     left = scores.left.tolist()

@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracle_helpers import as_table
+from oracle_helpers import as_table, round_inputs
 from oracle_helpers import witness_join_oracle as oracle
 
 from repro.core.diagnostics import explain_pair
@@ -223,22 +223,12 @@ def two_triangles():
     return GraphPairIndex(Graph.from_edges(edges), Graph.from_edges(edges))
 
 
-def round_of(index, links, min_degree=1):
-    """One scoring round's inputs: unlinked, at least *min_degree*."""
-    link_l, link_r = index.intern_links(links)
-    eligible1, eligible2 = index.eligibility(min_degree)
-    eligible1, eligible2 = eligible1.copy(), eligible2.copy()
-    eligible1[link_l] = False
-    eligible2[link_r] = False
-    return link_l, link_r, eligible1, eligible2
-
-
 @pytest.mark.parametrize("kernel_name", ["csr", "native"])
 class TestDefinitionOne:
     """Hand-checked rounds: the table over original ids, by example."""
 
     def scores(self, kernel_name, index, links, min_degree=1):
-        args = round_of(index, links, min_degree)
+        args = round_inputs(index, links, min_degree)
         scores, emitted = count_witnesses(
             index, *args, native=kernel(kernel_name)
         )
