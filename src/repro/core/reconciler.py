@@ -275,8 +275,10 @@ class Reconciler:
         Stage 2 hook; ``None`` (default) fuses candidate enumeration
         into the kernel (the shipped kernels natively enumerate the
         link join), avoiding a duplicate join pass.  With the built-in
-        scorer the proposed pairs mask the witness table; a custom
-        scorer receives them and restricts its own output.
+        scorer the proposed pairs mask the witness table (a proposed
+        node missing from its graph raises
+        :class:`~repro.errors.NodeNotFoundError`); a custom scorer
+        receives them and restricts its own output.
     scorer : callable, optional
         Stage 3 hook.  ``None`` (default) counts similarity witnesses
         (Definition 1) with :func:`~repro.core.kernels.count_witnesses`

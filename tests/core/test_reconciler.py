@@ -360,3 +360,13 @@ class TestScoredNodesMustExist:
 
         with pytest.raises(NodeNotFoundError, match="ghost"):
             Reconciler(scorer=ghostly).run(g1, g1.copy(), {1: 1})
+
+    def test_ghost_candidate_refused(self):
+        """So may a candidate stage, under the built-in scorer."""
+        g1 = Graph.from_edges([(1, 2), (2, 3)])
+
+        def ghostly(g1, g2, links):
+            return {2: {2, "ghost"}}
+
+        with pytest.raises(NodeNotFoundError, match="ghost"):
+            Reconciler(candidates=ghostly).run(g1, g1.copy(), {1: 1})
